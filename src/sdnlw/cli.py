@@ -82,6 +82,8 @@ def cmd_stick_stats(args) -> int:
 def cmd_couple(args) -> int:
     cfg = _load_cfg(args)
     T = args.t if args.t is not None else cfg.T
+    if not args.check_horizon > 0:
+        raise ValueError(f"check_horizon must be > 0, got {args.check_horizon}")
     u2 = gaussian_bump_pair(cfg.N, args.u2_perturbation)
     opts = CouplingOptions(eps_every=args.eps_every)
     rec = coupling_init(cfg, None, u2, opts, seed=cfg.seed)
@@ -89,20 +91,24 @@ def cmd_couple(args) -> int:
     rec = run_coupling(rec, n)
     check = shifted_flow_check(cfg, None, u2, min(T, args.check_horizon),
                                opts, seed=cfg.seed)
-    print(f"h-cost int |h|^2 dt:      {float(rec.hcost):.6e}")
-    print(f"|w(T)|_H1:                {float(hnorm(rec.w)):.6e}")
-    print(f"coupled d_1(T):           {float(coupling_distance(rec, 1)):.6e}")
-    print(f"shifted-flow residual:    {check['rel_residual'][-1]:.3e} (relative)")
+    hcost = float(rec.hcost)
+    w_h1 = float(hnorm(rec.w))
+    d1 = float(coupling_distance(rec, 1))
+    residual = float(check["rel_residual"][-1])
+    print(f"h-cost int |h|^2 dt:      {hcost:.6e}")
+    print(f"|w(T)|_H1:                {w_h1:.6e}")
+    print(f"coupled d_1(T):           {d1:.6e}")
+    print(f"shifted-flow residual:    {residual:.3e} (relative)")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_summary_json(out / "couple.json", {
             "kind": "couple", "config": cfg.as_dict(), "T": T,
             "u2_perturbation": args.u2_perturbation,
-            "hcost": float(rec.hcost),
-            "w_h1": float(hnorm(rec.w)),
-            "coupled_d1": float(coupling_distance(rec, 1)),
-            "shifted_flow_rel_residual": float(check["rel_residual"][-1]),
+            "hcost": hcost,
+            "w_h1": w_h1,
+            "coupled_d1": d1,
+            "shifted_flow_rel_residual": residual,
         })
         print(f"summary:    {out / 'couple.json'}")
     return 0

@@ -44,6 +44,7 @@ uses predictable h_k, so E[E(h)] = 1 holds exactly at any step size.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,7 +121,9 @@ class TauMMonitor:
     powers are formed pointwise from the samples, which equals the
     dealiased spectral route up to the documented quadrature error of the
     norms themselves).  ``M = inf`` never stops; larger M stops later (the
-    trigger is a running max).  Mutable; owned by one coupling record.
+    trigger is a running max).  ``update`` rebinds its arrays rather than
+    writing into them, so a shallow copy is an independent monitor; each
+    coupling record owns its own.
     """
 
     def __init__(self, M: float, alpha: float, gamma: float,
@@ -169,6 +172,14 @@ class CouplingOptions:
     eps_every: int = 1             # re-evaluate eps every this many steps
     t_star: float = 40.0           # X^alpha sup grid horizon
     dt_grid: float = 0.25          # X^alpha sup grid step
+
+    def __post_init__(self):
+        if not (self.eps_every >= 1 and self.eps_every == int(self.eps_every)):
+            raise ValueError(f"eps_every must be an integer >= 1, got {self.eps_every}")
+        if not self.t_star >= 0.0:
+            raise ValueError(f"t_star must be >= 0, got {self.t_star}")
+        if not self.dt_grid > 0.0:
+            raise ValueError(f"dt_grid must be > 0, got {self.dt_grid}")
 
     def exponents(self, alpha: float) -> tuple[float, float]:
         return (self.pref_exp if self.pref_exp is not None else 2.0 / alpha,
@@ -295,10 +306,11 @@ def coupling_step(record: CouplingRecord,
     cfg = flow.cfg
     N, delta = cfg.N, cfg.dt
 
-    prev_stopped = None
-    if record.monitor is not None:
-        prev_stopped = record.monitor.stopped.copy()
-        stopped = record.monitor.update(flow.t, flow.stick.value)
+    monitor = record.monitor
+    if monitor is not None:
+        prev_stopped = monitor.stopped
+        monitor = copy.copy(monitor)  # the incoming record keeps its own
+        stopped = monitor.update(flow.t, flow.stick.value)
     Q, b_plain = _plain_bracket(record)
     if record.step % record.opts.eps_every == 0:
         eps = epsilon_scale(record, Q)
@@ -308,7 +320,7 @@ def coupling_step(record: CouplingRecord,
     h_live = _h_from_bracket(b_moll, cfg.s)
 
     h_frozen = record.h_frozen
-    if record.monitor is not None:
+    if monitor is not None:
         newly = stopped & ~prev_stopped
         if np.any(newly):
             h_frozen = np.where(newly[..., None, None], h_live, h_frozen)
@@ -335,7 +347,7 @@ def coupling_step(record: CouplingRecord,
 
     return replace(record, flow=flow_new, lin_diff=lin_diff_new, w=w_new,
                    hcost=hcost, log_density=log_density, eps=np.asarray(eps),
-                   h_last=h_used, h_frozen=h_frozen)
+                   h_last=h_used, h_frozen=h_frozen, monitor=monitor)
 
 
 def run_coupling(record: CouplingRecord, n_steps: int,

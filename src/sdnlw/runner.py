@@ -14,13 +14,14 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectral
 from .checkpoint import write_checkpoint
 from .config import SimConfig, dump_config
 from .ergodics import ensemble_summary, sample_trajectory, time_averages
@@ -66,6 +67,26 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def run_environment() -> dict:
+    """What bit-reproducibility depends on: library versions, the FFT module
+    ``spectral`` bound, and the SIMD extensions numpy dispatches to (its
+    array and scalar kernels may round differently in the last bit)."""
+    try:
+        import scipy
+        scipy_version = scipy.__version__
+    except ImportError:  # pragma: no cover
+        scipy_version = None
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+        simd = list(__cpu_baseline__) + [
+            f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    except ImportError:  # pragma: no cover
+        simd = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy_version, "fft": spectral._fft.__name__, "simd": simd}
+
+
 @dataclass
 class RunManifest:
     config_text: str
@@ -75,6 +96,7 @@ class RunManifest:
     started: str = ""
     finished: str = ""
     outputs: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=run_environment)
 
     @classmethod
     def begin(cls, cfg: SimConfig, seeds) -> "RunManifest":

@@ -72,9 +72,15 @@ def default_phys_size(N: int) -> int:
     return 3 * N + 2
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached table immutable; every caller shares the one array."""
+    arr.setflags(write=False)
+    return arr
+
+
 @lru_cache(maxsize=None)
 def mode_range(N: int) -> np.ndarray:
-    return np.arange(-N, N + 1)
+    return read_only(np.arange(-N, N + 1))
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +88,7 @@ def omega_table(N: int) -> np.ndarray:
     """omega_n = (3/4 + |2 pi n|^2)^{1/2} on the (K, K) lattice."""
     n = mode_range(N).astype(float)
     n1, n2 = np.meshgrid(n, n, indexing="ij")
-    return np.sqrt(0.75 + (2.0 * np.pi) ** 2 * (n1**2 + n2**2))
+    return read_only(np.sqrt(0.75 + (2.0 * np.pi) ** 2 * (n1**2 + n2**2)))
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +96,7 @@ def grad2_table(N: int) -> np.ndarray:
     """|2 pi n|^2 on the lattice (the symbol of -Laplacian)."""
     n = mode_range(N).astype(float)
     n1, n2 = np.meshgrid(n, n, indexing="ij")
-    return (2.0 * np.pi) ** 2 * (n1**2 + n2**2)
+    return read_only((2.0 * np.pi) ** 2 * (n1**2 + n2**2))
 
 
 def fast_grid_size(m: int) -> int:

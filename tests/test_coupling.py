@@ -373,3 +373,41 @@ class TestTauM:
         rec = run_coupling(rec, 150)
         late = float(coupling_distance(rec, 1))
         assert late < early
+
+
+class TestReplay:
+    @pytest.mark.parametrize("M", [1.0, 2.0, 3.0])
+    def test_two_continuations_agree(self, M):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+        u2 = gaussian_bump_pair(4, 0.5)
+        rec = coupling_init(cfg, None, u2, CouplingOptions(eps_every=5, dt_grid=1.0),
+                            seed=list(range(64)), batch=(64,), monitor_M=M)
+        mid = run_coupling(rec, 5)
+        mon = mid.monitor
+        before = {k: getattr(mon, k).copy()
+                  for k in ("running_max", "stopped", "stop_time")}
+        a = run_coupling(mid, 5)
+        b = run_coupling(mid, 5)
+        for name in ("log_density", "h_frozen"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("stopped", "stop_time"):
+            assert np.array_equal(getattr(a.monitor, name), getattr(b.monitor, name))
+        for k, v in before.items():
+            assert np.array_equal(getattr(mon, k), v)
+
+
+class TestCouplingOptionsValidation:
+    @pytest.mark.parametrize("kw,field", [
+        ({"eps_every": 0}, "eps_every"),
+        ({"eps_every": -3}, "eps_every"),
+        ({"eps_every": 1.5}, "eps_every"),
+        ({"t_star": -1.0}, "t_star"),
+        ({"dt_grid": 0.0}, "dt_grid"),
+        ({"dt_grid": -0.25}, "dt_grid"),
+    ])
+    def test_rejected_with_field_name(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            CouplingOptions(**kw)
+
+    def test_t_star_zero_accepted(self):
+        assert CouplingOptions(t_star=0.0).t_star == 0.0

@@ -131,6 +131,10 @@ class TestRunner:
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["seeds"] == [7]
         assert len(manifest["outputs"]) == 3
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "fft", "simd"}
+        assert env["numpy"] == np.__version__
+        assert env["fft"] in ("scipy.fft", "numpy.fft")
 
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
         cfg = SimConfig(N=2, s=1.0, dt=0.05, T=1.0,
@@ -177,6 +181,18 @@ class TestCli:
                             "--t", "1.0", "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "couple.json").read_text())
         assert report["hcost"] == 0.0
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--eps-every", "0", "eps_every"),
+        ("--eps-every", "-3", "eps_every"),
+        ("--check-horizon", "0", "check_horizon"),
+    ])
+    def test_couple_bad_input_exit_one(self, tmp_path, capsys, flag, value, field):
+        assert self.run_cli("couple", "--t", "0.2", flag, value,
+                            "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "couple.json").exists()
 
     def test_resume_roundtrip(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

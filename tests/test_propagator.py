@@ -4,16 +4,28 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from _utils import weighted_sup_norm_loop
+from sdnlw import propagator
 from sdnlw.propagator import (
     apply_S,
     determinant_defect,
+    grid_tables,
     mode_matrix,
+    propagator_tables,
     semigroup_defect,
     wave_residual_field,
     weighted_sup_norm,
     xalpha_norm,
 )
-from sdnlw.spectral import l2_norm, pair_norm, random_pair, zero_pair
+from sdnlw.spectral import (
+    grad2_table,
+    l2_norm,
+    mode_range,
+    omega_table,
+    pair_norm,
+    random_pair,
+    zero_pair,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -120,5 +132,84 @@ class TestXalphaNorm:
 
     def test_empty_grid_rejected(self):
         v = random_pair(4, RNG)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty time grid"):
+            xalpha_norm(v, 0.25, t_star=-1.0)
+
+    @pytest.mark.parametrize("dt_grid", [0.0, -0.25])
+    def test_nonpositive_grid_step_rejected(self, dt_grid):
+        v = random_pair(4, RNG)
+        with pytest.raises(ValueError, match="dt_grid"):
+            xalpha_norm(v, 0.25, dt_grid=dt_grid)
+
+    def test_alpha_range_rejected(self):
+        v = random_pair(4, RNG)
+        with pytest.raises(ValueError, match="alpha"):
             xalpha_norm(v, 1.5)
+
+
+# (t_star, dt_grid): t_star on the grid, off the grid, and a one-point grid
+GRIDS = [(40.0, 1.0), (1.0, 0.3), (0.0, 0.25)]
+# chunk budgets: one grid time per chunk, the default, the whole grid at once
+BUDGETS = [1, propagator.CHUNK_BYTES, 1 << 40]
+
+
+class TestChunkedSupNorm:
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("t_star,dt_grid", GRIDS)
+    @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
+    @pytest.mark.parametrize("batch", [(1,), (7,), (2, 3)])
+    def test_equals_per_point_loop(self, monkeypatch, batch, p, t_star, dt_grid,
+                                   budget):
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", budget)
+        v = random_pair(4, RNG, batch=batch)
+        total, detail = weighted_sup_norm(v, 0.25, p, t_star, dt_grid,
+                                          return_detail=True)
+        want, grid_max, tail = weighted_sup_norm_loop(v, 0.25, p, t_star, dt_grid)
+        assert np.array_equal(total, want)
+        assert np.array_equal(detail["grid_max"], grid_max)
+        assert np.array_equal(detail["tail_bound"], tail)
+
+    @pytest.mark.parametrize("t_star,dt_grid", GRIDS)
+    @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
+    def test_large_batch_equals_per_point_loop(self, p, t_star, dt_grid):
+        # 1000 paths at N=4 exceed the budget at one grid time: one per chunk
+        v = random_pair(4, RNG, batch=(1000,))
+        want = weighted_sup_norm_loop(v, 0.25, p, t_star, dt_grid)[0]
+        assert np.array_equal(weighted_sup_norm(v, 0.25, p, t_star, dt_grid), want)
+
+    def test_unbatched_equals_batch_of_one(self):
+        for N in (4, 8):
+            for _ in range(10):
+                v = random_pair(N, RNG)
+                assert xalpha_norm(v, 0.25) == xalpha_norm(v[None], 0.25)[0]
+
+    def test_batch_rows_equal_lone_paths(self):
+        v = random_pair(8, RNG, batch=(6,))
+        together = xalpha_norm(v, 0.25)
+        alone = np.array([xalpha_norm(row, 0.25) for row in v])
+        assert np.array_equal(together, alone)
+        stacked = xalpha_norm(v.reshape(2, 3, *v.shape[1:]), 0.25)
+        assert np.array_equal(stacked.ravel(), together)
+
+    def test_grid_tables_are_the_per_time_tables(self):
+        grid, tables = grid_tables(4, 1.0, 0.3)
+        for i, t in enumerate(grid):
+            for stacked, single in zip(tables, propagator_tables(4, float(t))):
+                assert np.array_equal(stacked[i], single)
+
+
+class TestCachedTablesReadOnly:
+    @pytest.mark.parametrize("table", [
+        lambda: propagator_tables(4, 0.3).m11,
+        lambda: grid_tables(4, 1.0, 0.3)[0],
+        lambda: grid_tables(4, 1.0, 0.3)[1].m22,
+        lambda: omega_table(4),
+        lambda: grad2_table(4),
+        lambda: mode_range(4),
+    ])
+    def test_in_place_write_raises(self, table):
+        arr = table()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2
