@@ -17,8 +17,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .config import ConfigError, SimConfig, load_config
-from .coupling import CouplingOptions, coupling_distance, coupling_init, \
-    run_coupling, shifted_flow_check
+from .coupling import CouplingOptions, coupling_distance, run_coupling, \
+    shifted_flow_check
 from .dynamics import BlowUpError, run_steps
 from .noise import lattice_covariance, stationary_moment_report
 from .runner import ensemble_time_averages, simulate_run, write_summary_json
@@ -86,11 +86,10 @@ def cmd_couple(args) -> int:
         raise ValueError(f"check_horizon must be > 0, got {args.check_horizon}")
     u2 = gaussian_bump_pair(cfg.N, args.u2_perturbation)
     opts = CouplingOptions(eps_every=args.eps_every)
-    rec = coupling_init(cfg, None, u2, opts, seed=cfg.seed)
-    n = round(T / cfg.dt)
-    rec = run_coupling(rec, n)
-    check = shifted_flow_check(cfg, None, u2, min(T, args.check_horizon),
-                               opts, seed=cfg.seed)
+    horizon = min(T, args.check_horizon)
+    check = shifted_flow_check(cfg, None, u2, horizon, opts, seed=cfg.seed)
+    # the check's coupling record is the first part of the run to T
+    rec = run_coupling(check["record"], round(T / cfg.dt) - round(horizon / cfg.dt))
     hcost = float(rec.hcost)
     w_h1 = float(hnorm(rec.w))
     d1 = float(coupling_distance(rec, 1))

@@ -1,13 +1,16 @@
 """Run configuration: the flat key=value file format and its validation.
 
-Constraints enforced here: s > 0, 0 < alpha < min(s, 1/3), dt > 0, N >= 0,
-M_pad >= 1.  Each violated constraint is reported individually, naming the
+Constraints enforced here: N >= 0, s > 0, 0 < alpha < min(s, 1/3), dt > 0,
+T >= 0, M_pad >= 1, obs_interval > 0, blowup_threshold > 0, and every float
+key finite except blowup_threshold, which may be +inf.  NaN fails every
+constraint.  Each violated constraint is reported individually, naming the
 offending key.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 DEFAULT_OBSERVABLES = ("mean_u", "mean_u2", "clipped_halpha")
@@ -37,26 +40,32 @@ class SimConfig:
     blowup_threshold: float = 1e12
 
     def validate(self) -> list[str]:
+        # every comparison fails on NaN; only blowup_threshold may be inf
         errs = []
         if self.N < 0:
             errs.append(f"N: must be >= 0, got {self.N}")
-        if self.s <= 0:
-            errs.append(f"s: must be > 0, got {self.s}")
+        if not 0 < self.s < math.inf:
+            errs.append(f"s: must be finite and > 0, got {self.s}")
+        if not math.isfinite(self.gamma):
+            errs.append(f"gamma: must be finite, got {self.gamma}")
         if not 0.0 < self.alpha < min(self.s, 1.0 / 3.0):
             errs.append(
                 f"alpha: must satisfy 0 < alpha < min(s, 1/3) = "
                 f"{min(self.s, 1.0/3.0):.6g}, got {self.alpha}")
-        if self.dt <= 0:
-            errs.append(f"dt: must be > 0, got {self.dt}")
-        if self.T < 0:
-            errs.append(f"T: must be >= 0, got {self.T}")
+        if not 0 < self.dt < math.inf:
+            errs.append(f"dt: must be finite and > 0, got {self.dt}")
+        if not 0 <= self.T < math.inf:
+            errs.append(f"T: must be finite and >= 0, got {self.T}")
         if self.integrator not in _INTEGRATORS:
             errs.append(f"integrator: must be one of {_INTEGRATORS}, got "
                         f"{self.integrator!r}")
-        if self.M_pad < 1.0:
-            errs.append(f"M_pad: must be >= 1, got {self.M_pad}")
-        if self.obs_interval <= 0:
-            errs.append(f"obs_interval: must be > 0, got {self.obs_interval}")
+        if not 1.0 <= self.M_pad < math.inf:
+            errs.append(f"M_pad: must be finite and >= 1, got {self.M_pad}")
+        if not 0 < self.obs_interval < math.inf:
+            errs.append(f"obs_interval: must be finite and > 0, got {self.obs_interval}")
+        if not self.blowup_threshold > 0:
+            errs.append(f"blowup_threshold: must be > 0 (inf allowed), got "
+                        f"{self.blowup_threshold}")
         return errs
 
     def check(self) -> "SimConfig":

@@ -128,8 +128,8 @@ class TauMMonitor:
 
     def __init__(self, M: float, alpha: float, gamma: float,
                  pad: float = 2.0, batch: tuple = ()):
-        if M < 0:
-            raise ValueError("M must be > 0 (or inf)")
+        if not M >= 0:
+            raise ValueError(f"M must be >= 0 (or inf), got {M}")
         self.M = float(M)
         self.alpha = float(alpha)
         self.gamma = float(gamma)

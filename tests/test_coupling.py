@@ -337,6 +337,11 @@ class TestDn:
 
 
 class TestTauM:
+    @pytest.mark.parametrize("M", [np.nan, -1.0])
+    def test_invalid_M_rejected(self, M):
+        with pytest.raises(ValueError, match=">= 0"):
+            TauMMonitor(M, 0.25, 0.3)
+
     def test_infinite_never_stops(self):
         rec = make_record(amplitude=0.3, batch=(3,), steps=0)
         mon = TauMMonitor(np.inf, 0.25, 0.3, batch=(3,))

@@ -16,10 +16,13 @@ from sdnlw.checkpoint import (
     write_checkpoint,
 )
 from sdnlw.cli import main as cli_main
+from sdnlw import coupling
 from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse_config
+from sdnlw.coupling import coupling_distance, coupling_init, run_coupling, \
+    shifted_flow_check
 from sdnlw.dynamics import flow_init, full_flow, run_steps
 from sdnlw.runner import ensemble_time_averages, fmt_float, simulate_run
-from sdnlw.spectral import random_pair
+from sdnlw.spectral import gaussian_bump_pair, hnorm, random_pair
 
 RNG = np.random.default_rng(9)
 
@@ -46,6 +49,28 @@ class TestConfig:
             parse_config("s = -1\ndt = 0\nN = -2\n")
         msg = str(err.value)
         assert "s:" in msg and "dt:" in msg and "N:" in msg
+
+    @pytest.mark.parametrize("text,key", [
+        ("dt = nan", "dt:"),
+        ("dt = inf", "dt:"),
+        ("T = nan", "T:"),
+        ("T = inf", "T:"),
+        ("gamma = nan", "gamma:"),
+        ("gamma = -inf", "gamma:"),
+        ("s = nan", "s:"),
+        ("M_pad = nan", "M_pad:"),
+        ("obs_interval = inf", "obs_interval:"),
+        ("obs_interval = nan", "obs_interval:"),
+        ("blowup_threshold = nan", "blowup_threshold:"),
+        ("blowup_threshold = -1", "blowup_threshold:"),
+        ("blowup_threshold = 0", "blowup_threshold:"),
+    ])
+    def test_rejects_non_finite_and_out_of_range(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text + "\n")
+
+    def test_infinite_blowup_threshold_accepted(self):
+        assert parse_config("blowup_threshold = inf\n").blowup_threshold == np.inf
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nN = 6  # trailing\nseed = 42\n")
@@ -181,6 +206,32 @@ class TestCli:
                             "--t", "1.0", "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "couple.json").read_text())
         assert report["hcost"] == 0.0
+
+    def test_couple_single_pass(self, tmp_path, capsys, monkeypatch):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 4\ndt = 0.05\nseed = 4\n")
+        steps = []
+        real_step = coupling.coupling_step
+
+        def counting(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(coupling, "coupling_step", counting)
+        assert self.run_cli("couple", "--config", str(cfg_file), "--t", "0.5",
+                            "--check-horizon", "0.25", "--out", str(tmp_path)) == 0
+        assert len(steps) == 10
+        monkeypatch.setattr(coupling, "coupling_step", real_step)
+        report = json.loads((tmp_path / "couple.json").read_text())
+        # two-pass reference: the full run, then the check over its horizon
+        cfg = load_config(cfg_file)
+        u2 = gaussian_bump_pair(4, 1.0)
+        rec = run_coupling(coupling_init(cfg, None, u2, seed=4), 10)
+        check = shifted_flow_check(cfg, None, u2, 0.25, seed=4)
+        assert report["hcost"] == float(rec.hcost) > 0.0
+        assert report["w_h1"] == float(hnorm(rec.w))
+        assert report["coupled_d1"] == float(coupling_distance(rec, 1))
+        assert report["shifted_flow_rel_residual"] == float(check["rel_residual"][-1])
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--eps-every", "0", "eps_every"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _utils import weighted_sup_norm_loop
+from _utils import cosine_pair, weighted_sup_norm_loop
 from sdnlw import propagator
 from sdnlw.propagator import (
     apply_S,
@@ -18,11 +18,14 @@ from sdnlw.propagator import (
     xalpha_norm,
 )
 from sdnlw.spectral import (
+    constant_field,
+    gaussian_bump_pair,
     grad2_table,
     l2_norm,
     mode_range,
     omega_table,
     pair_norm,
+    quad_grid_size,
     random_pair,
     zero_pair,
 )
@@ -196,6 +199,71 @@ class TestChunkedSupNorm:
         for i, t in enumerate(grid):
             for stacked, single in zip(tables, propagator_tables(4, float(t))):
                 assert np.array_equal(stacked[i], single)
+
+
+def _velocity_only():
+    v = random_pair(4, RNG, batch=(5,))
+    v[..., 0, :, :] = 0.0
+    return v
+
+
+def _constant():
+    # u = 1, u_t = 0: the weighted norm grows at first (max at t = 0.25)
+    v = zero_pair(4, (1,))
+    v[0, 0] = constant_field(4, 1.0)
+    return v
+
+
+def _with_nan():
+    v = random_pair(4, RNG, batch=(3,))
+    v[1, 0, 4, 5] = np.nan
+    return v
+
+
+PRUNE_INPUTS = {
+    "velocity_only": _velocity_only,
+    "constant": _constant,
+    "cosine": lambda: cosine_pair(8, (2, 1))[None],
+    "cosine_velocity": lambda: cosine_pair(8, (1, 0), component=1)[None],
+    "bump": lambda: gaussian_bump_pair(8)[None],
+    "zero": lambda: zero_pair(4, (3,)),
+    "nan": _with_nan,
+}
+
+
+class TestPrunedSupNorm:
+    """Grid times whose Plancherel bound cannot raise the running max are
+    skipped; the result must equal the unpruned per-point loop (random
+    pairs are covered by TestChunkedSupNorm)."""
+
+    @pytest.mark.parametrize("budget", [1, propagator.CHUNK_BYTES])
+    @pytest.mark.parametrize("t_star", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
+    @pytest.mark.parametrize("kind", sorted(PRUNE_INPUTS))
+    def test_equals_per_point_loop(self, monkeypatch, kind, p, t_star, budget):
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", budget)
+        v = PRUNE_INPUTS[kind]()
+        total, detail = weighted_sup_norm(v, 0.25, p, t_star, return_detail=True)
+        want, grid_max, tail = weighted_sup_norm_loop(v, 0.25, p, t_star)
+        assert np.array_equal(total, want, equal_nan=True)
+        assert np.array_equal(detail["grid_max"], grid_max, equal_nan=True)
+        assert np.array_equal(detail["tail_bound"], tail, equal_nan=True)
+
+    def test_bump_skips_chunks(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return pair_norm(*args, **kw)
+
+        monkeypatch.setattr(propagator, "pair_norm", counting)
+        v = gaussian_bump_pair(8)
+        got = xalpha_norm(v, 0.25)
+        per_chunk = propagator.CHUNK_BYTES // (quad_grid_size(8) ** 2 * 16)
+        chunks = -(-propagator.default_time_grid().size // per_chunk)
+        assert chunks == 14
+        assert 1 <= len(calls) < chunks
+        assert got == weighted_sup_norm_loop(v[None], 0.25, 8.0)[0][0]
 
 
 class TestCachedTablesReadOnly:
