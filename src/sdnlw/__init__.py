@@ -4,13 +4,12 @@ diagnostics, and the Girsanov asymptotic-coupling construction."""
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, SimConfig, load_config  # noqa: F401
-from .dynamics import BlowUpError, FlowState, flow_init, full_flow, v_step  # noqa: F401
-from .noise import StickState, sample_increment, step_covariance, stick_init  # noqa: F401
-from .propagator import apply_S, mode_matrix, xalpha_norm  # noqa: F401
-from .renorm import cubic_coefficients, quadratic_Q, wick_powers  # noqa: F401
-from .spectral import (  # noqa: F401
-    SpectralGrid,
+from .config import ConfigError, SimConfig, load_config
+from .dynamics import BlowUpError, FlowState, flow_init, full_flow, v_step
+from .noise import StickState, sample_increment, step_covariance, stick_init
+from .propagator import apply_S, mode_matrix, xalpha_norm
+from .renorm import cubic_coefficients, quadratic_Q, wick_powers
+from .spectral import (
     bracket_multiplier,
     dealiased_product,
     pair_norm,
@@ -19,3 +18,13 @@ from .spectral import (  # noqa: F401
     to_physical,
     to_spectral,
 )
+
+__all__ = [
+    "ConfigError", "SimConfig", "load_config",
+    "BlowUpError", "FlowState", "flow_init", "full_flow", "v_step",
+    "StickState", "sample_increment", "step_covariance", "stick_init",
+    "apply_S", "mode_matrix", "xalpha_norm",
+    "cubic_coefficients", "quadratic_Q", "wick_powers",
+    "bracket_multiplier", "dealiased_product", "pair_norm", "project_leq",
+    "sobolev_norm", "to_physical", "to_spectral",
+]

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import SimConfig
+from .config import _INTEGRATORS, SimConfig
 from .dynamics import FlowState, flow_init
 
 MAGIC = b"SDNLW1"
@@ -37,7 +37,6 @@ VERSION = 1
 KIND_FLOW = 1
 
 _HEADER = struct.Struct("<q4d2qd2B3d")
-_INTEGRATORS = ("euler", "midpoint")
 
 
 class CheckpointError(ValueError):
@@ -102,8 +101,7 @@ def load_checkpoint(blob: bytes, cfg: SimConfig | None = None) -> FlowState:
 
     state = flow_init(stored, read_pair(0), seed=seed, step0=step)
     stick = replace(state.stick, value=read_pair(2), t=t)
-    return replace(state, lin=read_pair(1), stick=stick, v=read_pair(3),
-                   t=t, step=step)
+    return replace(state, lin=read_pair(1), stick=stick, v=read_pair(3))
 
 
 def write_checkpoint(state: FlowState, path) -> None:

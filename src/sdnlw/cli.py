@@ -20,6 +20,7 @@ from .config import ConfigError, SimConfig, load_config
 from .coupling import CouplingOptions, coupling_distance, run_coupling, \
     shifted_flow_check
 from .dynamics import BlowUpError, run_steps
+from .ergodics import compare_averages
 from .noise import lattice_covariance, stationary_moment_report
 from .runner import ensemble_time_averages, simulate_run, write_summary_json
 from .spectral import gaussian_bump_pair, hnorm
@@ -126,17 +127,12 @@ def cmd_ergodic(args) -> int:
               "seeds": seeds, "observables": {}}
     ok = True
     for name in cfg.observables:
-        a1 = np.array([avg1[s][name] for s in seeds])
-        a2 = np.array([avg2[s][name] for s in seeds])
-        se = float(np.hypot(a1.std(ddof=1), a2.std(ddof=1)) / np.sqrt(len(seeds)))
-        diff = float(a1.mean() - a2.mean())
-        passed = abs(diff) <= 3.0 * se or se == 0.0
-        ok = ok and passed
-        report["observables"][name] = {
-            "avg1": float(a1.mean()), "avg2": float(a2.mean()),
-            "diff": diff, "combined_se": se, "within_3se": passed}
-        print(f"{name:<16s} diff {diff:+.4e}  (3se = {3*se:.4e})"
-              f"  {'ok' if passed else 'DIFFERS'}")
+        row = compare_averages([avg1[s][name] for s in seeds],
+                               [avg2[s][name] for s in seeds])
+        ok = ok and row["within_3se"]
+        report["observables"][name] = row
+        print(f"{name:<16s} diff {row['diff']:+.4e}  (3se = {3*row['combined_se']:.4e})"
+              f"  {'ok' if row['within_3se'] else 'DIFFERS'}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -40,17 +40,24 @@ the discrete Girsanov density
     E(h) = exp( -1/2 sum_k |h_k|_{L2}^2 dt + sum_k <h_k, dxi_k>_{L2} )
 
 uses predictable h_k, so E[E(h)] = 1 holds exactly at any step size.
+
+A ``CouplingRecord`` carries the reference ``FlowState`` and reads its clock
+from it; ``coupling_step`` draws the step's increment from the flow's
+lineage, checks w with the flow's blow-up check and advances u1 with
+``v_step``.  Records and their tau_M monitor are frozen: a step returns a
+new record with a new monitor, so continuing twice from one record gives
+the same result.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
 from .config import SimConfig
-from .dynamics import BlowUpError, FlowState, flow_init, full_flow, v_step
+from .dynamics import FlowState, _check_blowup, flow_init, full_flow, next_increment, \
+    v_step
 from .noise import NoiseIncrement, sample_increment
 from .propagator import apply_tables, kick_tables, propagator_tables, xalpha_norm
 from .spectral import (
@@ -113,6 +120,7 @@ def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float,
 # stopping-time monitor
 
 
+@dataclass(frozen=True, eq=False)
 class TauMMonitor:
     """Running maxima of the three stick norms and the first-exceedance time.
 
@@ -121,22 +129,27 @@ class TauMMonitor:
     powers are formed pointwise from the samples, which equals the
     dealiased spectral route up to the documented quadrature error of the
     norms themselves).  ``M = inf`` never stops; larger M stops later (the
-    trigger is a running max).  ``update`` rebinds its arrays rather than
-    writing into them, so a shallow copy is an independent monitor; each
-    coupling record owns its own.
+    trigger is a running max).  The monitor is frozen: ``update`` returns a
+    new monitor and leaves this one's arrays untouched, so records that
+    share a monitor cannot disturb each other.
     """
 
-    def __init__(self, M: float, alpha: float, gamma: float,
-                 pad: float = 2.0, batch: tuple = ()):
-        if not M >= 0:
-            raise ValueError(f"M must be >= 0 (or inf), got {M}")
-        self.M = float(M)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.pad = float(pad)
-        self.stopped = np.zeros(batch, dtype=bool)
-        self.stop_time = np.full(batch, np.inf)
-        self.running_max = np.zeros(batch)
+    M: float
+    alpha: float
+    gamma: float
+    pad: float = 2.0
+    batch: InitVar[tuple] = ()
+    stopped: np.ndarray | None = None
+    stop_time: np.ndarray | None = None
+    running_max: np.ndarray | None = None
+
+    def __post_init__(self, batch):
+        if not self.M >= 0:
+            raise ValueError(f"M must be >= 0 (or inf), got {self.M}")
+        if self.stopped is None:  # a fresh monitor: nothing seen yet
+            object.__setattr__(self, "stopped", np.zeros(batch, dtype=bool))
+            object.__setattr__(self, "stop_time", np.full(batch, np.inf))
+            object.__setattr__(self, "running_max", np.zeros(batch))
 
     def norms(self, stick_pair: np.ndarray):
         N = truncation_of(stick_pair)
@@ -151,13 +164,13 @@ class TauMMonitor:
         n_w3 = np.sqrt(np.mean(w3 * w3, axis=(-2, -1)))
         return n_stick, n_w2, n_w3
 
-    def update(self, t: float, stick_pair: np.ndarray) -> np.ndarray:
-        cur = np.maximum.reduce(self.norms(stick_pair))
-        self.running_max = np.maximum(self.running_max, cur)
-        newly = (self.running_max > self.M) & ~self.stopped
-        self.stop_time = np.where(newly, t, self.stop_time)
-        self.stopped = self.stopped | newly
-        return self.stopped.copy()
+    def update(self, t: float, stick_pair: np.ndarray) -> "TauMMonitor":
+        running_max = np.maximum(self.running_max,
+                                 np.maximum.reduce(self.norms(stick_pair)))
+        newly = (running_max > self.M) & ~self.stopped
+        return replace(self, stopped=self.stopped | newly,
+                       stop_time=np.where(newly, t, self.stop_time),
+                       running_max=running_max)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +205,6 @@ class CouplingRecord:
     Girsanov cost, and the tau_M flags (shared noise, shared clock)."""
 
     flow: FlowState          # reference flow Phi_t(u1^0, xi)
-    diff0: np.ndarray        # u2^0 - u1^0
     lin_diff: np.ndarray     # S(t) (u2^0 - u1^0), evolved per step
     w: np.ndarray
     hcost: np.ndarray        # int_0^t |h|_{L2}^2 dr
@@ -227,7 +239,7 @@ def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
     if monitor_M is not None:
         monitor = TauMMonitor(monitor_M, cfg.alpha, cfg.gamma, cfg.M_pad, b)
     return CouplingRecord(
-        flow=flow, diff0=diff0, lin_diff=diff0.copy(), w=zero_pair(cfg.N, b),
+        flow=flow, lin_diff=diff0, w=zero_pair(cfg.N, b),
         hcost=np.zeros(b), log_density=np.zeros(b),
         diff0_xnorm=np.asarray(xnorm), eps=np.ones(b),
         h_last=zero_field(cfg.N, b), h_frozen=zero_field(cfg.N, b),
@@ -308,9 +320,7 @@ def coupling_step(record: CouplingRecord,
 
     monitor = record.monitor
     if monitor is not None:
-        prev_stopped = monitor.stopped
-        monitor = copy.copy(monitor)  # the incoming record keeps its own
-        stopped = monitor.update(flow.t, flow.stick.value)
+        monitor = monitor.update(flow.t, flow.stick.value)
     Q, b_plain = _plain_bracket(record)
     if record.step % record.opts.eps_every == 0:
         eps = epsilon_scale(record, Q)
@@ -321,15 +331,15 @@ def coupling_step(record: CouplingRecord,
 
     h_frozen = record.h_frozen
     if monitor is not None:
-        newly = stopped & ~prev_stopped
+        newly = monitor.stopped & ~record.monitor.stopped
         if np.any(newly):
             h_frozen = np.where(newly[..., None, None], h_live, h_frozen)
-        h_used = np.where(stopped[..., None, None], h_frozen, h_live)
+        h_used = np.where(monitor.stopped[..., None, None], h_frozen, h_live)
     else:
         h_used = h_live
 
     if incr is None:
-        incr = sample_increment(N, delta, flow.stick.seed, flow.stick.step)
+        incr = next_increment(flow)
 
     hsq = np.sum(np.abs(h_used) ** 2, axis=(-2, -1))
     hcost = record.hcost + delta * hsq
@@ -339,10 +349,8 @@ def coupling_step(record: CouplingRecord,
     tab = propagator_tables(N, delta)
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
-    wn = hnorm(w_new)
-    if np.any(~np.isfinite(wn) | (wn > cfg.blowup_threshold)):
-        raise BlowUpError(flow.t + delta, float(np.max(wn)))
-    flow_new = v_step(flow, delta, incr)
+    _check_blowup(w_new, cfg, flow.t + delta)
+    flow_new = v_step(flow, incr)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 
     return replace(record, flow=flow_new, lin_diff=lin_diff_new, w=w_new,
@@ -351,13 +359,9 @@ def coupling_step(record: CouplingRecord,
 
 
 def run_coupling(record: CouplingRecord, n_steps: int,
-                 incr_table: list | None = None,
-                 callback=None) -> CouplingRecord:
+                 incr_table: list | None = None) -> CouplingRecord:
     for k in range(n_steps):
-        incr = incr_table[k] if incr_table is not None else None
-        record = coupling_step(record, incr)
-        if callback is not None:
-            callback(record)
+        record = coupling_step(record, incr_table[k] if incr_table is not None else None)
     return record
 
 
@@ -370,21 +374,7 @@ def coupling_distance(record: CouplingRecord, n: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# Girsanov density (standalone) and the shifted-flow identity
-
-
-def girsanov_log_density(h_fields, increments, delta: float):
-    """log E = sum_k [ -1/2 |h_k|^2 delta + <h_k, dxi_k> ] for explicit paths."""
-    total = 0.0
-    for h, incr in zip(h_fields, increments):
-        coeffs = incr.coeffs if isinstance(incr, NoiseIncrement) else incr
-        total = total - 0.5 * delta * np.sum(np.abs(h) ** 2, axis=(-2, -1)) \
-            + np.sum(h * np.conj(coeffs), axis=(-2, -1)).real
-    return total
-
-
-def girsanov_density(h_fields, increments, delta: float):
-    return np.exp(girsanov_log_density(h_fields, increments, delta))
+# the shifted-flow identity
 
 
 def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
@@ -419,8 +409,7 @@ def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray
     times, residuals, rel = [], [], []
     for k in range(n):
         shift = 0.5 * delta * (h_series[k] + h_series[k + 1])
-        direct = v_step(direct, delta,
-                        NoiseIncrement(incr_table[k].coeffs + shift, delta))
+        direct = v_step(direct, NoiseIncrement(incr_table[k].coeffs + shift, delta))
         if (k + 1) % sample_every == 0 or k == n - 1:
             r = float(np.max(hnorm(full_flow(direct) - rhs[k])))
             scale = float(np.max(hnorm(rhs[k])))

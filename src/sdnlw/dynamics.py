@@ -74,8 +74,14 @@ class FlowState:
     lin: np.ndarray      # S(t) u0, evolved incrementally
     stick: StickState
     v: np.ndarray        # remainder pair, zero at t = 0
-    t: float
-    step: int
+
+    @property
+    def t(self) -> float:
+        return self.stick.t
+
+    @property
+    def step(self) -> int:
+        return self.stick.step
 
     @property
     def batch(self) -> tuple:
@@ -97,7 +103,7 @@ def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
         seed = cfg.seed
     st = noise_mod.stick_init(N, cfg.s, seed, u0.shape[:-3])
     st = replace(st, step=step0)
-    return FlowState(cfg, u0, u0.copy(), st, zero_pair(N, st.batch), 0.0, step0)
+    return FlowState(cfg, u0, u0.copy(), st, zero_pair(N, st.batch))
 
 
 def nonlinearity_field(lin: np.ndarray, stick_value: np.ndarray, v: np.ndarray,
@@ -108,37 +114,28 @@ def nonlinearity_field(lin: np.ndarray, stick_value: np.ndarray, v: np.ndarray,
     return cube - 3.0 * gamma * x
 
 
-def nonlinearity(v: np.ndarray, coeffs: CubicCoefficients, N: int) -> np.ndarray:
-    """Coefficient form P_N [ (P_N v)^3 + a (P_N v)^2 + b (P_N v) + c ].
-
-    Identical to the direct cube around the expansion point; kept as the
-    testable expanded route.
-    """
-    w = project_leq(v[..., 0, :, :], N)
-    out = dealiased_product(w, w, w, out_N=N)
-    out = out + dealiased_product(coeffs.a, w, w, out_N=N)
-    out = out + dealiased_product(coeffs.b, w, out_N=N)
-    out = out + spectral.resize(coeffs.c, N)  # cropping is the projection
-    return out
-
-
-def _check_blowup(state: FlowState, v: np.ndarray, t: float) -> None:
-    n = hnorm(v)
-    bad = ~np.isfinite(n) | (n > state.cfg.blowup_threshold)
+def _check_blowup(field: np.ndarray, cfg: SimConfig, t: float) -> None:
+    n = hnorm(field)
+    bad = ~np.isfinite(n) | (n > cfg.blowup_threshold)
     if np.any(bad):
         raise BlowUpError(t, float(np.max(np.where(np.isfinite(n), n, np.inf))))
 
 
-def v_step(state: FlowState, delta: float | None = None,
-           incr: NoiseIncrement | None = None) -> FlowState:
-    """Advance stick and remainder by one step of the chosen integrator."""
+def next_increment(state: FlowState) -> NoiseIncrement:
+    """The white-noise increment of the state's next step, drawn from its
+    (seed, step) lineage."""
+    return sample_increment(state.cfg.N, state.cfg.dt, state.stick.seed,
+                            state.stick.step)
+
+
+def v_step(state: FlowState, incr: NoiseIncrement | None = None) -> FlowState:
+    """Advance stick and remainder by one step of length cfg.dt of the
+    chosen integrator; ``incr`` overrides the lineage draw."""
     cfg = state.cfg
-    delta = cfg.dt if delta is None else float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    delta = cfg.dt
     N = cfg.N
     if incr is None:
-        incr = sample_increment(N, delta, state.stick.seed, state.stick.step)
+        incr = next_increment(state)
     tab = propagator_tables(N, delta)
 
     if cfg.linear_only:
@@ -150,31 +147,25 @@ def v_step(state: FlowState, delta: float | None = None,
         half = propagator_tables(N, 0.5 * delta)
         nl0 = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N)
         lin_h = apply_tables(half, state.lin)
-        kick_h = noise_mod.shared_kick(N, cfg.s, 0.5 * delta,
-                                       NoiseIncrement(0.5 * incr.coeffs, incr.delta))
-        stick_h = apply_tables(half, state.stick.value) + kick_h
+        stick_h = noise_mod.stick_step_shared(
+            state.stick, 0.5 * delta, NoiseIncrement(0.5 * incr.coeffs, 0.5 * delta))
         v_h = apply_tables(half, state.v) - 0.5 * delta * kick_tables(half, nl0)
-        nl_mid = nonlinearity_field(lin_h, stick_h, v_h, cfg.gamma, N)
+        nl_mid = nonlinearity_field(lin_h, stick_h.value, v_h, cfg.gamma, N)
         v_new = apply_tables(tab, state.v) - delta * kick_tables(half, nl_mid)
     else:
         raise ValueError(f"unknown integrator {cfg.integrator!r}")
 
     stick_new = noise_mod.stick_step_shared(state.stick, delta, incr)
     lin_new = apply_tables(tab, state.lin)
-    t_new = state.t + delta
-    _check_blowup(state, v_new, t_new)
-    return replace(state, lin=lin_new, stick=stick_new, v=v_new,
-                   t=t_new, step=state.step + 1)
+    _check_blowup(v_new, cfg, stick_new.t)
+    return replace(state, lin=lin_new, stick=stick_new, v=v_new)
 
 
-def run_steps(state: FlowState, n_steps: int, delta: float | None = None,
-              incr_table: list | None = None, callback=None) -> FlowState:
+def run_steps(state: FlowState, n_steps: int,
+              incr_table: list | None = None) -> FlowState:
     """Advance n_steps; ``incr_table[k]`` overrides the lineage draw."""
     for k in range(n_steps):
-        incr = incr_table[k] if incr_table is not None else None
-        state = v_step(state, delta, incr)
-        if callback is not None:
-            callback(state)
+        state = v_step(state, incr_table[k] if incr_table is not None else None)
     return state
 
 

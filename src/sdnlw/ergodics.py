@@ -235,6 +235,16 @@ def time_averages(series: dict, burn: float, T: float) -> dict:
 # experiments
 
 
+def compare_averages(a1, a2) -> dict:
+    """Difference of two ensembles' mean time averages against three
+    combined standard errors of the across-seed scatter."""
+    a1, a2 = np.asarray(a1), np.asarray(a2)
+    se = float(np.hypot(a1.std(ddof=1), a2.std(ddof=1)) / np.sqrt(len(a1)))
+    diff = float(a1.mean() - a2.mean())
+    return {"avg1": float(a1.mean()), "avg2": float(a2.mean()), "diff": diff,
+            "combined_se": se, "within_3se": abs(diff) <= 3.0 * se or se == 0.0}
+
+
 def two_start_convergence(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
                           observables: tuple | None = None,
                           burn_frac: float = 0.25,
@@ -253,18 +263,9 @@ def two_start_convergence(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
     run2 = sample_trajectory(cfg, u2_0, seeds, T, names)
     avg1 = time_averages(run1["series"], burn, T)
     avg2 = time_averages(run2["series"], burn, T)
-    report = {"observables": {}, "seeds": tuple(seeds), "T": T}
-    for name in names:
-        a1, a2 = avg1[name], avg2[name]
-        se1 = a1.std(ddof=1) / np.sqrt(len(seeds))
-        se2 = a2.std(ddof=1) / np.sqrt(len(seeds))
-        comb = float(np.hypot(se1, se2))
-        diff = float(a1.mean() - a2.mean())
-        report["observables"][name] = {
-            "avg1": float(a1.mean()), "avg2": float(a2.mean()),
-            "diff": diff, "combined_se": comb,
-            "within_3se": bool(abs(diff) <= 3.0 * comb or comb == 0.0),
-        }
+    report = {"observables": {name: compare_averages(avg1[name], avg2[name])
+                              for name in names},
+              "seeds": tuple(seeds), "T": T}
     # coupled d_n bound from the shift construction, same seeds
     opts = coupling_opts or CouplingOptions(eps_every=10)
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seeds, batch=(len(seeds),))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .propagator import apply_tables, propagator_tables
+from .propagator import apply_tables, kick_tables, propagator_tables
 from .spectral import lattice_size, mode_range, omega_table, zero_pair
 
 # block indices within one step of one path
@@ -205,26 +205,16 @@ def stick_step_exact(state: StickState, delta: float) -> StickState:
     """Advance by delta drawing the exact Gaussian step law."""
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    N = state.N
-    l11, l21, l22 = cholesky2(lattice_covariance(N, delta, state.s))
-    z1 = unit_hermitian(N, state.seed, state.step, BLOCK_EXACT_A)
-    z2 = unit_hermitian(N, state.seed, state.step, BLOCK_EXACT_B)
-    eta = np.stack([l11 * z1, l21 * z1 + l22 * z2], axis=-3)
-    tab = propagator_tables(N, float(delta))
-    value = apply_tables(tab, state.value) + eta
+    tab = propagator_tables(state.N, float(delta))
+    value = apply_tables(tab, state.value) \
+        + sample_stick_at(state.N, state.s, delta, state.seed, state.step)
     return replace(state, value=value, t=state.t + delta, step=state.step + 1)
-
-
-def shared_kick(N: int, s: float, delta: float, incr: NoiseIncrement) -> np.ndarray:
-    """eta = S(delta) (0, sqrt(2) <grad>^{-s} xihat), the order-1 noise kick."""
-    forcing = np.sqrt(2.0) * omega_table(N) ** (-s) * incr.coeffs
-    tab = propagator_tables(N, float(delta))
-    return np.stack([tab.m12 * forcing, tab.m22 * forcing], axis=-3)
 
 
 def stick_step_shared(state: StickState, delta: float,
                       incr: NoiseIncrement | None = None) -> StickState:
-    """Advance by delta driven by an explicit white-noise increment.
+    """Advance by delta driven by an explicit white-noise increment: the
+    order-1 kick S(delta) (0, sqrt(2) <grad>^{-s} xihat).
 
     When ``incr`` is omitted it is drawn from the state's own lineage, so
     the same realization can later be replayed to other objects.
@@ -233,8 +223,9 @@ def stick_step_shared(state: StickState, delta: float,
         raise ValueError("delta must be > 0")
     if incr is None:
         incr = sample_increment(state.N, delta, state.seed, state.step)
+    forcing = np.sqrt(2.0) * omega_table(state.N) ** (-state.s) * incr.coeffs
     tab = propagator_tables(state.N, float(delta))
-    value = apply_tables(tab, state.value) + shared_kick(state.N, state.s, delta, incr)
+    value = apply_tables(tab, state.value) + kick_tables(tab, forcing)
     return replace(state, value=value, t=state.t + delta, step=state.step + 1)
 
 

@@ -38,7 +38,6 @@ All functions are pure; arrays are never mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -191,10 +190,6 @@ def project_leq(coeffs: np.ndarray, J: int) -> np.ndarray:
         sl = slice(N - J, N + J + 1)
         out[..., sl, sl] = coeffs[..., sl, sl]
     return out
-
-
-def pair_project_leq(pair: np.ndarray, J: int) -> np.ndarray:
-    return project_leq(pair, J)  # same trailing-axes mask for both components
 
 
 def bracket_multiplier(coeffs: np.ndarray, sigma: float) -> np.ndarray:
@@ -399,30 +394,3 @@ def convolution_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def mean_square(coeffs: np.ndarray) -> np.ndarray:
     """integral of f^2 (exact, Plancherel)."""
     return np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Truncation N and physical resolution M of a simulation grid.
-
-    M >= 2N+1 is required so truncated fields are exactly representable;
-    products internally pad beyond M as needed for dealiasing.
-    """
-
-    N: int
-    M: int
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("N must be >= 0")
-        if self.M < 2 * self.N + 1:
-            raise ResolutionError(
-                f"M={self.M} cannot represent modes up to N={self.N} (need >= {2*self.N+1})")
-
-    @classmethod
-    def for_truncation(cls, N: int) -> "SpectralGrid":
-        return cls(N, default_phys_size(N))
-
-    @property
-    def K(self) -> int:
-        return lattice_size(self.N)

@@ -153,11 +153,12 @@ def run_identity_suite(cfg: SimConfig | None = None) -> list[CheckResult]:
                     abs(coupling.tv_bound(1.0, 0.0, 0.5) - 2.0 * (1 - np.exp(-0.5))),
                     1e-15))
 
-    # Girsanov density of the zero shift
-    dens = coupling.girsanov_density(
-        [spectral.zero_field(4)] * 5,
-        [noise.sample_increment(4, 0.1, 7, k) for k in range(5)], 0.1)
-    out.append(_leq("girsanov: E(0) = 1 exactly", abs(float(dens) - 1.0), 0.0))
+    # Girsanov density of the zero shift: u2 = u1 makes h vanish identically
+    gcfg = replace(cfg, N=4, dt=0.1, seed=7).check()
+    rec = coupling.coupling_init(gcfg, None, spectral.zero_pair(4))
+    rec = coupling.run_coupling(rec, 5)
+    out.append(_leq("girsanov: E(0) = 1 exactly",
+                    abs(float(np.exp(rec.log_density)) - 1.0), 0.0))
 
     return out
 

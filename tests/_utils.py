@@ -1,11 +1,14 @@
-"""Shared test helpers: deterministic fields and fixed-noise-path runners."""
+"""Shared test helpers: deterministic fields, fixed-noise-path runners, and
+the oracles the package's fast routes are checked against (the one-time-
+per-pass sup norm, the expanded-coefficient nonlinearity, the standalone
+Girsanov density)."""
 
 import numpy as np
 
 from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
-from sdnlw.spectral import hnorm, lattice_size, pair_norm, truncation_of, \
-    zero_field, zero_pair
+from sdnlw.spectral import dealiased_product, hnorm, lattice_size, pair_norm, \
+    project_leq, resize, truncation_of, zero_field, zero_pair
 
 
 def cosine_field(N: int, k=(1, 0), amplitude: float = 1.0) -> np.ndarray:
@@ -54,3 +57,24 @@ def weighted_sup_norm_loop(pair, alpha, p, t_star=40.0, dt_grid=0.25, pad=2.0):
     end = apply_S(pair, float(t_star))
     tail = DECAY_CONST * lattice_size(N) * np.exp(t_star / 8.0) * hnorm(end, alpha)
     return np.maximum(best, tail), best, tail
+
+
+def nonlinearity(v, coeffs, N: int):
+    """Coefficient form P_N [ (P_N v)^3 + a (P_N v)^2 + b (P_N v) + c ]: the
+    oracle for the direct cube of ``dynamics.nonlinearity_field``."""
+    w = project_leq(v[..., 0, :, :], N)
+    out = dealiased_product(w, w, w, out_N=N)
+    out = out + dealiased_product(coeffs.a, w, w, out_N=N)
+    out = out + dealiased_product(coeffs.b, w, out_N=N)
+    return out + resize(coeffs.c, N)  # cropping is the projection
+
+
+def girsanov_log_density(h_fields, increments, delta: float):
+    """log E = sum_k [ -1/2 |h_k|^2 delta + <h_k, dxi_k> ] for explicit paths:
+    the oracle for the accumulation inside ``coupling_step``."""
+    total = 0.0
+    for h, incr in zip(h_fields, increments):
+        coeffs = incr.coeffs if isinstance(incr, NoiseIncrement) else incr
+        total = total - 0.5 * delta * np.sum(np.abs(h) ** 2, axis=(-2, -1)) \
+            + np.sum(h * np.conj(coeffs), axis=(-2, -1)).real
+    return total

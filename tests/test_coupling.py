@@ -14,8 +14,6 @@ from sdnlw.coupling import (
     coupling_init,
     coupling_step,
     d_n,
-    girsanov_density,
-    girsanov_log_density,
     mollify,
     epsilon_scale,
     run_coupling,
@@ -23,7 +21,7 @@ from sdnlw.coupling import (
     shifted_flow_check,
     tv_bound,
 )
-from sdnlw.dynamics import full_flow
+from sdnlw.dynamics import BlowUpError, full_flow
 from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.renorm import quadratic_Q
 from sdnlw.spectral import (
@@ -39,6 +37,7 @@ from sdnlw.spectral import (
     zero_pair,
 )
 from sdnlw.propagator import xalpha_norm
+from _utils import coarsen, fine_increments, girsanov_log_density
 
 RNG = np.random.default_rng(31)
 
@@ -239,23 +238,43 @@ class TestShiftedFlow:
         assert out["residual"][-1] < 1e-11
 
     def test_residual_decreases_with_dt(self):
+        # both step sizes see one white-noise path: the dt = 0.02 increments
+        # are sums of pairs of the dt = 0.01 ones
         cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25)
         u2 = gaussian_bump_pair(4, 0.02)
+        fine = fine_increments(4, 1e-2, 100, seed=1)
         res = {}
         for dt in (2e-2, 1e-2):
             c = dataclasses.replace(cfg, dt=dt)
             out = shifted_flow_check(c, None, u2, 1.0,
                                      CouplingOptions(eps_every=5, dt_grid=1.0),
-                                     seed=1, sample_every=10)
+                                     seed=1, sample_every=10,
+                                     incr_table=coarsen(fine, round(dt / 1e-2), dt))
             res[dt] = out["residual"][-1]
-        assert res[1e-2] < res[2e-2]
+        assert res[2e-2] / res[1e-2] >= 1.7
 
 
 class TestGirsanov:
     def test_zero_shift_density_one(self):
         incs = [sample_increment(4, 0.1, 7, k) for k in range(5)]
-        dens = girsanov_density([zero_field(4)] * 5, incs, 0.1)
+        dens = np.exp(girsanov_log_density([zero_field(4)] * 5, incs, 0.1))
         assert float(dens) == 1.0
+
+    def test_in_step_density_matches_oracle(self):
+        # the accumulation inside coupling_step, stopped paths included
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+        seeds = list(range(16))
+        rec = coupling_init(cfg, None, gaussian_bump_pair(4, 0.5),
+                            CouplingOptions(eps_every=5, dt_grid=1.0),
+                            seed=seeds, batch=(16,), monitor_M=2.0)
+        incs = [sample_increment(4, cfg.dt, seeds, k) for k in range(12)]
+        h_path = []
+        for incr in incs:
+            rec = coupling_step(rec, incr)
+            h_path.append(rec.h_last)
+        assert 0 < int(rec.monitor.stopped.sum()) < 16
+        assert np.array_equal(rec.log_density,
+                              girsanov_log_density(h_path, incs, cfg.dt))
 
     def test_deterministic_constant_shift(self):
         # h = c constant in space and time: E[E(h)] = 1 (exact lognormal)
@@ -346,16 +365,31 @@ class TestTauM:
         rec = make_record(amplitude=0.3, batch=(3,), steps=0)
         mon = TauMMonitor(np.inf, 0.25, 0.3, batch=(3,))
         for k in range(5):
-            mon.update(0.1 * k, rec.flow.stick.value)
+            mon = mon.update(0.1 * k, rec.flow.stick.value)
             rec = coupling_step(rec)
         assert not mon.stopped.any()
 
     def test_zero_stops_immediately(self):
         rec = make_record(amplitude=0.3, batch=(3,), steps=2)
         mon = TauMMonitor(0.0, 0.25, 0.3, batch=(3,))
-        stopped = mon.update(0.2, rec.flow.stick.value)
-        assert stopped.all()
+        mon = mon.update(0.2, rec.flow.stick.value)
+        assert mon.stopped.all()
         assert np.all(mon.stop_time == 0.2)
+
+    @pytest.mark.parametrize("name", ["stopped", "stop_time", "running_max", "M"])
+    def test_fields_frozen(self, name):
+        mon = TauMMonitor(1.0, 0.25, 0.3, batch=(2,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mon, name, getattr(mon, name))
+
+    def test_update_leaves_old_monitor_unchanged(self):
+        rec = make_record(amplitude=0.3, batch=(3,), steps=2)
+        old = TauMMonitor(0.0, 0.25, 0.3, batch=(3,))
+        new = old.update(0.2, rec.flow.stick.value)
+        assert new is not old and new.stopped.all()
+        assert not old.stopped.any()
+        assert np.all(old.stop_time == np.inf)
+        assert np.all(old.running_max == 0.0)
 
     def test_monotone_in_M(self):
         rec = make_record(amplitude=0.3, batch=(2,))
@@ -367,7 +401,7 @@ class TestTauM:
         for M in (0.5, 1.5, 4.0):
             mon = TauMMonitor(M, 0.25, 0.3, batch=(2,))
             for t, val in path:
-                mon.update(t, val)
+                mon = mon.update(t, val)
             stop_times.append(mon.stop_time.copy())
         assert np.all(stop_times[0] <= stop_times[1])
         assert np.all(stop_times[1] <= stop_times[2])
@@ -399,6 +433,29 @@ class TestReplay:
             assert np.array_equal(getattr(a.monitor, name), getattr(b.monitor, name))
         for k, v in before.items():
             assert np.array_equal(getattr(mon, k), v)
+
+
+class TestCouplingBlowUp:
+    def blowup_record(self, u2):
+        # u1 = 0 with gamma = 0 keeps v exactly zero on the first step, so
+        # only the w check can fire there
+        cfg = SimConfig(N=4, s=1.0, gamma=0.0, alpha=0.25, dt=0.1,
+                        blowup_threshold=1e-8)
+        return coupling_init(cfg, None, u2, CouplingOptions(dt_grid=1.0), seed=3)
+
+    def test_w_over_threshold_raises(self):
+        rec = self.blowup_record(gaussian_bump_pair(4, 0.05))
+        form = r"^blow-up signal at t=0\.1 \(\|v\|_H1 = \d\.\d{3}e[+-]\d+\)$"
+        with pytest.raises(BlowUpError, match=form) as err:
+            coupling_step(rec)
+        assert err.value.t == 0.1
+        assert 1e-8 < err.value.norm < np.inf
+
+    def test_non_finite_w_reported_as_inf(self):
+        u2 = gaussian_bump_pair(4, 0.05)
+        u2[0, 4, 4] = np.nan
+        with pytest.raises(BlowUpError, match=r"\|v\|_H1 = inf\)$"):
+            coupling_step(self.blowup_record(u2))
 
 
 class TestCouplingOptionsValidation:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from sdnlw.checkpoint import load_checkpoint, save_checkpoint
 from sdnlw.config import SimConfig
 from sdnlw.dynamics import (
     BlowUpError,
@@ -13,7 +14,6 @@ from sdnlw.dynamics import (
     flow_init,
     full_flow,
     modified_energy_F,
-    nonlinearity,
     nonlinearity_field,
     restart_check,
     run_steps,
@@ -34,7 +34,7 @@ from sdnlw.spectral import (
     zero_pair,
 )
 from sdnlw import spectral
-from _utils import coarsen, fine_increments, zero_increments
+from _utils import coarsen, fine_increments, nonlinearity, zero_increments
 
 RNG = np.random.default_rng(12)
 
@@ -189,6 +189,28 @@ class TestVStep:
         d48 = float(np.max(hnorm(snaps[4] - snaps[8])))
         d816 = float(np.max(hnorm(snaps[8] - snaps[16])))
         assert d816 < d48
+
+
+class TestOneClock:
+    def test_stepping_twice_from_one_state_agrees(self):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, seed=8)
+        st = run_steps(flow_init(cfg, random_pair(4, RNG)), 3)
+        a, b = v_step(st), v_step(st)
+        for name in ("lin", "v"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.stick.value, b.stick.value)
+        assert (a.t, a.step) == (b.t, b.step) == (st.stick.t + cfg.dt, 4)
+
+    def test_clock_is_the_sticks(self):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, seed=8)
+        st = flow_init(cfg, step0=6)
+        assert (st.t, st.step) == (st.stick.t, st.stick.step) == (0.0, 6)
+        st = run_steps(st, 7)
+        assert (st.t, st.step) == (st.stick.t, st.stick.step)
+        back = load_checkpoint(save_checkpoint(st))
+        assert (back.t, back.step) == (back.stick.t, back.stick.step) \
+            == (st.t, st.step)
+        assert np.array_equal(full_flow(v_step(back)), full_flow(v_step(st)))
 
 
 class TestFullFlow:

@@ -270,7 +270,29 @@ class TestCli:
         assert code == 2
         assert "blow-up" in capsys.readouterr().err
 
+    def test_couple_blowup_exit_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 4\ngamma = 0.0\ndt = 0.1\nseed = 3\n"
+                            "blowup_threshold = 1e-8\n")
+        code = self.run_cli("couple", "--config", str(cfg_file), "--t", "0.5",
+                            "--u2-perturbation", "0.05", "--out", str(tmp_path))
+        assert code == 2
+        assert "blow-up signal at t=0.1" in capsys.readouterr().err
+        assert not (tmp_path / "couple.json").exists()
+
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "sdnlw.cli", "verify"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+class TestPublicSurface:
+    def test_all_is_explicit_and_complete(self):
+        import types
+        import sdnlw
+        for name in sdnlw.__all__:
+            assert getattr(sdnlw, name) is not None
+        public = {name for name, val in vars(sdnlw).items()
+                  if not name.startswith("_") and not isinstance(val, types.ModuleType)}
+        assert public == set(sdnlw.__all__)
+        assert len(sdnlw.__all__) == len(set(sdnlw.__all__))

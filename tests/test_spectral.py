@@ -5,7 +5,6 @@ import pytest
 
 from sdnlw import spectral
 from sdnlw.spectral import (
-    SpectralGrid,
     ResolutionError,
     bracket_multiplier,
     convolution_oracle,
@@ -184,12 +183,6 @@ class TestNorms:
 
 
 class TestGridAndHermitize:
-    def test_grid_validation(self):
-        with pytest.raises(ResolutionError):
-            SpectralGrid(4, 8)
-        g = SpectralGrid.for_truncation(4)
-        assert g.M == 14 and g.K == 9
-
     def test_hermitize_projects(self):
         z = RNG.standard_normal((9, 9)) + 1j * RNG.standard_normal((9, 9))
         h = hermitize(z)
