@@ -20,9 +20,9 @@ from .config import ConfigError, SimConfig, load_config
 from .coupling import CouplingOptions, coupling_distance, run_coupling, \
     shifted_flow_check
 from .dynamics import BlowUpError, run_steps
-from .ergodics import compare_averages
+from .ergodics import compare_starts
 from .noise import lattice_covariance, stationary_moment_report
-from .runner import ensemble_time_averages, simulate_run, write_summary_json
+from .runner import simulate_run, write_summary_json
 from .spectral import gaussian_bump_pair, hnorm
 from .verify import format_table, run_identity_suite
 
@@ -82,15 +82,14 @@ def cmd_stick_stats(args) -> int:
 
 def cmd_couple(args) -> int:
     cfg = _load_cfg(args)
-    T = args.t if args.t is not None else cfg.T
     if not args.check_horizon > 0:
         raise ValueError(f"check_horizon must be > 0, got {args.check_horizon}")
     u2 = gaussian_bump_pair(cfg.N, args.u2_perturbation)
     opts = CouplingOptions(eps_every=args.eps_every)
-    horizon = min(T, args.check_horizon)
+    horizon = min(cfg.T, args.check_horizon)
     check = shifted_flow_check(cfg, None, u2, horizon, opts, seed=cfg.seed)
     # the check's coupling record is the first part of the run to T
-    rec = run_coupling(check["record"], round(T / cfg.dt) - round(horizon / cfg.dt))
+    rec = run_coupling(check["record"], round(cfg.T / cfg.dt) - round(horizon / cfg.dt))
     hcost = float(rec.hcost)
     w_h1 = float(hnorm(rec.w))
     d1 = float(coupling_distance(rec, 1))
@@ -103,7 +102,7 @@ def cmd_couple(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_summary_json(out / "couple.json", {
-            "kind": "couple", "config": cfg.as_dict(), "T": T,
+            "kind": "couple", "config": cfg.as_dict(), "T": cfg.T,
             "u2_perturbation": args.u2_perturbation,
             "hcost": hcost,
             "w_h1": w_h1,
@@ -116,21 +115,12 @@ def cmd_couple(args) -> int:
 
 def cmd_ergodic(args) -> int:
     cfg = _load_cfg(args)
-    T = args.t if args.t is not None else cfg.T
     seeds = [cfg.seed + j for j in range(args.seeds)]
-    u2 = gaussian_bump_pair(cfg.N, args.u2_amplitude)
-    # per-seed averages through the worker pool (deterministic merge)
-    avg1 = ensemble_time_averages(cfg, "zero", 0.0, T, seeds, cfg.observables)
-    avg2 = ensemble_time_averages(cfg, "bump", args.u2_amplitude, T, seeds,
-                                  cfg.observables)
-    report = {"kind": "ergodic", "config": cfg.as_dict(), "T": T,
-              "seeds": seeds, "observables": {}}
-    ok = True
-    for name in cfg.observables:
-        row = compare_averages([avg1[s][name] for s in seeds],
-                               [avg2[s][name] for s in seeds])
-        ok = ok and row["within_3se"]
-        report["observables"][name] = row
+    bump = gaussian_bump_pair(cfg.N, args.u2_amplitude)
+    report = {"kind": "ergodic", "config": cfg.as_dict(),
+              **compare_starts(cfg, None, bump, cfg.T, seeds)}
+    rows = report["observables"]
+    for name, row in rows.items():
         print(f"{name:<16s} diff {row['diff']:+.4e}  (3se = {3*row['combined_se']:.4e})"
               f"  {'ok' if row['within_3se'] else 'DIFFERS'}")
     if args.out:
@@ -138,7 +128,7 @@ def cmd_ergodic(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_summary_json(out / "ergodic.json", report)
         print(f"summary:    {out / 'ergodic.json'}")
-    return 0 if ok else 1
+    return 0 if all(row["within_3se"] for row in rows.values()) else 1
 
 
 def cmd_verify(args) -> int:

@@ -349,7 +349,7 @@ def coupling_step(record: CouplingRecord,
     tab = propagator_tables(N, delta)
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
-    _check_blowup(w_new, cfg, flow.t + delta)
+    _check_blowup(w_new, cfg, flow.t + delta, "w")
     flow_new = v_step(flow, incr)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 
@@ -385,10 +385,12 @@ def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray
 
     Pass 1 builds the coupling record (recording the h path); pass 2 drives
     the plain simulator from u2^0 with the shift injected into the noise
-    increments by the trapezoid rule.  The residual converges to zero at
-    the integrator's order and is round-off whenever h vanishes.  An
-    explicit ``incr_table`` fixes the white-noise path (step-size studies
-    coarsen one fine path so all runs see the same realization).
+    increments by the trapezoid rule.  Its node at t_k (k < n) is the h that
+    step k used, with that step's eps; its node at T is ``shift_h`` of the
+    final record.  The residual converges to zero at the integrator's order
+    and is round-off whenever h vanishes.  An explicit ``incr_table`` fixes
+    the white-noise path (step-size studies coarsen one fine path so all
+    runs see the same realization).
     """
     seed = cfg.seed if seed is None else seed
     delta = cfg.dt
@@ -398,12 +400,12 @@ def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray
     if incr_table is None:
         incr_table = [sample_increment(cfg.N, delta, seed, k) for k in range(n)]
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seed)
-    h_series = [shift_h(rec)]
-    rhs = []
+    h_series, rhs = [], []
     for k in range(n):
         rec = coupling_step(rec, incr_table[k])
-        h_series.append(shift_h(rec))
+        h_series.append(rec.h_last)
         rhs.append(full_flow(rec.flow) + rec.lin_diff + rec.w)
+    h_series.append(shift_h(rec))
 
     direct = flow_init(cfg, u2_0, seed=seed)
     times, residuals, rel = [], [], []

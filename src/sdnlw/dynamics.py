@@ -57,10 +57,11 @@ from .spectral import (
 
 
 class BlowUpError(RuntimeError):
-    """H^1 norm of the remainder exceeded the blow-up threshold."""
+    """H^1 norm of a field (the remainder v, or the coupling shift w)
+    exceeded the blow-up threshold."""
 
-    def __init__(self, t: float, norm: float):
-        super().__init__(f"blow-up signal at t={t:.6g} (|v|_H1 = {norm:.3e})")
+    def __init__(self, t: float, norm: float, label: str = "v"):
+        super().__init__(f"blow-up signal at t={t:.6g} (|{label}|_H1 = {norm:.3e})")
         self.t = t
         self.norm = norm
 
@@ -114,11 +115,11 @@ def nonlinearity_field(lin: np.ndarray, stick_value: np.ndarray, v: np.ndarray,
     return cube - 3.0 * gamma * x
 
 
-def _check_blowup(field: np.ndarray, cfg: SimConfig, t: float) -> None:
+def _check_blowup(field: np.ndarray, cfg: SimConfig, t: float, label: str = "v") -> None:
     n = hnorm(field)
     bad = ~np.isfinite(n) | (n > cfg.blowup_threshold)
     if np.any(bad):
-        raise BlowUpError(t, float(np.max(np.where(np.isfinite(n), n, np.inf))))
+        raise BlowUpError(t, float(np.max(np.where(np.isfinite(n), n, np.inf))), label)
 
 
 def next_increment(state: FlowState) -> NoiseIncrement:
@@ -130,12 +131,15 @@ def next_increment(state: FlowState) -> NoiseIncrement:
 
 def v_step(state: FlowState, incr: NoiseIncrement | None = None) -> FlowState:
     """Advance stick and remainder by one step of length cfg.dt of the
-    chosen integrator; ``incr`` overrides the lineage draw."""
+    chosen integrator; ``incr`` overrides the lineage draw and must be
+    drawn for that step length."""
     cfg = state.cfg
     delta = cfg.dt
     N = cfg.N
     if incr is None:
         incr = next_increment(state)
+    elif incr.delta != delta:
+        raise ValueError(f"increment delta {incr.delta} differs from cfg.dt {delta}")
     tab = propagator_tables(N, delta)
 
     if cfg.linear_only:

@@ -1,6 +1,13 @@
 """Time-averaged observables, ensemble statistics, and the two-initial-data
 convergence experiment.
 
+``compare_starts`` (behind ``sdnlw ergodic`` and ``two_start_convergence``)
+splits its seeds over one spawn process pool sized by SDNLW_WORKERS.  A
+path's averages depend only on its seed and join in seed order, so no number
+depends on the worker count.  A script calling it with SDNLW_WORKERS > 1
+needs an ``if __name__ == "__main__":`` guard, or the pool fails at once
+with ``BrokenProcessPool``.
+
 Birkhoff averages (1/T) int_0^T F(Phi_t) dt are computed by the trapezoid
 rule over the stored sampling times.  Error bars use the integrated
 autocorrelation time with automatic windowing (smallest window W with
@@ -18,6 +25,7 @@ the computable exponentially weighted sup with p = 16, labelled "Z-proxy".
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,25 +102,6 @@ class ObservableSeries:
     name: str
     times: np.ndarray
     values: np.ndarray  # shape (n_times,) + batch
-
-    def running_average(self) -> np.ndarray:
-        """(1/t) int_0^t F dr by trapezoid, at each stored time > 0."""
-        t = self.times
-        v = self.values
-        dt = np.diff(t)
-        shaped = dt.reshape((-1,) + (1,) * (v.ndim - 1))
-        areas = np.cumsum(0.5 * shaped * (v[1:] + v[:-1]), axis=0)
-        return areas / t[1:].reshape((-1,) + (1,) * (v.ndim - 1))
-
-
-def birkhoff_average(series: ObservableSeries, T: float) -> np.ndarray:
-    """(1/T) int_0^T F dt by trapezoid over the stored sample times."""
-    if T <= 0 or T > series.times[-1] + 1e-12:
-        raise ValueError("T must lie within the stored horizon")
-    mask = series.times <= T + 1e-12
-    t = series.times[mask]
-    v = series.values[mask]
-    return np.trapezoid(v, t, axis=0) / T
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +210,37 @@ def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = Non
 
 
 def time_averages(series: dict, burn: float, T: float) -> dict:
-    """Per-trajectory time averages over [burn, T] for each observable."""
+    """Per-trajectory time averages (1/(T - burn)) int_burn^T F dt, by
+    trapezoid over the stored sample times, for each observable."""
     out = {}
     for name, s in series.items():
+        if T > s.times[-1] + 1e-12:
+            raise ValueError(f"T = {T} lies beyond the stored horizon {s.times[-1]}")
         mask = (s.times >= burn - 1e-12) & (s.times <= T + 1e-12)
         t = s.times[mask]
         v = s.values[mask]
         out[name] = np.trapezoid(v, t, axis=0) / (t[-1] - t[0])
     return out
+
+
+def worker_count() -> int:
+    """Worker processes for the two-start ensembles: SDNLW_WORKERS, default 1."""
+    try:
+        return max(int(os.environ.get("SDNLW_WORKERS", "1")), 1)
+    except ValueError:
+        return 1
+
+
+def _chunk(seq: list, k: int) -> list:
+    k = max(1, min(k, len(seq)))
+    size = (len(seq) + k - 1) // k
+    return [seq[i: i + size] for i in range(0, len(seq), size)]
+
+
+def _averages_worker(payload) -> dict:
+    cfg, u0, T, names, burn, seeds = payload
+    run = sample_trajectory(cfg, u0, seeds, T, names)
+    return time_averages(run["series"], burn, T)
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +257,46 @@ def compare_averages(a1, a2) -> dict:
             "combined_se": se, "within_3se": abs(diff) <= 3.0 * se or se == 0.0}
 
 
+def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
+                   observables: tuple | None = None,
+                   burn_frac: float = 0.25) -> dict:
+    """Independent ensembles from two starts on the same seeds: for each
+    observable, |avg1 - avg2| of the per-trajectory time averages over
+    [burn_frac T, T] against their combined standard error.
+
+    Both starts' seed chunks go to one pool of ``worker_count()`` processes;
+    with one worker each start runs in-process as one batch.
+    """
+    seeds = list(seeds)
+    names = tuple(observables if observables is not None else cfg.observables)
+    workers = worker_count()
+    chunks = _chunk(seeds, workers)
+    payloads = [(cfg, u0, T, names, burn_frac * T, chunk)
+                for u0 in (u1_0, u2_0) for chunk in chunks]
+    if workers == 1:
+        results = [_averages_worker(p) for p in payloads]
+    else:  # imported here so that in-process runs do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(min(workers, len(payloads)),
+                                 mp_context=get_context("spawn")) as pool:
+            results = list(pool.map(_averages_worker, payloads))
+    avg1, avg2 = ({name: np.concatenate([r[name] for r in part]) for name in names}
+                  for part in (results[:len(chunks)], results[len(chunks):]))
+    return {"observables": {name: compare_averages(avg1[name], avg2[name])
+                            for name in names},
+            "seeds": tuple(seeds), "T": T}
+
+
 def two_start_convergence(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
                           observables: tuple | None = None,
                           burn_frac: float = 0.25,
                           coupling_opts: CouplingOptions | None = None,
                           dn_n: int = 1, dn_every: float = 2.0) -> dict:
-    """Independent ensembles from two starts plus the coupled d_n bound.
-
-    Reports |avg1 - avg2| with the combined standard error (across-seed
-    scatter of per-trajectory time averages) and the empirical coupled d_n
-    series from the Girsanov-shift construction run on the same seeds.
-    """
+    """``compare_starts`` plus the empirical coupled d_n series from the
+    Girsanov-shift construction run on the same seeds."""
     seeds = list(seeds)
-    names = observables if observables is not None else cfg.observables
-    burn = burn_frac * T
-    run1 = sample_trajectory(cfg, u1_0, seeds, T, names)
-    run2 = sample_trajectory(cfg, u2_0, seeds, T, names)
-    avg1 = time_averages(run1["series"], burn, T)
-    avg2 = time_averages(run2["series"], burn, T)
-    report = {"observables": {name: compare_averages(avg1[name], avg2[name])
-                              for name in names},
-              "seeds": tuple(seeds), "T": T}
+    report = compare_starts(cfg, u1_0, u2_0, T, seeds, observables, burn_frac)
     # coupled d_n bound from the shift construction, same seeds
     opts = coupling_opts or CouplingOptions(eps_every=10)
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seeds, batch=(len(seeds),))

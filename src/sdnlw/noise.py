@@ -229,9 +229,9 @@ def stick_step_shared(state: StickState, delta: float,
     return replace(state, value=value, t=state.t + delta, step=state.step + 1)
 
 
-def sample_stick_at(N: int, s: float, t: float, seed, step: int = 0,
-                    batch: tuple = ()) -> np.ndarray:
-    """One exact draw of the stick value at time t (started from zero)."""
+def sample_stick_at(N: int, s: float, t: float, seed, step: int = 0) -> np.ndarray:
+    """One exact draw of the stick value at time t (started from zero); a
+    sequence of seeds gives a batch."""
     l11, l21, l22 = cholesky2(lattice_covariance(N, t, s))
     z1 = unit_hermitian(N, seed, step, BLOCK_EXACT_A)
     z2 = unit_hermitian(N, seed, step, BLOCK_EXACT_B)
@@ -260,7 +260,7 @@ def stationary_moment_report(s: float, N: int, n_samples: int,
     var_ut = np.empty((len(times), K, K))
     seeds = [seed + 1000 * j for j in range(n_samples)]
     for i, t in enumerate(times):
-        vals = sample_stick_at(N, s, t, seeds, step=i, batch=(n_samples,))
+        vals = sample_stick_at(N, s, t, seeds, step=i)
         var_u[i] = np.mean(np.abs(vals[:, 0]) ** 2, axis=0)
         var_ut[i] = np.mean(np.abs(vals[:, 1]) ** 2, axis=0)
     # SE of the mean of |z|^2: std(|z|^2)/sqrt(n); |z|^2 has std ~ its mean

@@ -1,11 +1,8 @@
-"""Result emission, run manifests, and deterministic parallel ensembles.
+"""Result emission, run manifests, and the single-trajectory run.
 
 Observable series go to CSV with columns ``t,<observable>...`` and floats
 printed with 17 significant digits; summaries go to JSON under the schema
-tag "sdnlw-summary-1".  Ensembles split their seed list over a process
-pool sized by the SDNLW_WORKERS environment variable (single-threaded
-fallback); per-seed results depend only on the seed, and the merge is
-seed-sorted, so every emitted number is independent of the worker count.
+tag "sdnlw-summary-1".
 """
 
 from __future__ import annotations
@@ -13,9 +10,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import os
 import platform
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -155,52 +150,3 @@ def simulate_run(cfg: SimConfig, out_dir=None, u0_kind: str = "zero",
     return {"series": csv_path, "summary": json_path, "checkpoint": ckpt_path,
             "state": run["state"]}
 
-
-# ---------------------------------------------------------------------------
-# deterministic parallel ensembles
-
-
-def worker_count() -> int:
-    try:
-        n = int(os.environ.get("SDNLW_WORKERS", "1"))
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
-def _chunk(seq: list, k: int) -> list:
-    k = max(1, min(k, len(seq)))
-    size = (len(seq) + k - 1) // k
-    return [seq[i: i + size] for i in range(0, len(seq), size)]
-
-
-def _avg_worker(payload) -> dict:
-    cfg_dict, u0_kind, amplitude, T, observables, seeds = payload
-    cfg_dict = dict(cfg_dict)
-    cfg_dict["observables"] = tuple(cfg_dict["observables"])
-    cfg = SimConfig(**cfg_dict)
-    u0 = initial_data(u0_kind, cfg, amplitude)
-    run = sample_trajectory(cfg, u0, seeds=list(seeds), T=T,
-                            observables=tuple(observables))
-    avgs = time_averages(run["series"], 0.25 * T, T)
-    return {seed: {name: float(avgs[name][i]) for name in avgs}
-            for i, seed in enumerate(seeds)}
-
-
-def ensemble_time_averages(cfg: SimConfig, u0_kind: str, amplitude: float,
-                           T: float, seeds, observables) -> dict:
-    """Per-seed burn-in-removed time averages; worker-count independent."""
-    seeds = [int(s) for s in seeds]
-    payloads = [(cfg.as_dict(), u0_kind, amplitude, T, list(observables), chunk)
-                for chunk in _chunk(seeds, worker_count())]
-    if worker_count() == 1 or len(payloads) == 1:
-        results = [_avg_worker(p) for p in payloads]
-    else:
-        import multiprocessing as mp
-        with mp.get_context("spawn").Pool(worker_count()) as pool:
-            results = pool.map(_avg_worker, payloads)
-    merged = {}
-    for r in results:
-        merged.update(r)
-    # seed-sorted deterministic reduction
-    return {seed: merged[seed] for seed in sorted(merged)}

@@ -253,6 +253,14 @@ class TestShiftedFlow:
             res[dt] = out["residual"][-1]
         assert res[2e-2] / res[1e-2] >= 1.7
 
+    def test_residual_at_couple_settings(self):
+        # `sdnlw couple` defaults of the benchmark: eps every step, large h;
+        # the trapezoid node at t = 0 must be the h the first step used
+        cfg = SimConfig(N=8, s=1.0, gamma=0.0, alpha=0.25, dt=0.05)
+        out = shifted_flow_check(cfg, None, gaussian_bump_pair(8, 1.0), 1.0,
+                                 CouplingOptions(eps_every=1), seed=1)
+        assert out["rel_residual"][-1] < 0.6
+
 
 class TestGirsanov:
     def test_zero_shift_density_one(self):
@@ -445,7 +453,7 @@ class TestCouplingBlowUp:
 
     def test_w_over_threshold_raises(self):
         rec = self.blowup_record(gaussian_bump_pair(4, 0.05))
-        form = r"^blow-up signal at t=0\.1 \(\|v\|_H1 = \d\.\d{3}e[+-]\d+\)$"
+        form = r"^blow-up signal at t=0\.1 \(\|w\|_H1 = \d\.\d{3}e[+-]\d+\)$"
         with pytest.raises(BlowUpError, match=form) as err:
             coupling_step(rec)
         assert err.value.t == 0.1
@@ -454,7 +462,7 @@ class TestCouplingBlowUp:
     def test_non_finite_w_reported_as_inf(self):
         u2 = gaussian_bump_pair(4, 0.05)
         u2[0, 4, 4] = np.nan
-        with pytest.raises(BlowUpError, match=r"\|v\|_H1 = inf\)$"):
+        with pytest.raises(BlowUpError, match=r"\|w\|_H1 = inf\)$"):
             coupling_step(self.blowup_record(u2))
 
 

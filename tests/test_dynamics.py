@@ -19,7 +19,7 @@ from sdnlw.dynamics import (
     run_steps,
     v_step,
 )
-from sdnlw.noise import NoiseIncrement
+from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.propagator import apply_S, xalpha_norm
 from sdnlw.renorm import cubic_coefficients
 from sdnlw.spectral import (
@@ -146,6 +146,12 @@ class TestVStep:
         st = flow_init(cfg, huge, seed=0)
         with pytest.raises(BlowUpError):
             run_steps(st, 50, incr_table=zero_increments(2, cfg.dt, 50))
+
+    def test_increment_for_another_dt_rejected(self):
+        cfg = SimConfig(N=4, dt=0.01)
+        incr = sample_increment(4, 0.02, 3, 0)
+        with pytest.raises(ValueError, match=r"0\.02.*0\.01"):
+            v_step(flow_init(cfg, seed=3), incr)
 
     def test_odd_symmetry(self):
         # negating data and noise path negates the solution

@@ -7,7 +7,6 @@ from sdnlw.config import SimConfig
 from sdnlw.ergodics import (
     ObservableSeries,
     autocorr_time,
-    birkhoff_average,
     get_observable,
     krylov_bogolyubov_diagnostic,
     linear_moment_report,
@@ -15,6 +14,7 @@ from sdnlw.ergodics import (
     observable_registry,
     register_observable,
     sample_trajectory,
+    time_averages,
     two_start_convergence,
 )
 from sdnlw.noise import sample_stick_at
@@ -58,8 +58,7 @@ class TestObservables:
     def test_stick_mean_u2_matches_stationary_sum(self):
         # mean of u^2 for a (near-)stationary stick sample vs closed form
         s, N, n, t = 1.0, 8, 1000, 30.0
-        vals = sample_stick_at(N, s, t, [900 + i for i in range(n)],
-                               batch=(n,))
+        vals = sample_stick_at(N, s, t, [900 + i for i in range(n)])
         m2 = np.sum(np.abs(vals[:, 0]) ** 2, axis=(-2, -1))
         from sdnlw.noise import lattice_covariance
         expect = float(np.sum(lattice_covariance(N, t, s)[..., 0, 0]))
@@ -67,38 +66,46 @@ class TestObservables:
         assert abs(m2.mean() - expect) <= 5 * se
 
 
+def _average(values, t, T, burn=0.0):
+    return time_averages({"f": ObservableSeries("f", t, values)}, burn, T)["f"]
+
+
 class TestBirkhoff:
     def test_constant_functional(self):
         t = np.linspace(0.0, 10.0, 101)
-        s = ObservableSeries("one", t, np.ones_like(t))
         for T in (2.5, 10.0):
-            assert float(birkhoff_average(s, T)) == pytest.approx(1.0, rel=1e-14)
+            avg = _average(np.ones_like(t), t, T)
+            assert float(avg) == pytest.approx(1.0, rel=1e-14)
 
     def test_frozen_state(self):
         t = np.linspace(0.0, 4.0, 41)
-        s = ObservableSeries("f", t, np.full_like(t, 3.7))
-        assert float(birkhoff_average(s, 4.0)) == pytest.approx(3.7, rel=1e-14)
+        avg = _average(np.full_like(t, 3.7), t, 4.0)
+        assert float(avg) == pytest.approx(3.7, rel=1e-14)
 
     def test_linear_in_functional(self):
         t = np.linspace(0.0, 1.0, 11)
         v1, v2 = RNG.standard_normal(11), RNG.standard_normal(11)
-        a = birkhoff_average(ObservableSeries("a", t, v1), 1.0)
-        b = birkhoff_average(ObservableSeries("b", t, v2), 1.0)
-        ab = birkhoff_average(ObservableSeries("ab", t, 2 * v1 - 3 * v2), 1.0)
+        a = _average(v1, t, 1.0)
+        b = _average(v2, t, 1.0)
+        ab = _average(2 * v1 - 3 * v2, t, 1.0)
         assert float(ab) == pytest.approx(2 * a - 3 * b, rel=1e-12)
 
     def test_running_average_consistent(self):
+        # (1/t) int_0^t F by a cumulative trapezoid at stored times t
+        # against the average over [0, t]; then a burn-in window
         t = np.linspace(0.0, 5.0, 51)
         vals = np.sin(t)
-        s = ObservableSeries("sin", t, vals)
-        run = s.running_average()
-        assert float(run[-1]) == pytest.approx(
-            float(birkhoff_average(s, 5.0)), rel=1e-12)
+        running = np.cumsum(0.5 * np.diff(t) * (vals[1:] + vals[:-1])) / t[1:]
+        for k in (1, 10, 50):
+            avg = _average(vals, t, t[k])
+            assert float(avg) == pytest.approx(running[k - 1], rel=1e-12)
+        window = (running[-1] * 5.0 - running[19] * 2.0) / 3.0
+        avg = _average(vals, t, 5.0, burn=2.0)
+        assert float(avg) == pytest.approx(window, rel=1e-12)
 
     def test_out_of_range(self):
-        s = ObservableSeries("x", np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            birkhoff_average(s, 2.0)
+        with pytest.raises(ValueError, match="horizon"):
+            _average(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 2.0)
 
 
 class TestErrorBars:

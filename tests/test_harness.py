@@ -1,9 +1,11 @@
 """Configuration parsing, checkpoints, emission formats, CLI, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse
 from sdnlw.coupling import coupling_distance, coupling_init, run_coupling, \
     shifted_flow_check
 from sdnlw.dynamics import flow_init, full_flow, run_steps
-from sdnlw.runner import ensemble_time_averages, fmt_float, simulate_run
+from sdnlw.ergodics import compare_starts
+from sdnlw.runner import fmt_float, simulate_run
 from sdnlw.spectral import gaussian_bump_pair, hnorm, random_pair
 
 RNG = np.random.default_rng(9)
@@ -161,17 +164,39 @@ class TestRunner:
         assert env["numpy"] == np.__version__
         assert env["fft"] in ("scipy.fft", "numpy.fft")
 
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
+    def test_worker_count_invariance(self, monkeypatch):
+        # uneven chunks (5 seeds over 2 workers), two different starts
         cfg = SimConfig(N=2, s=1.0, dt=0.05, T=1.0,
-                        observables=("mean_u2",))
-        seeds = [3, 4, 5, 6]
-        monkeypatch.setenv("SDNLW_WORKERS", "1")
-        serial = ensemble_time_averages(cfg, "zero", 0.0, 1.0, seeds,
-                                        ("mean_u2",))
-        monkeypatch.setenv("SDNLW_WORKERS", "2")
-        parallel = ensemble_time_averages(cfg, "zero", 0.0, 1.0, seeds,
-                                          ("mean_u2",))
-        assert serial == parallel
+                        observables=("mean_u2", "mean_u"))
+        u2 = gaussian_bump_pair(2, 0.5)
+        seeds = [3, 4, 5, 6, 7]
+        reps = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SDNLW_WORKERS", workers)
+            reps[workers] = compare_starts(cfg, None, u2, 1.0, seeds)
+        assert reps["1"]["seeds"] == reps["2"]["seeds"] == tuple(seeds)
+        for name in cfg.observables:
+            rows = [[r["observables"][name][k]
+                     for k in ("avg1", "avg2", "combined_se")] for r in reps.values()]
+            assert np.array_equal(rows[0], rows[1])
+
+    def test_unguarded_script_fails_fast(self, tmp_path):
+        # a spawn pool started from a script without a main guard: the
+        # workers die while importing it, and the pool must say so at once
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from sdnlw.config import SimConfig\n"
+            "from sdnlw.ergodics import compare_starts\n"
+            "cfg = SimConfig(N=2, s=1.0, dt=0.05, obs_interval=0.05,"
+            " observables=('mean_u2',))\n"
+            "compare_starts(cfg, None, None, 0.5, [1, 2])\n")
+        src = str(Path(coupling.__file__).resolve().parents[1])
+        env = dict(os.environ, SDNLW_WORKERS="2",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in proc.stderr
 
 
 class TestCli:

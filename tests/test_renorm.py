@@ -75,8 +75,7 @@ class TestWickPowers:
         # with gamma = spatial variance, the mean of :psi^2: is 0
         s, N, n = 1.0, 4, 3000
         gam = gamma_star(s, N)
-        vals = sample_stick_at(N, s, 50.0, [500 + i for i in range(n)],
-                               batch=(n,))[:, 0]
+        vals = sample_stick_at(N, s, 50.0, [500 + i for i in range(n)])[:, 0]
         means = np.array([integral(wick_powers(vals[i], gam).psi2)
                           for i in range(n)])
         se = means.std(ddof=1) / np.sqrt(n)
