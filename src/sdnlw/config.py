@@ -85,22 +85,13 @@ class SimConfig:
         return d
 
 
-_PARSERS = {
-    "N": int,
-    "s": float,
-    "gamma": float,
-    "alpha": float,
-    "dt": float,
-    "T": float,
-    "seed": int,
-    "integrator": str,
-    "M_pad": float,
-    "observables": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
-    "output_dir": str,
-    "obs_interval": float,
-    "linear_only": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
-    "blowup_threshold": float,
+# one parser per key, chosen by the SimConfig field's declared type
+_TYPE_PARSERS = {
+    "int": int, "float": float, "str": str,
+    "tuple": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
+    "bool": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SimConfig)}
 
 
 def parse_config(text: str) -> SimConfig:
@@ -128,6 +119,15 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError("; ".join(errs))
     cfg = replace(SimConfig(), **values)
     return cfg.check()
+
+
+def steps(span: float, dt: float, key: str) -> int:
+    """The exact number of steps of length dt in span; a ConfigError naming
+    ``key`` unless span is a whole multiple of dt (relative tolerance 1e-9)."""
+    n = span / dt
+    if not (math.isfinite(n) and math.isclose(round(n) * dt, span, rel_tol=1e-9)):
+        raise ConfigError(f"{key}: {span} is not a whole multiple of {dt}")
+    return round(n)
 
 
 def load_config(path) -> SimConfig:

@@ -55,7 +55,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .config import SimConfig
+from .config import SimConfig, steps
 from .dynamics import FlowState, _check_blowup, flow_init, full_flow, next_increment, \
     v_step
 from .noise import NoiseIncrement, sample_increment
@@ -108,12 +108,11 @@ def tv_bound(moment_p: float, e_abs_logx_p: float, L: float) -> float:
     return float(min(2.0, val))
 
 
-def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float,
-        t_star: float = 40.0, dt_grid: float = 0.25, pad: float = 2.0):
+def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float, pad: float = 2.0):
     """The bounded pseudo-metric 1 /\\ n |x - y|_{X^alpha}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.minimum(1.0, n * xalpha_norm(x - y, alpha, t_star, dt_grid, pad))
+    return np.minimum(1.0, n * xalpha_norm(x - y, alpha, pad=pad))
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +182,11 @@ class CouplingOptions:
     pref_exp: float | None = None  # exponent on C, default 2/alpha
     norm_exp: float | None = None  # exponent on the norm sum, default 4/alpha
     eps_every: int = 1             # re-evaluate eps every this many steps
-    t_star: float = 40.0           # X^alpha sup grid horizon
     dt_grid: float = 0.25          # X^alpha sup grid step
 
     def __post_init__(self):
         if not (self.eps_every >= 1 and self.eps_every == int(self.eps_every)):
             raise ValueError(f"eps_every must be an integer >= 1, got {self.eps_every}")
-        if not self.t_star >= 0.0:
-            raise ValueError(f"t_star must be >= 0, got {self.t_star}")
         if not self.dt_grid > 0.0:
             raise ValueError(f"dt_grid must be > 0, got {self.dt_grid}")
 
@@ -234,7 +230,7 @@ def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
     diff0 = resize(u2_0, cfg.N) - flow.u0
     if diff0.shape[:-3] != b:
         diff0 = np.broadcast_to(diff0, b + diff0.shape[-3:]).copy()
-    xnorm = xalpha_norm(diff0, cfg.alpha, opts.t_star, opts.dt_grid, cfg.M_pad)
+    xnorm = xalpha_norm(diff0, cfg.alpha, dt_grid=opts.dt_grid, pad=cfg.M_pad)
     monitor = None
     if monitor_M is not None:
         monitor = TauMMonitor(monitor_M, cfg.alpha, cfg.gamma, cfg.M_pad, b)
@@ -285,8 +281,8 @@ def epsilon_scale(record: CouplingRecord, Q: np.ndarray | None = None) -> np.nda
         Q = _plain_bracket(record)[0]
     pref_exp, norm_exp = opts.exponents(alpha)
     base = (1.0 + hnorm(record.w) + record.diff0_xnorm
-            + xalpha_norm(full_flow(record.flow), alpha, opts.t_star,
-                          opts.dt_grid, cfg.M_pad)
+            + xalpha_norm(full_flow(record.flow), alpha, dt_grid=opts.dt_grid,
+                          pad=cfg.M_pad)
             + sobolev_norm(Q, alpha, 2.0 / (1.0 - alpha), cfg.M_pad))
     return np.asarray(opts.C ** (-pref_exp) * base ** (-norm_exp))
 
@@ -369,7 +365,7 @@ def coupling_distance(record: CouplingRecord, n: int = 1):
     """d_n between the coupled pair: 1 /\\ n |S(t) udiff + w|_{X^alpha}."""
     cfg = record.flow.cfg
     val = xalpha_norm(record.lin_diff + record.w, cfg.alpha,
-                      record.opts.t_star, record.opts.dt_grid, cfg.M_pad)
+                      dt_grid=record.opts.dt_grid, pad=cfg.M_pad)
     return np.minimum(1.0, n * val)
 
 
@@ -394,9 +390,7 @@ def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray
     """
     seed = cfg.seed if seed is None else seed
     delta = cfg.dt
-    n = round(T / delta)
-    if abs(n * delta - T) > 1e-12:
-        raise ValueError("T must be a multiple of cfg.dt")
+    n = steps(T, delta, "T")
     if incr_table is None:
         incr_table = [sample_increment(cfg.N, delta, seed, k) for k in range(n)]
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seed)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import spectral
-from .config import SimConfig
+from .config import SimConfig, steps
 from .noise import NoiseIncrement, StickState, sample_increment
 from .propagator import apply_tables, kick_tables, propagator_tables
 from .renorm import CubicCoefficients
@@ -208,11 +208,8 @@ def restart_check(cfg: SimConfig, u0: np.ndarray | None, t: float, h: float,
     restart identity; it vanishes to round-off for the linear flow and
     decreases at the integrator's order otherwise.
     """
-    delta = cfg.dt
-    n_t = round(t / delta)
-    n_h = round(h / delta)
-    if abs(n_t * delta - t) > 1e-12 or abs(n_h * delta - h) > 1e-12:
-        raise ValueError("t and h must be multiples of cfg.dt")
+    n_t = steps(t, cfg.dt, "t")
+    n_h = steps(h, cfg.dt, "h")
     a = flow_init(cfg, u0, seed=seed)
     a = run_steps(a, n_t)
     phi_t = full_flow(a)

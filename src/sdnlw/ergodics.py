@@ -26,13 +26,13 @@ the computable exponentially weighted sup with p = 16, labelled "Z-proxy".
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import coupling as coupling_mod
 from . import noise as noise_mod
-from .config import SimConfig
+from .config import SimConfig, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
 from .dynamics import FlowState, flow_init, full_flow, v_step
 from .propagator import weighted_sup_norm
@@ -45,28 +45,26 @@ Z_PROXY_P = 16.0
 # observables
 
 
-def _mean_u(pair, ctx):
+def _mean_u(pair, cfg):
     return integral(pair[..., 0, :, :])
 
 
-def _mean_u2(pair, ctx):
+def _mean_u2(pair, cfg):
     return mean_square(pair[..., 0, :, :])
 
 
-def _mean_u4(pair, ctx):
+def _mean_u4(pair, cfg):
     u = pair[..., 0, :, :]
     return mean_square(dealiased_product(u, u))
 
 
-def _clipped_halpha(pair, ctx):
-    return np.minimum(1.0, pair_norm(pair, ctx.get("alpha", 0.25), 2.0))
+def _clipped_halpha(pair, cfg):
+    return np.minimum(1.0, pair_norm(pair, cfg.alpha, 2.0))
 
 
-def _dn_to_ref(pair, ctx):
-    ref = ctx.get("ref")
-    if ref is None:
-        ref = np.zeros_like(pair)
-    return coupling_mod.d_n(pair, ref, ctx.get("n", 1), ctx.get("alpha", 0.25))
+def _dn_to_ref(pair, cfg):
+    """d_1 to the zero state."""
+    return coupling_mod.d_n(pair, np.zeros_like(pair), 1, cfg.alpha, cfg.M_pad)
 
 
 _REGISTRY = {
@@ -79,7 +77,8 @@ _REGISTRY = {
 
 
 def observable_registry() -> dict:
-    """Named functionals of the full state; extend with register_observable."""
+    """Named functionals ``fn(pair, cfg)`` of the full state; extend with
+    register_observable."""
     return dict(_REGISTRY)
 
 
@@ -108,8 +107,8 @@ class ObservableSeries:
 # autocorrelation-aware error bars
 
 
-def autocorr_time(x: np.ndarray, c: float = 5.0) -> float:
-    """Integrated autocorrelation time with automatic windowing."""
+def autocorr_time(x: np.ndarray) -> float:
+    """Integrated autocorrelation time, windowed at the smallest W >= 5 tau."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 4:
@@ -128,7 +127,7 @@ def autocorr_time(x: np.ndarray, c: float = 5.0) -> float:
     tau = 1.0
     for w in range(1, n):
         tau = 1.0 + 2.0 * np.sum(rho[1:w + 1])
-        if w >= c * tau:
+        if w >= 5.0 * tau:
             break
     return max(tau, 1.0)
 
@@ -141,22 +140,11 @@ def mean_with_error(x: np.ndarray) -> tuple[float, float, float]:
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n_eff)), float(tau)
 
 
-@dataclass
-class EnsembleSummary:
-    """Per-observable statistics of an ensemble of trajectories."""
-
-    observables: dict = field(default_factory=dict)
-    seeds: tuple = ()
-    config_digest: str = ""
-
-
-def ensemble_summary(series: dict, seeds, config_digest: str = "",
-                     burn: float = 0.0) -> EnsembleSummary:
+def ensemble_summary(series: dict, burn: float) -> dict:
     """Pooled mean/variance/autocorrelation time/standard error per
     observable; the standard error uses the effective sample size from the
     windowed autocorrelation estimate."""
-    out = EnsembleSummary(seeds=tuple(np.atleast_1d(seeds).tolist()),
-                          config_digest=config_digest)
+    out = {}
     for name, s in series.items():
         mask = s.times >= burn - 1e-12
         vals = s.values[mask]
@@ -165,7 +153,7 @@ def ensemble_summary(series: dict, seeds, config_digest: str = "",
         per = [mean_with_error(vals[:, j]) for j in range(vals.shape[1])]
         errs = np.array([p[1] for p in per])
         taus = np.array([p[2] for p in per])
-        out.observables[name] = {
+        out[name] = {
             "mean": float(np.mean([p[0] for p in per])),
             "var": float(vals.var(ddof=1)),
             "act": float(taus.mean()),
@@ -180,30 +168,30 @@ def ensemble_summary(series: dict, seeds, config_digest: str = "",
 
 
 def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = None,
-                      observables: tuple | None = None,
-                      ctx: dict | None = None) -> dict:
+                      observables: tuple | None = None) -> dict:
     """Run one (batched) trajectory and sample observables on the cadence.
 
-    Returns {"series": {name: ObservableSeries}, "state": final FlowState}.
+    T and obs_interval must be multiples of dt, and T of obs_interval (a
+    ConfigError before any step otherwise).  Returns
+    {"series": {name: ObservableSeries}, "state": final FlowState}.
     """
     T = cfg.T if T is None else T
     names = observables if observables is not None else cfg.observables
-    ctx = dict(ctx or {})
-    ctx.setdefault("alpha", cfg.alpha)
     fns = {name: get_observable(name) for name in names}
-    every = max(round(cfg.obs_interval / cfg.dt), 1)
-    n_steps = round(T / cfg.dt)
+    n_steps = steps(T, cfg.dt, "T")
+    every = steps(cfg.obs_interval, cfg.dt, "obs_interval")
+    steps(T, cfg.obs_interval, "T")
     batch = () if seeds is None or np.isscalar(seeds) else (len(seeds),)
     state = flow_init(cfg, u0, seed=seeds, batch=batch)
     times = [0.0]
-    values = {name: [np.asarray(fn(full_flow(state), ctx))] for name, fn in fns.items()}
+    values = {name: [np.asarray(fn(full_flow(state), cfg))] for name, fn in fns.items()}
     for k in range(n_steps):
         state = v_step(state)
         if (k + 1) % every == 0:
             times.append(state.t)
             phi = full_flow(state)
             for name, fn in fns.items():
-                values[name].append(np.asarray(fn(phi, ctx)))
+                values[name].append(np.asarray(fn(phi, cfg)))
     series = {name: ObservableSeries(name, np.array(times), np.stack(vals))
               for name, vals in values.items()}
     return {"series": series, "state": state}
@@ -238,9 +226,9 @@ def _chunk(seq: list, k: int) -> list:
 
 
 def _averages_worker(payload) -> dict:
-    cfg, u0, T, names, burn, seeds = payload
-    run = sample_trajectory(cfg, u0, seeds, T, names)
-    return time_averages(run["series"], burn, T)
+    cfg, u0, T, seeds = payload
+    run = sample_trajectory(cfg, u0, seeds, T)
+    return time_averages(run["series"], 0.25 * T, T)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +245,19 @@ def compare_averages(a1, a2) -> dict:
             "combined_se": se, "within_3se": abs(diff) <= 3.0 * se or se == 0.0}
 
 
-def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
-                   observables: tuple | None = None,
-                   burn_frac: float = 0.25) -> dict:
+def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds) -> dict:
     """Independent ensembles from two starts on the same seeds: for each
-    observable, |avg1 - avg2| of the per-trajectory time averages over
-    [burn_frac T, T] against their combined standard error.
+    observable of cfg, |avg1 - avg2| of the per-trajectory time averages
+    over [T/4, T] against their combined standard error.
 
     Both starts' seed chunks go to one pool of ``worker_count()`` processes;
     with one worker each start runs in-process as one batch.
     """
     seeds = list(seeds)
-    names = tuple(observables if observables is not None else cfg.observables)
+    names = tuple(cfg.observables)
     workers = worker_count()
     chunks = _chunk(seeds, workers)
-    payloads = [(cfg, u0, T, names, burn_frac * T, chunk)
-                for u0 in (u1_0, u2_0) for chunk in chunks]
+    payloads = [(cfg, u0, T, chunk) for u0 in (u1_0, u2_0) for chunk in chunks]
     if workers == 1:
         results = [_averages_worker(p) for p in payloads]
     else:  # imported here so that in-process runs do not pay for it
@@ -289,20 +274,18 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
 
 
 def two_start_convergence(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
-                          observables: tuple | None = None,
-                          burn_frac: float = 0.25,
                           coupling_opts: CouplingOptions | None = None,
                           dn_n: int = 1, dn_every: float = 2.0) -> dict:
     """``compare_starts`` plus the empirical coupled d_n series from the
     Girsanov-shift construction run on the same seeds."""
     seeds = list(seeds)
-    report = compare_starts(cfg, u1_0, u2_0, T, seeds, observables, burn_frac)
+    n_steps = steps(T, cfg.dt, "T")
+    every = max(steps(dn_every, cfg.dt, "dn_every"), 1)
+    report = compare_starts(cfg, u1_0, u2_0, T, seeds)
     # coupled d_n bound from the shift construction, same seeds
     opts = coupling_opts or CouplingOptions(eps_every=10)
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seeds, batch=(len(seeds),))
-    every = max(round(dn_every / cfg.dt), 1)
     dn_times, dn_vals = [0.0], [float(np.mean(coupling_distance(rec, dn_n)))]
-    n_steps = round(T / cfg.dt)
     for k in range(n_steps):
         rec = coupling_step(rec)
         if (k + 1) % every == 0:
@@ -320,7 +303,7 @@ def krylov_bogolyubov_diagnostic(cfg: SimConfig, radii, n_samples: int,
     seeds = [seed + j for j in range(n_samples)]
     run = sample_trajectory(cfg, None, seeds, t_sample, ())
     state: FlowState = run["state"]
-    z = weighted_sup_norm(state.stick.value, cfg.alpha, Z_PROXY_P)
+    z = weighted_sup_norm(state.stick.value, cfg.alpha, Z_PROXY_P, pad=cfg.M_pad)
     vnorm = hnorm(state.v, 1.0 + cfg.alpha)
     size = z + vnorm
     radii = np.asarray(sorted(radii), dtype=float)
@@ -338,7 +321,7 @@ def linear_moment_report(N: int, s: float, T: float, dt_sample: float = 0.25,
     sigma is the windowed-autocorrelation standard error, pooled over the
     independent paths.
     """
-    n_steps = round(T / dt_sample)
+    n_steps = steps(T, dt_sample, "T")
     state = noise_mod.stick_init(N, s, [seed + j for j in range(n_paths)],
                                  (n_paths,))
     K = 2 * N + 1

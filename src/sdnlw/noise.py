@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .propagator import apply_tables, kick_tables, propagator_tables
-from .spectral import lattice_size, mode_range, omega_table, zero_pair
+from .spectral import lattice_size, omega_table, zero_pair
 
 # block indices within one step of one path
 BLOCK_WHITE = 0        # shared white-noise increment
@@ -70,32 +70,20 @@ def normal_block(seed: int, step: int, block: int, shape: tuple) -> np.ndarray:
     return _PHILOX_GEN.standard_normal(shape)
 
 
-def _seed_list(seed) -> list[int]:
-    if np.isscalar(seed):
-        return [int(seed)]
-    return [int(s) for s in np.asarray(seed).ravel()]
-
-
 def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
     """Stack per-seed blocks; scalar seed gives an unbatched array."""
     if np.isscalar(seed):
         return normal_block(seed, step, block, shape)
-    return np.stack([normal_block(s, step, block, shape) for s in _seed_list(seed)])
-
-
-def _center(full: np.ndarray) -> np.ndarray:
-    """FFT bin layout -> centered mode layout (odd K)."""
-    K = full.shape[-1]
-    N = (K - 1) // 2
-    idx = np.mod(mode_range(N), K)
-    return np.ascontiguousarray(full[..., idx[:, None], idx[None, :]])
+    return np.stack([normal_block(s, step, block, shape)
+                     for s in np.asarray(seed).ravel()])
 
 
 def unit_hermitian(N: int, seed, step: int, block: int) -> np.ndarray:
     """Hermitian complex field with independent modes, E|z(n)|^2 = 1."""
     K = lattice_size(N)
     w = _batched_normals(seed, step, block, (K, K))
-    return _center(np.fft.fft2(w) / K)
+    # FFT bin layout -> centered mode layout (odd K)
+    return np.fft.fftshift(np.fft.fft2(w) / K, axes=(-2, -1))
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ At t = T_star this is the tail bound for t > T_star.
 The grid maximum is evaluated in chunks of grid times, one broadcast
 transform and quadrature per chunk, with the chunk sized so that its
 physical-grid samples stay within CHUNK_BYTES; per grid point the
-arithmetic is that of a batched single-time evaluation.  For p >= 2 the
-loop prunes with the two bounds, computed from the chunk's S(t) v without
+arithmetic is that of a batched single-time evaluation.  The loop prunes
+with the two bounds, computed from the chunk's S(t) v without
 any transform: a chunk whose B(t) (times 1 + 1e-9 for round-off) is at
 most the running max for every path and time is not transformed, and the
 loop stops once 2.8 B(t) at the chunk's last time is at most the running
@@ -159,12 +159,14 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
     Grid maximum over [0, t_star] plus the certified tail bound for
     t > t_star; monotone under grid refinement only up to the L^p
     quadrature error of ``pad``.  The value of a path does not depend on
-    the batch it is evaluated in.  For p >= 2, grid times that provably
-    cannot raise the maximum are skipped (module docstring); the result
+    the batch it is evaluated in.  Needs p >= 2: grid times that provably
+    cannot raise the maximum are skipped (module docstring), and the result
     equals the unpruned evaluation bit for bit.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("weighted sup norm needs 0 < alpha < 1")
+    if not p >= 2.0:
+        raise ValueError(f"weighted sup norm needs p >= 2, got {p}")
     if not dt_grid > 0.0:
         raise ValueError(f"dt_grid must be > 0, got {dt_grid}")
     N = truncation_of(pair)
@@ -175,21 +177,19 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
     g = max(1, CHUNK_BYTES // max(1, paths * quad_grid_size(N, pad) ** 2 * 16))
     # the grid axis sits just before the component axis of the pair
     lifted = pair[..., None, :, :, :]
-    prune = p >= 2.0
     best = np.zeros(pair.shape[:-3])
     for start in range(0, grid.size, g):
         sl = slice(start, start + g)
         evolved = apply_tables(PropagatorTables(*(m[sl] for m in tables)), lifted)
         weight = np.exp(grid[sl] / 8.0)
-        if prune:
-            # Plancherel bound B(t) on the quadrature values, with slack for
-            # round-off; NaN compares false, so it never prunes
-            bound = (1.0 + 1e-9) * K * weight * hnorm(evolved, alpha)
-        if not (prune and np.all(bound <= best[..., None])):
+        # Plancherel bound B(t) on the quadrature values, with slack for
+        # round-off; NaN compares false, so it never prunes
+        bound = (1.0 + 1e-9) * K * weight * hnorm(evolved, alpha)
+        if not np.all(bound <= best[..., None]):
             val = weight * pair_norm(evolved, alpha, p, pad)
             best = np.maximum(best, np.max(val, axis=-1))
         # the tail bound at the chunk's last time covers every later grid time
-        if prune and np.all(DECAY_CONST * bound[..., -1] <= best):
+        if np.all(DECAY_CONST * bound[..., -1] <= best):
             break
     end = apply_S(pair, float(t_star))
     tail = DECAY_CONST * K * np.exp(t_star / 8.0) * hnorm(end, alpha)

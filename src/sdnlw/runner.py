@@ -122,10 +122,10 @@ def simulate_run(cfg: SimConfig, out_dir=None, u0_kind: str = "zero",
     """One trajectory: observable series CSV, summary JSON, final checkpoint,
     manifest.  Deterministic in (config, seed)."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.begin(cfg, [cfg.seed])
     run = sample_trajectory(cfg, initial_data(u0_kind, cfg, amplitude),
                             seeds=cfg.seed)
+    out.mkdir(parents=True, exist_ok=True)
     series = run["series"]
     times = next(iter(series.values())).times
     columns = {name: s.values for name, s in series.items()}
@@ -133,12 +133,11 @@ def simulate_run(cfg: SimConfig, out_dir=None, u0_kind: str = "zero",
     write_series_csv(csv_path, times, columns)
     burn = 0.25 * cfg.T
     avgs = time_averages(series, burn, cfg.T)
-    stats = ensemble_summary(series, [cfg.seed], cfg.digest(), burn)
     summary = {
         "config": cfg.as_dict(),
         "kind": "simulate",
         "time_averages": {k: float(v) for k, v in avgs.items()},
-        "statistics": stats.observables,
+        "statistics": ensemble_summary(series, burn),
         "burn_in": burn,
     }
     json_path = out / "summary.json"

@@ -66,11 +66,6 @@ def lattice_size(N: int) -> int:
     return 2 * N + 1
 
 
-def default_phys_size(N: int) -> int:
-    """Default physical grid per axis, M = 3N+2."""
-    return 3 * N + 2
-
-
 def read_only(arr: np.ndarray) -> np.ndarray:
     """Mark a cached table immutable; every caller shares the one array."""
     arr.setflags(write=False)
@@ -164,11 +159,11 @@ def random_pair(N: int, rng: np.random.Generator, decay: float = 1.0,
     return np.stack([u, ut], axis=-3)
 
 
-def gaussian_bump_pair(N: int, amplitude: float = 1.0, width: float = 2.0) -> np.ndarray:
-    """Smooth even bump (u, 0): uhat(n) = amplitude * exp(-|n|^2 / (2 width^2))."""
+def gaussian_bump_pair(N: int, amplitude: float = 1.0) -> np.ndarray:
+    """Smooth even bump (u, 0): uhat(n) = amplitude * exp(-|n|^2 / 8)."""
     n = mode_range(N).astype(float)
     n1, n2 = np.meshgrid(n, n, indexing="ij")
-    u = amplitude * np.exp(-(n1**2 + n2**2) / (2.0 * width**2)).astype(np.complex128)
+    u = amplitude * np.exp(-(n1**2 + n2**2) / 8.0).astype(np.complex128)
     pair = zero_pair(N)
     pair[0] = u
     return pair
@@ -204,12 +199,7 @@ def bracket_multiplier(coeffs: np.ndarray, sigma: float) -> np.ndarray:
 # transforms
 
 
-def _embed_indices(N: int, M: int) -> np.ndarray:
-    # centered mode a-N goes to FFT bin (a-N) mod M
-    return np.mod(mode_range(N), M)
-
-
-def to_physical(coeffs: np.ndarray, M: int | None = None) -> np.ndarray:
+def to_physical(coeffs: np.ndarray, M: int) -> np.ndarray:
     """Evaluate a real (Hermitian-symmetric) field on the M x M grid x_j = j/M.
 
     Requires M >= 2N+1 so the truncated field is exactly representable.
@@ -218,13 +208,13 @@ def to_physical(coeffs: np.ndarray, M: int | None = None) -> np.ndarray:
     field the full complex transform would yield after taking real parts.
     """
     N = truncation_of(coeffs)
-    if M is None:
-        M = default_phys_size(N)
     if M < lattice_size(N):
         raise ResolutionError(f"physical grid M={M} < 2N+1={lattice_size(N)}")
-    idx = _embed_indices(N, M)
+    # centered mode n goes to FFT bin n mod M: n1 >= 0 to rows 0..N, n1 < 0
+    # to rows M-N..M-1
     half = np.zeros(coeffs.shape[:-2] + (M, M // 2 + 1), dtype=np.complex128)
-    half[..., idx[:, None], np.arange(N + 1)[None, :]] = coeffs[..., :, N:]
+    half[..., :N + 1, :N + 1] = coeffs[..., N:, N:]
+    half[..., M - N:, :N + 1] = coeffs[..., :N, N:]
     # f(x_j) = sum_n c(n) e^{2 pi i n.j/M} = M^2 * irfft2(half)
     return _fft.irfft2(half, s=(M, M)) * (M * M)
 
@@ -237,12 +227,12 @@ def to_spectral(phys: np.ndarray, N: int) -> np.ndarray:
     if M < lattice_size(N):
         raise ResolutionError(f"physical grid M={M} < 2N+1={lattice_size(N)}")
     half = _fft.rfft2(np.asarray(phys, dtype=np.float64)) / (M * M)
-    idx = _embed_indices(N, M)
     out = np.empty(phys.shape[:-2] + (lattice_size(N),) * 2, dtype=np.complex128)
-    out[..., :, N:] = half[..., idx[:, None], np.arange(N + 1)[None, :]]
+    out[..., N:, N:] = half[..., :N + 1, :N + 1]
+    out[..., :N, N:] = half[..., M - N:, :N + 1]
     # negative columns from Hermitian symmetry c(n) = conj(c(-n))
-    out[..., :, :N] = np.conj(
-        half[..., idx[::-1, None], np.arange(N, 0, -1)[None, :]])
+    np.conjugate(half[..., N::-1, N:0:-1], out=out[..., :N + 1, :N])
+    np.conjugate(half[..., M - 1:M - N - 1:-1, N:0:-1], out=out[..., N + 1:, :N])
     return out
 
 
@@ -269,10 +259,7 @@ def dealiased_product(*factors: np.ndarray, out_N: int | None = None) -> np.ndar
         raise ValueError("need at least one factor")
     Ns = [truncation_of(f) for f in factors]
     degree = sum(Ns)
-    if out_N is None:
-        out_N = degree
-    if out_N > degree:
-        out_N = degree
+    out_N = degree if out_N is None else min(out_N, degree)
     M = product_grid_size(degree, out_N)
     phys_cache: dict[int, np.ndarray] = {}
     prod = None

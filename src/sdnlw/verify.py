@@ -32,8 +32,7 @@ def _leq(name, value, threshold):
     return CheckResult(name, bool(value <= threshold), float(value), float(threshold))
 
 
-def run_identity_suite(cfg: SimConfig | None = None) -> list[CheckResult]:
-    cfg = (cfg or SimConfig()).check()
+def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     rng = np.random.default_rng(2024)
     out = []
 

@@ -1,14 +1,15 @@
 """Shared test helpers: deterministic fields, fixed-noise-path runners, and
-the oracles the package's fast routes are checked against (the one-time-
-per-pass sup norm, the expanded-coefficient nonlinearity, the standalone
-Girsanov density)."""
+the oracles the package's fast routes are checked against (the fancy-index
+transforms, the one-time-per-pass sup norm, the expanded-coefficient
+nonlinearity, the standalone Girsanov density)."""
 
 import numpy as np
 
+from sdnlw import spectral
 from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
-from sdnlw.spectral import dealiased_product, hnorm, lattice_size, pair_norm, \
-    project_leq, resize, truncation_of, zero_field, zero_pair
+from sdnlw.spectral import dealiased_product, hnorm, lattice_size, mode_range, \
+    pair_norm, project_leq, resize, truncation_of, zero_field, zero_pair
 
 
 def cosine_field(N: int, k=(1, 0), amplitude: float = 1.0) -> np.ndarray:
@@ -78,3 +79,25 @@ def girsanov_log_density(h_fields, increments, delta: float):
         total = total - 0.5 * delta * np.sum(np.abs(h) ** 2, axis=(-2, -1)) \
             + np.sum(h * np.conj(coeffs), axis=(-2, -1)).real
     return total
+
+
+def to_physical_fancy(coeffs, M: int):
+    """Scatter every column n2 >= 0 to FFT bin (n mod M) by fancy indexing:
+    the oracle for the slice-block ``spectral.to_physical``."""
+    N = truncation_of(coeffs)
+    idx = np.mod(mode_range(N), M)
+    half = np.zeros(coeffs.shape[:-2] + (M, M // 2 + 1), dtype=np.complex128)
+    half[..., idx[:, None], np.arange(N + 1)[None, :]] = coeffs[..., :, N:]
+    return spectral._fft.irfft2(half, s=(M, M)) * (M * M)
+
+
+def to_spectral_fancy(phys, N: int):
+    """Gather by fancy indexing, negative columns by Hermitian symmetry: the
+    oracle for the slice-block ``spectral.to_spectral``."""
+    M = phys.shape[-1]
+    half = spectral._fft.rfft2(np.asarray(phys, dtype=np.float64)) / (M * M)
+    idx = np.mod(mode_range(N), M)
+    out = np.empty(phys.shape[:-2] + (lattice_size(N),) * 2, dtype=np.complex128)
+    out[..., :, N:] = half[..., idx[:, None], np.arange(N + 1)[None, :]]
+    out[..., :, :N] = np.conj(half[..., idx[::-1, None], np.arange(N, 0, -1)[None, :]])
+    return out

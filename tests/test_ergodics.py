@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdnlw.config import SimConfig
+from sdnlw.coupling import d_n
 from sdnlw.ergodics import (
     ObservableSeries,
     autocorr_time,
@@ -18,7 +19,7 @@ from sdnlw.ergodics import (
     two_start_convergence,
 )
 from sdnlw.noise import sample_stick_at
-from sdnlw.spectral import gaussian_bump_pair, zero_pair
+from sdnlw.spectral import gaussian_bump_pair, random_pair, zero_pair
 
 RNG = np.random.default_rng(77)
 
@@ -37,23 +38,31 @@ class TestObservables:
     def test_constant_field_values(self):
         pair = zero_pair(4)
         pair[0, 4, 4] = 1.5
-        ctx = {"alpha": 0.25}
-        assert float(get_observable("mean_u")(pair, ctx)) == pytest.approx(1.5)
-        assert float(get_observable("mean_u2")(pair, ctx)) == pytest.approx(2.25)
-        assert float(get_observable("mean_u4")(pair, ctx)) == pytest.approx(
+        cfg = SimConfig(N=4)
+        assert float(get_observable("mean_u")(pair, cfg)) == pytest.approx(1.5)
+        assert float(get_observable("mean_u2")(pair, cfg)) == pytest.approx(2.25)
+        assert float(get_observable("mean_u4")(pair, cfg)) == pytest.approx(
             1.5**4, rel=1e-12)
 
     def test_clipped_norm_bounded(self):
-        ctx = {"alpha": 0.25}
+        cfg = SimConfig(N=4)
         for _ in range(10):
             pair = 10.0 * np.random.default_rng(3).standard_normal((2, 9, 9)) \
                 * (1.0 + 0j)
-            val = get_observable("clipped_halpha")(pair, ctx)
+            val = get_observable("clipped_halpha")(pair, cfg)
             assert val <= 1.0
 
+    def test_dn_to_ref_uses_config_pad(self):
+        # the X^alpha quadrature of d_1 to the zero state follows cfg.M_pad
+        pair = 1e-3 * random_pair(4, RNG)
+        zero = np.zeros_like(pair)
+        got = get_observable("dn_to_ref")(pair, SimConfig(N=4, M_pad=4.0))
+        assert got == d_n(pair, zero, 1, 0.25, pad=4.0)
+        assert got != d_n(pair, zero, 1, 0.25, pad=2.0)
+
     def test_user_extension_point(self):
-        register_observable("test_zero_obs", lambda pair, ctx: 0.0)
-        assert get_observable("test_zero_obs")(zero_pair(2), {}) == 0.0
+        register_observable("test_zero_obs", lambda pair, cfg: 0.0)
+        assert get_observable("test_zero_obs")(zero_pair(2), SimConfig()) == 0.0
 
     def test_stick_mean_u2_matches_stationary_sum(self):
         # mean of u^2 for a (near-)stationary stick sample vs closed form
@@ -139,13 +148,11 @@ class TestEnsembleSummary:
         rng = np.random.default_rng(4)
         vals = np.repeat(rng.standard_normal((201, 2)), 10, axis=0)[:2001]
         series = {"obs": ObservableSeries("obs", t, vals)}
-        summ = ensemble_summary(series, [1, 2], "digest", burn=0.0)
-        d = summ.observables["obs"]
+        d = ensemble_summary(series, burn=0.0)["obs"]
         naive = np.sqrt(vals.var(ddof=1) / vals.size)
         assert d["act"] > 3.0          # strong correlation detected
         assert d["stderr"] > naive     # and reflected in the error bar
         assert d["n_eff"] < vals.size
-        assert summ.seeds == (1, 2)
 
 
 class TestExperiments:

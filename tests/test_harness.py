@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnlw.checkpoint import (
     CheckpointError,
@@ -17,9 +18,10 @@ from sdnlw.checkpoint import (
     save_checkpoint,
     write_checkpoint,
 )
+from sdnlw import cli, coupling
 from sdnlw.cli import main as cli_main
-from sdnlw import coupling
-from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse_config
+from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse_config, \
+    steps
 from sdnlw.coupling import coupling_distance, coupling_init, run_coupling, \
     shifted_flow_check
 from sdnlw.dynamics import flow_init, full_flow, run_steps
@@ -93,6 +95,34 @@ class TestConfig:
         a, b = SimConfig(seed=1), SimConfig(seed=1)
         assert a.digest() == b.digest()
         assert a.digest() != SimConfig(seed=2).digest()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(sorted(SimConfig.__dataclass_fields__) + ["bogus"]),
+                  st.one_of(st.text(max_size=12), st.floats().map(repr),
+                            st.integers().map(str))).map(" = ".join),
+        st.text(max_size=20)), max_size=6).map("\n".join))
+    def test_parser_refuses_with_a_message(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert str(exc)
+        else:
+            assert isinstance(cfg, SimConfig)
+
+    @pytest.mark.parametrize("span,dt,n", [
+        (1.0, 0.05, 20), (0.1, 0.05, 2), (1.0, 0.25, 4), (0.04, 0.01, 4),
+        (200.0, 0.05, 4000), (0.0, 0.01, 0),
+    ])
+    def test_steps_exact(self, span, dt, n):
+        assert steps(span, dt, "T") == n
+
+    @pytest.mark.parametrize("span,dt", [
+        (1.1, 0.25), (0.33, 0.05), (1e-12, 0.01), (np.inf, 0.01), (np.nan, 0.01),
+    ])
+    def test_steps_off_grid_refused(self, span, dt):
+        with pytest.raises(ConfigError, match="^T: "):
+            steps(span, dt, "T")
 
 
 class TestCheckpoint:
@@ -262,6 +292,8 @@ class TestCli:
         ("--eps-every", "0", "eps_every"),
         ("--eps-every", "-3", "eps_every"),
         ("--check-horizon", "0", "check_horizon"),
+        ("--check-horizon", "0.105", "check_horizon"),
+        ("--t", "0.205", "T"),
     ])
     def test_couple_bad_input_exit_one(self, tmp_path, capsys, flag, value, field):
         assert self.run_cli("couple", "--t", "0.2", flag, value,
@@ -285,9 +317,86 @@ class TestCli:
     def test_missing_checkpoint_exit_one(self, capsys):
         assert self.run_cli("resume", "--checkpoint", "/nonexistent.ckpt") == 1
 
+    def test_resume_off_grid_horizon_exit_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\nT = 0.5\ndt = 0.05\nseed = 3\n")
+        out = tmp_path / "run"
+        assert self.run_cli("simulate", "--config", str(cfg_file),
+                            "--out", str(out)) == 0
+        assert self.run_cli("resume", "--checkpoint", str(out / "final.ckpt"),
+                            "--t", "1.01", "--out", str(out)) == 1
+        assert "T: " in capsys.readouterr().err
+        assert not (out / "resumed.ckpt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--bogus"],
+        ["simulate", "--seed", "x"],
+        ["verify", "--seed", "3"],
+        ["verify", "--t", "1.0"],
+        ["verify", "--out", "v"],
+        ["stick-stats", "--t", "1.0"],
+        ["resume", "--checkpoint", "c.ckpt", "--seed", "3"],
+    ])
+    def test_usage_error_exit_one(self, capsys, argv):
+        # exit 2 means blow-up, so argparse's usage code is mapped to 1
+        assert self.run_cli(*argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        assert self.run_cli("simulate", "--help") == 0
+
+    def test_simulate_off_grid_horizon_exit_one(self, tmp_path, capsys):
+        # 1.1 is 22 steps of 0.05 but not a multiple of obs_interval 0.25
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\n")
+        out = tmp_path / "r"
+        assert self.run_cli("simulate", "--config", str(cfg_file), "--t", "1.1",
+                            "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "T: 1.1" in err and "Traceback" not in err
+        assert not (out / "series.csv").exists()
+
+    def test_ergodic_off_grid_horizon_exit_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\nobservables = mean_u2\n")
+        assert self.run_cli("ergodic", "--config", str(cfg_file), "--seeds", "3",
+                            "--t", "1.1", "--out", str(tmp_path)) == 1
+        assert "T: 1.1" in capsys.readouterr().err
+        assert not (tmp_path / "ergodic.json").exists()
+
+    def test_ergodic_differs_exit_three(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\nobservables = mean_u2\n")
+        assert self.run_cli("ergodic", "--config", str(cfg_file), "--seeds", "3",
+                            "--t", "0.5", "--out", str(tmp_path)) == 3
+        assert "DIFFERS" in capsys.readouterr().out
+        report = json.loads((tmp_path / "ergodic.json").read_text())
+        assert not report["observables"]["mean_u2"]["within_3se"]
+
+    def test_stick_stats_flagged_exit_three(self, tmp_path, capsys, monkeypatch):
+        real = cli.stationary_moment_report
+
+        def one_flag(*args, **kw):
+            rep = real(*args, **kw)
+            rep["drift_flags"][0, 0] = True
+            return rep
+
+        monkeypatch.setattr(cli, "stationary_moment_report", one_flag)
+        assert self.run_cli("stick-stats", "--samples", "100",
+                            "--out", str(tmp_path)) == 3
+        report = json.loads((tmp_path / "stick_stats.json").read_text())
+        assert report["flagged_modes"] == 1
+
+    def test_verify_fail_exit_three(self, capsys, monkeypatch):
+        from sdnlw.verify import CheckResult
+        monkeypatch.setattr(cli, "run_identity_suite",
+                            lambda cfg: [CheckResult("broken", False, 1.0, 0.0)])
+        assert self.run_cli("verify") == 3
+        assert "[FAIL] broken" in capsys.readouterr().out
+
     def test_blowup_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text("N = 2\nT = 5.0\ndt = 0.5\nseed = 1\n"
+        cfg_file.write_text("N = 2\nT = 5.0\ndt = 0.5\nobs_interval = 0.5\nseed = 1\n"
                             "blowup_threshold = 1e-6\n")
         code = self.run_cli("simulate", "--config", str(cfg_file),
                             "--out", str(tmp_path / "r"), "--u0", "bump",

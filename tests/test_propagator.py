@@ -149,6 +149,10 @@ class TestXalphaNorm:
         with pytest.raises(ValueError, match="alpha"):
             xalpha_norm(v, 1.5)
 
+    def test_p_below_two_rejected(self):
+        with pytest.raises(ValueError, match="p >= 2"):
+            weighted_sup_norm(random_pair(4, RNG), 0.25, 1.5)
+
 
 # (t_star, dt_grid): t_star on the grid, off the grid, and a one-point grid
 GRIDS = [(40.0, 1.0), (1.0, 0.3), (0.0, 0.25)]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnlw import spectral
 from sdnlw.spectral import (
@@ -21,7 +22,7 @@ from sdnlw.spectral import (
     to_spectral,
     zero_field,
 )
-from _utils import cosine_field, cosine_pair
+from _utils import cosine_field, cosine_pair, to_physical_fancy, to_spectral_fancy
 
 RNG = np.random.default_rng(101)
 
@@ -103,6 +104,38 @@ class TestTransforms:
         for g in (project_leq(f, 3), bracket_multiplier(f, 0.4),
                   dealiased_product(f, f), to_spectral(to_physical(f, 20), 6)):
             assert hermitian_defect(g) < 1e-12
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+BATCHES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+class TestTransformProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(N=st.integers(0, 16), extra=st.integers(0, 20), batch=BATCHES, seed=SEEDS)
+    def test_slices_equal_fancy_index_oracle(self, N, extra, batch, seed):
+        rng = np.random.default_rng(seed)
+        K = 2 * N + 1
+        M = K + extra
+        # non-Hermitian coefficients and arbitrary (not band-limited) samples
+        c = rng.standard_normal(batch + (K, K)) + 1j * rng.standard_normal(batch + (K, K))
+        assert np.array_equal(to_physical(c, M), to_physical_fancy(c, M))
+        phys = rng.standard_normal(batch + (M, M))
+        assert np.array_equal(to_spectral(phys, N), to_spectral_fancy(phys, N))
+
+    @settings(deadline=None)
+    @given(N=st.integers(0, 16), extra=st.integers(0, 20), batch=BATCHES, seed=SEEDS)
+    def test_round_trip(self, N, extra, batch, seed):
+        c = random_field(N, np.random.default_rng(seed), batch=batch)
+        rt = to_spectral(to_physical(c, 2 * N + 1 + extra), N)
+        assert np.max(np.abs(rt - c)) < 1e-12
+
+    @settings(deadline=None)
+    @given(Nf=st.integers(0, 6), Ng=st.integers(0, 6), seed=SEEDS)
+    def test_product_matches_direct_convolution(self, Nf, Ng, seed):
+        rng = np.random.default_rng(seed)
+        f, g = random_field(Nf, rng), random_field(Ng, rng)
+        assert np.max(np.abs(dealiased_product(f, g) - convolution_oracle(f, g))) < 1e-12
 
 
 class TestDealiasedProduct:
