@@ -56,8 +56,8 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .config import SimConfig, steps
-from .dynamics import FlowState, _check_blowup, flow_init, full_flow, next_increment, \
-    v_step
+from .dynamics import FlowState, _check_blowup, cube_grid_size, flow_init, full_flow, \
+    next_increment, v_step
 from .noise import NoiseIncrement, sample_increment
 from .propagator import apply_tables, kick_tables, propagator_tables, xalpha_norm
 from .spectral import (
@@ -66,7 +66,6 @@ from .spectral import (
     hnorm,
     omega_table,
     pair_norm,
-    product_grid_size,
     quad_grid_size,
     resize,
     sobolev_norm,
@@ -242,21 +241,29 @@ def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
         opts=opts, monitor=monitor)
 
 
-def _plain_bracket(record: CouplingRecord):
+def _flow_samples(record: CouplingRecord) -> np.ndarray:
+    """pi1 of the reference flow on the bracket grid cube_grid_size(N): the
+    samples ``nonlinearity_field`` cubes for the flow's step."""
+    N = record.flow.cfg.N
+    return to_physical(full_flow(record.flow)[..., 0, :, :], cube_grid_size(N))
+
+
+def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray | None = None):
     """(Q, B_plain) at the current time on one shared dealiased grid.
 
     Q has exact degree 2N; B_plain = P_N [Q (pi1 w + pi1 S(t) udiff)].
     Algebraically identical to composing renorm.quadratic_Q with
     dealiased_product; assembled pointwise on a single grid for speed.
+    ``p_ph`` are the ``_flow_samples`` of the record, when already taken.
     """
     cfg = record.flow.cfg
     N = cfg.N
     if cfg.linear_only:
         b = record.flow.batch
         return zero_field(2 * N, b), zero_field(N, b)
-    m_grid = product_grid_size(3 * N, N)
-    p_ph = to_physical(full_flow(record.flow)[..., 0, :, :], m_grid)
-    q_ph = to_physical((record.w + record.lin_diff)[..., 0, :, :], m_grid)
+    if p_ph is None:
+        p_ph = _flow_samples(record)
+    q_ph = to_physical((record.w + record.lin_diff)[..., 0, :, :], cube_grid_size(N))
     q_form = 3.0 * (p_ph**2 - cfg.gamma) + 3.0 * p_ph * q_ph + q_ph**2
     return to_spectral(q_form, 2 * N), to_spectral(q_form * q_ph, N)
 
@@ -317,7 +324,9 @@ def coupling_step(record: CouplingRecord,
     monitor = record.monitor
     if monitor is not None:
         monitor = monitor.update(flow.t, flow.stick.value)
-    Q, b_plain = _plain_bracket(record)
+    # the flow's start-of-step samples serve the bracket and the flow's cube
+    p_ph = None if cfg.linear_only else _flow_samples(record)
+    Q, b_plain = _plain_bracket(record, p_ph)
     if record.step % record.opts.eps_every == 0:
         eps = epsilon_scale(record, Q)
     else:
@@ -346,7 +355,7 @@ def coupling_step(record: CouplingRecord,
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
     _check_blowup(w_new, cfg, flow.t + delta, "w")
-    flow_new = v_step(flow, incr)
+    flow_new = v_step(flow, incr, x0_phys=p_ph)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 
     return replace(record, flow=flow_new, lin_diff=lin_diff_new, w=w_new,

@@ -50,7 +50,10 @@ from .spectral import (
     hnorm,
     l2_inner,
     mean_square,
+    product_grid_size,
     project_leq,
+    to_physical,
+    to_spectral,
     truncation_of,
     zero_pair,
 )
@@ -107,11 +110,29 @@ def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
     return FlowState(cfg, u0, u0.copy(), st, zero_pair(N, st.batch))
 
 
+def cube_grid_size(N: int) -> int:
+    """The grid on which the cube of a degree-N field is dealiased to P_N."""
+    return product_grid_size(3 * N, N)
+
+
 def nonlinearity_field(lin: np.ndarray, stick_value: np.ndarray, v: np.ndarray,
-                       gamma: float, N: int) -> np.ndarray:
-    """P_N [ x^3 - 3 gamma x ] with x = pi1 P_N (lin + stick + v)."""
+                       gamma: float, N: int, x_phys: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """P_N [ x^3 - 3 gamma x ] with x = pi1 P_N (lin + stick + v).
+
+    The cube is dealiased on the M x M grid, M = cube_grid_size(N), as
+    ``dealiased_product(x, x, x, out_N=N)`` does it, bit for bit.
+    ``x_phys``, when given, holds x already sampled on that grid, so x is
+    not transformed again.
+    """
     x = project_leq((lin + stick_value + v)[..., 0, :, :], N)
-    cube = dealiased_product(x, x, x, out_N=N)
+    M = cube_grid_size(N)
+    if x_phys is None:
+        x_phys = to_physical(x, M)
+    elif x_phys.shape[-1] != M:
+        raise ValueError(f"x_phys is sampled on {x_phys.shape[-1]} points, "
+                         f"the cube needs {M}")
+    cube = to_spectral(x_phys * x_phys * x_phys, N)
     return cube - 3.0 * gamma * x
 
 
@@ -129,27 +150,30 @@ def next_increment(state: FlowState) -> NoiseIncrement:
                             state.stick.step)
 
 
-def v_step(state: FlowState, incr: NoiseIncrement | None = None) -> FlowState:
+def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
+           x0_phys: np.ndarray | None = None) -> FlowState:
     """Advance stick and remainder by one step of length cfg.dt of the
     chosen integrator; ``incr`` overrides the lineage draw and must be
-    drawn for that step length."""
+    drawn for that step length.  ``x0_phys`` is pi1 of the state's full
+    flow on the cube grid, when the caller has sampled it already (see
+    ``nonlinearity_field``)."""
     cfg = state.cfg
     delta = cfg.dt
     N = cfg.N
     if incr is None:
         incr = next_increment(state)
-    elif incr.delta != delta:
-        raise ValueError(f"increment delta {incr.delta} differs from cfg.dt {delta}")
     tab = propagator_tables(N, delta)
 
     if cfg.linear_only:
         v_new = apply_tables(tab, state.v)
     elif cfg.integrator == "euler":
-        nl = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N)
+        nl = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
+                                x0_phys)
         v_new = apply_tables(tab, state.v) - delta * kick_tables(tab, nl)
     elif cfg.integrator == "midpoint":
         half = propagator_tables(N, 0.5 * delta)
-        nl0 = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N)
+        nl0 = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
+                                 x0_phys)
         lin_h = apply_tables(half, state.lin)
         stick_h = noise_mod.stick_step_shared(
             state.stick, 0.5 * delta, NoiseIncrement(0.5 * incr.coeffs, 0.5 * delta))

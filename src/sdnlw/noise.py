@@ -38,11 +38,18 @@ are independent of scheduling; each step consumes disjoint blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
+from . import spectral
 from .propagator import apply_tables, kick_tables, propagator_tables
-from .spectral import lattice_size, omega_table, zero_pair
+from .spectral import lattice_size, omega_table, read_only, zero_pair
+
+# The random stream every draw comes from; a change to any field changes
+# emitted numbers and bumps the version.
+RNG_STREAM = {"bit_generator": "Philox4x64-10", "normals": "ziggurat",
+              "counter": "(seed, step, block)", "version": 1}
 
 # block indices within one step of one path
 BLOCK_WHITE = 0        # shared white-noise increment
@@ -52,30 +59,45 @@ BLOCK_EXACT_B = 2
 
 # One reusable Philox whose (key, counter) is reset per draw: bit-identical
 # to constructing a fresh generator, at half the call overhead.  Processes
-# own their trajectories (no threads share this).
+# own their trajectories (no threads share this).  The state dict is read
+# once: a draw rewrites its counter and key in place and assigns it back;
+# buffer_pos = 4 marks the output buffer empty, so its contents are unused.
 _PHILOX = np.random.Philox(key=0)
 _PHILOX_GEN = np.random.Generator(_PHILOX)
+_PHILOX_STATE = _PHILOX.state
+_COUNTER = _PHILOX_STATE["state"]["counter"]
+_KEY = _PHILOX_STATE["state"]["key"]
+
+
+def _reset_stream(seed, step: int, block: int) -> None:
+    _COUNTER[:] = (0, 0, int(block), int(step))
+    _KEY[0] = int(seed) & (2**64 - 1)
+    _PHILOX.state = _PHILOX_STATE
 
 
 def normal_block(seed: int, step: int, block: int, shape: tuple) -> np.ndarray:
     """Standard normals from the counter-based stream (seed, step, block)."""
-    st = _PHILOX.state
-    st["state"]["counter"][:] = (0, 0, int(block), int(step))
-    st["state"]["key"][0] = int(seed) & (2**64 - 1)
-    st["state"]["key"][1] = 0
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    _PHILOX.state = st
+    _reset_stream(seed, step, block)
     return _PHILOX_GEN.standard_normal(shape)
 
 
 def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
-    """Stack per-seed blocks; scalar seed gives an unbatched array."""
+    """Each seed's block drawn into its row of one array; a scalar seed
+    gives an unbatched array."""
     if np.isscalar(seed):
         return normal_block(seed, step, block, shape)
-    return np.stack([normal_block(s, step, block, shape)
-                     for s in np.asarray(seed).ravel()])
+    seeds = np.asarray(seed).ravel()
+    out = np.empty((seeds.size,) + tuple(shape))
+    for s, row in zip(seeds, out):
+        _reset_stream(s, step, block)
+        _PHILOX_GEN.standard_normal(shape, out=row)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _forcing_table(N: int, s: float) -> np.ndarray:
+    """sqrt(2) omega^{-s}, the per-mode weight of the shared kick."""
+    return read_only(np.sqrt(2.0) * omega_table(N) ** (-s))
 
 
 def unit_hermitian(N: int, seed, step: int, block: int) -> np.ndarray:
@@ -83,7 +105,9 @@ def unit_hermitian(N: int, seed, step: int, block: int) -> np.ndarray:
     K = lattice_size(N)
     w = _batched_normals(seed, step, block, (K, K))
     # FFT bin layout -> centered mode layout (odd K)
-    return np.fft.fftshift(np.fft.fft2(w) / K, axes=(-2, -1))
+    z = spectral.fft2(w)
+    z /= K
+    return np.fft.fftshift(z, axes=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -185,7 +209,18 @@ class StickState:
 
 
 def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
-    """The stochastic convolution starts from the zero pair."""
+    """The stochastic convolution starts from the zero pair.  Each path
+    needs its own stream: a scalar seed takes batch (), a 1-d sequence of
+    seeds batch (len(seed),)."""
+    batch = tuple(batch)
+    if np.isscalar(seed):
+        ok = batch == ()
+    else:
+        ok = np.ndim(seed) == 1 and batch == (len(seed),)
+    if not ok:
+        raise ValueError(f"seed of shape {np.shape(seed)} does not match batch "
+                         f"{batch}: a scalar seed needs batch (), a 1-d "
+                         "sequence of n seeds batch (n,)")
     return StickState(N, s, zero_pair(N, batch), 0.0, 0, seed)
 
 
@@ -205,13 +240,16 @@ def stick_step_shared(state: StickState, delta: float,
     order-1 kick S(delta) (0, sqrt(2) <grad>^{-s} xihat).
 
     When ``incr`` is omitted it is drawn from the state's own lineage, so
-    the same realization can later be replayed to other objects.
+    the same realization can later be replayed to other objects; a given
+    ``incr`` must be drawn for this delta.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if incr is None:
         incr = sample_increment(state.N, delta, state.seed, state.step)
-    forcing = np.sqrt(2.0) * omega_table(state.N) ** (-state.s) * incr.coeffs
+    elif incr.delta != delta:
+        raise ValueError(f"increment delta {incr.delta} differs from step delta {delta}")
+    forcing = _forcing_table(state.N, state.s) * incr.coeffs
     tab = propagator_tables(state.N, float(delta))
     value = apply_tables(tab, state.value) + kick_tables(tab, forcing)
     return replace(state, value=value, t=state.t + delta, step=state.step + 1)

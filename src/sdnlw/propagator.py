@@ -133,7 +133,11 @@ def apply_S(pair: np.ndarray, t: float) -> np.ndarray:
 
 def kick_tables(tables: PropagatorTables, forcing: np.ndarray) -> np.ndarray:
     """S(t) applied to the second-component injection (0, forcing)."""
-    return np.stack([tables.m12 * forcing, tables.m22 * forcing], axis=-3)
+    out = np.empty(forcing.shape[:-2] + (2,) + forcing.shape[-2:],
+                   dtype=np.result_type(forcing, tables.m12))
+    np.multiply(tables.m12, forcing, out=out[..., 0, :, :])
+    np.multiply(tables.m22, forcing, out=out[..., 1, :, :])
+    return out
 
 
 def default_time_grid(t_star: float = 40.0, dt_grid: float = 0.25) -> np.ndarray:

@@ -20,6 +20,7 @@ from . import __version__, spectral
 from .checkpoint import write_checkpoint
 from .config import SimConfig, dump_config
 from .ergodics import ensemble_summary, sample_trajectory, time_averages
+from .noise import RNG_STREAM
 from .spectral import gaussian_bump_pair
 
 SUMMARY_SCHEMA = "sdnlw-summary-1"
@@ -64,8 +65,9 @@ def sha256_file(path) -> str:
 
 def run_environment() -> dict:
     """What bit-reproducibility depends on: library versions, the FFT module
-    ``spectral`` bound, and the SIMD extensions numpy dispatches to (its
-    array and scalar kernels may round differently in the last bit)."""
+    ``spectral`` bound, the SIMD extensions numpy dispatches to (its array
+    and scalar kernels may round differently in the last bit), and the
+    random stream."""
     try:
         import scipy
         scipy_version = scipy.__version__
@@ -79,7 +81,8 @@ def run_environment() -> dict:
     except ImportError:  # pragma: no cover
         simd = None
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy_version, "fft": spectral._fft.__name__, "simd": simd}
+            "scipy": scipy_version, "fft": spectral._fft.__name__, "simd": simd,
+            "rng_stream": dict(RNG_STREAM)}
 
 
 @dataclass

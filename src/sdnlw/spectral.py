@@ -42,10 +42,17 @@ from functools import lru_cache
 
 import numpy as np
 
+# The transforms below split numpy's 2-d calls into 1-d passes in the same
+# axis order.  Each backend scales a 2-d c2r differently: scipy once, by
+# 1/(M*M) rounded from long double, after both passes; numpy by 1/M in each
+# pass.  _SCIPY_FFT selects the matching scaling (and scipy's in-place
+# inverse pass), so every sample equals the 2-d call's bit for bit.
 try:  # scipy's pocketfft is noticeably faster on small batched transforms
     from scipy import fft as _fft
+    _SCIPY_FFT = True
 except ImportError:  # pragma: no cover
     from numpy import fft as _fft
+    _SCIPY_FFT = False
 
 OMEGA0 = np.sqrt(0.75)  # omega at the zero mode, <0> = sqrt(3/4)
 
@@ -199,6 +206,12 @@ def bracket_multiplier(coeffs: np.ndarray, sigma: float) -> np.ndarray:
 # transforms
 
 
+@lru_cache(maxsize=None)
+def _c2r_scale(M: int) -> float:
+    """scipy's 2-d c2r scale factor, computed as pocketfft does."""
+    return float(1 / np.longdouble(M * M))
+
+
 def to_physical(coeffs: np.ndarray, M: int) -> np.ndarray:
     """Evaluate a real (Hermitian-symmetric) field on the M x M grid x_j = j/M.
 
@@ -215,8 +228,17 @@ def to_physical(coeffs: np.ndarray, M: int) -> np.ndarray:
     half = np.zeros(coeffs.shape[:-2] + (M, M // 2 + 1), dtype=np.complex128)
     half[..., :N + 1, :N + 1] = coeffs[..., N:, N:]
     half[..., M - N:, :N + 1] = coeffs[..., :N, N:]
-    # f(x_j) = sum_n c(n) e^{2 pi i n.j/M} = M^2 * irfft2(half)
-    return _fft.irfft2(half, s=(M, M)) * (M * M)
+    # f(x_j) = sum_n c(n) e^{2 pi i n.j/M} = M^2 * irfft2(half); the column
+    # pass runs on the N+1 nonzero columns only
+    if _SCIPY_FFT:
+        half[..., :N + 1] = _fft.ifft(half[..., :N + 1], axis=-2, norm="forward")
+        phys = _fft.irfft(half, n=M, axis=-1, norm="forward", overwrite_x=True)
+        phys *= _c2r_scale(M)
+    else:
+        half[..., :N + 1] = _fft.ifft(half[..., :N + 1], axis=-2)
+        phys = _fft.irfft(half, n=M, axis=-1)
+    phys *= M * M
+    return phys
 
 
 def to_spectral(phys: np.ndarray, N: int) -> np.ndarray:
@@ -226,14 +248,23 @@ def to_spectral(phys: np.ndarray, N: int) -> np.ndarray:
         raise ValueError("physical array must be square in the trailing axes")
     if M < lattice_size(N):
         raise ResolutionError(f"physical grid M={M} < 2N+1={lattice_size(N)}")
-    half = _fft.rfft2(np.asarray(phys, dtype=np.float64)) / (M * M)
+    # rfft2 in its own axis order, the column pass on the kept columns only
+    half = _fft.rfft(np.asarray(phys, dtype=np.float64), axis=-1)[..., :N + 1]
+    half = _fft.fft(half, axis=-2)
+    half /= M * M
     out = np.empty(phys.shape[:-2] + (lattice_size(N),) * 2, dtype=np.complex128)
-    out[..., N:, N:] = half[..., :N + 1, :N + 1]
-    out[..., :N, N:] = half[..., M - N:, :N + 1]
+    out[..., N:, N:] = half[..., :N + 1, :]
+    out[..., :N, N:] = half[..., M - N:, :]
     # negative columns from Hermitian symmetry c(n) = conj(c(-n))
     np.conjugate(half[..., N::-1, N:0:-1], out=out[..., :N + 1, :N])
     np.conjugate(half[..., M - 1:M - N - 1:-1, N:0:-1], out=out[..., N + 1:, :N])
     return out
+
+
+def fft2(w: np.ndarray) -> np.ndarray:
+    """numpy.fft.fft2(w) bit for bit, on this module's FFT backend: complex
+    passes over the last axis, then the one before, as numpy orders them."""
+    return _fft.fft(_fft.fft(w.astype(np.complex128), axis=-1), axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Shared test helpers: deterministic fields, fixed-noise-path runners, and
-the oracles the package's fast routes are checked against (the fancy-index
-transforms, the one-time-per-pass sup norm, the expanded-coefficient
+"""Shared test helpers: deterministic fields, fixed-noise-path runners, the
+FFT backend switch, and the oracles the package's fast routes are checked
+against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
+route, the one-time-per-pass sup norm, the expanded-coefficient
 nonlinearity, the standalone Girsanov density)."""
 
+import importlib
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 
 from sdnlw import spectral
 from sdnlw.noise import NoiseIncrement, sample_increment
@@ -101,3 +106,30 @@ def to_spectral_fancy(phys, N: int):
     out[..., :, N:] = half[..., idx[:, None], np.arange(N + 1)[None, :]]
     out[..., :, :N] = np.conj(half[..., idx[::-1, None], np.arange(N, 0, -1)[None, :]])
     return out
+
+
+FFT_BACKENDS = ("scipy", "numpy")
+
+
+@contextmanager
+def fft_backend(name: str):
+    """Bind ``spectral``'s FFT module, and the scaling flag beside it, to
+    scipy.fft or numpy.fft for the duration of the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_fft", importlib.import_module(name + ".fft"))
+        mp.setattr(spectral, "_SCIPY_FFT", name == "scipy")
+        yield
+
+
+def unit_hermitian_fft2(N: int, seed, step: int, block: int) -> np.ndarray:
+    """A fresh Philox per seed, the blocks stacked, numpy's fft2: the oracle
+    for ``noise.unit_hermitian``."""
+    K = lattice_size(N)
+
+    def normals(s):
+        key = np.array([int(s) & (2**64 - 1), 0], dtype=np.uint64)
+        bits = np.random.Philox(key=key, counter=[0, 0, block, step])
+        return np.random.Generator(bits).standard_normal((K, K))
+
+    w = normals(seed) if np.isscalar(seed) else np.stack([normals(s) for s in seed])
+    return np.fft.fftshift(np.fft.fft2(w) / K, axes=(-2, -1))

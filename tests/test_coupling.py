@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sdnlw import coupling as cp
+from sdnlw import verify
 from sdnlw.config import SimConfig
 from sdnlw.coupling import (
     CouplingOptions,
@@ -21,7 +22,7 @@ from sdnlw.coupling import (
     shifted_flow_check,
     tv_bound,
 )
-from sdnlw.dynamics import BlowUpError, full_flow
+from sdnlw.dynamics import BlowUpError, full_flow, v_step
 from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.renorm import quadratic_Q
 from sdnlw.spectral import (
@@ -143,6 +144,31 @@ class TestBracketConsistency:
 
 
 class TestWSystem:
+    @pytest.mark.parametrize("integrator, linear_only", [("euler", False),
+                                                         ("midpoint", False),
+                                                         ("euler", True)])
+    def test_flow_step_equals_v_step(self, integrator, linear_only):
+        # the coupling hands its bracket samples of u1 to the flow step: the
+        # flow it advances is bit for bit the plain v_step of the same flow
+        cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05,
+                        integrator=integrator, linear_only=linear_only)
+        rec = coupling_init(cfg, random_pair(4, RNG), gaussian_bump_pair(4, 0.5),
+                            seed=[5, 6], batch=(2,))
+        rec = run_coupling(rec, 3)
+        incr = sample_increment(4, cfg.dt, [8, 9], rec.step)
+        got = coupling_step(rec, incr).flow
+        want = v_step(rec.flow, incr)
+        for a, b in ((got.v, want.v), (got.lin, want.lin),
+                     (got.stick.value, want.stick.value)):
+            assert np.array_equal(a, b)
+        assert linear_only or not np.all(rec.w == 0)
+
+    def test_scalar_seed_refused_for_a_batch(self):
+        # four paths on one stream would report four equal log-densities
+        cfg = SimConfig(N=2)
+        with pytest.raises(ValueError, match=r"seed of shape \(\) does not match batch"):
+            coupling_init(cfg, None, gaussian_bump_pair(2), seed=3, batch=(4,))
+
     def test_identical_data_keeps_w_zero(self):
         cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05)
         rec = coupling_init(cfg, None, zero_pair(4), seed=3)
@@ -260,6 +286,16 @@ class TestShiftedFlow:
         out = shifted_flow_check(cfg, None, gaussian_bump_pair(8, 1.0), 1.0,
                                  CouplingOptions(eps_every=1), seed=1)
         assert out["rel_residual"][-1] < 0.6
+
+    @pytest.mark.parametrize("gamma, s", [(0.0, 1.0), (0.7, 2.0)])
+    def test_exact_injection_identity(self, gamma, s):
+        # injecting dt * h_last, the h each step used, makes the identity
+        # hold for the discrete schemes: round-off, not the trapezoid gap
+        cfg = SimConfig(gamma=gamma, s=s, alpha=0.25, integrator="midpoint")
+        assert verify.exact_shift_residual(cfg) < 1e-12
+        line = [r for r in verify.run_identity_suite(SimConfig())
+                if r.name.startswith("coupling: exact shifted-flow")]
+        assert len(line) == 1 and line[0].passed and line[0].threshold == 1e-12
 
 
 class TestGirsanov:

@@ -10,6 +10,7 @@ from sdnlw.checkpoint import load_checkpoint, save_checkpoint
 from sdnlw.config import SimConfig
 from sdnlw.dynamics import (
     BlowUpError,
+    cube_grid_size,
     energy,
     flow_init,
     full_flow,
@@ -23,6 +24,7 @@ from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.propagator import apply_S, xalpha_norm
 from sdnlw.renorm import cubic_coefficients
 from sdnlw.spectral import (
+    dealiased_product,
     grad2_table,
     hnorm,
     integral,
@@ -30,6 +32,7 @@ from sdnlw.spectral import (
     project_leq,
     random_field,
     random_pair,
+    to_physical,
     zero_field,
     zero_pair,
 )
@@ -66,6 +69,16 @@ class TestNonlinearity:
         stick[0] = psi
         direct = nonlinearity_field(lin, stick, v, gamma, 4)
         assert np.max(np.abs(via_coeffs - direct)) < 1e-12
+
+    def test_presampled_flow_gives_the_same_bits(self):
+        lin, stick, v = (random_pair(4, RNG, batch=(3,)) for _ in range(3))
+        x = (lin + stick + v)[..., 0, :, :]
+        x_phys = to_physical(x, cube_grid_size(4))
+        expect = dealiased_product(x, x, x, out_N=4) - 3.0 * 0.4 * x
+        assert np.array_equal(nonlinearity_field(lin, stick, v, 0.4, 4, x_phys), expect)
+        assert np.array_equal(nonlinearity_field(lin, stick, v, 0.4, 4), expect)
+        with pytest.raises(ValueError, match="sampled on"):
+            nonlinearity_field(lin, stick, v, 0.4, 4, to_physical(x, 9))
 
 
 class TestVStep:
@@ -146,6 +159,20 @@ class TestVStep:
         st = flow_init(cfg, huge, seed=0)
         with pytest.raises(BlowUpError):
             run_steps(st, 50, incr_table=zero_increments(2, cfg.dt, 50))
+
+    @pytest.mark.parametrize("seed, batch", [(3, (3,)), ([1, 2, 3], (1,)),
+                                             ([1, 2, 3], ()), (list(range(5)), (3,))])
+    def test_seed_must_match_batch(self, seed, batch):
+        # a scalar seed for 3 paths would give 3 identical paths; 3 seeds
+        # for one path would grow the batch after the first step
+        with pytest.raises(ValueError, match=r"seed of shape .* batch"):
+            flow_init(SimConfig(N=2), None, seed=seed, batch=batch)
+
+    def test_scalar_seed_refused_for_batched_data(self):
+        u0 = random_pair(2, RNG, batch=(3,))
+        with pytest.raises(ValueError, match=r"batch \(3,\)"):
+            flow_init(SimConfig(N=2), u0, seed=4)
+        assert flow_init(SimConfig(N=2), u0, seed=[4, 5, 6]).batch == (3,)
 
     def test_increment_for_another_dt_rejected(self):
         cfg = SimConfig(N=4, dt=0.01)

@@ -190,9 +190,12 @@ class TestRunner:
         assert manifest["seeds"] == [7]
         assert len(manifest["outputs"]) == 3
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "fft", "simd"}
+        assert set(env) == {"python", "numpy", "scipy", "fft", "simd", "rng_stream"}
         assert env["numpy"] == np.__version__
         assert env["fft"] in ("scipy.fft", "numpy.fft")
+        assert env["rng_stream"] == {"bit_generator": "Philox4x64-10",
+                                     "normals": "ziggurat",
+                                     "counter": "(seed, step, block)", "version": 1}
 
     def test_worker_count_invariance(self, monkeypatch):
         # uneven chunks (5 seeds over 2 workers), two different starts

@@ -17,6 +17,7 @@ from sdnlw.noise import (
 )
 from sdnlw.propagator import propagator_tables
 from sdnlw.spectral import hermitian_defect, omega_table
+from _utils import FFT_BACKENDS, fft_backend, unit_hermitian_fft2
 
 
 def quad_covariance(omega: float, delta: float, s: float) -> np.ndarray:
@@ -65,6 +66,16 @@ class TestIncrements:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             sample_increment(4, 0.0, 1, 0)
+
+    @pytest.mark.parametrize("N, seed", [(0, 5), (4, 3), (8, -2), (4, [3, 4, 2**63]),
+                                         (3, np.arange(20)), (1, [7])])
+    def test_unit_hermitian_equals_fft2_route(self, N, seed):
+        # the stream and the transform bit for bit, under either FFT backend
+        for backend in FFT_BACKENDS:
+            with fft_backend(backend):
+                for step, block in ((0, 0), (7, 2)):
+                    assert np.array_equal(noise.unit_hermitian(N, seed, step, block),
+                                          unit_hermitian_fft2(N, seed, step, block))
 
 
 class TestStepCovariance:
@@ -164,6 +175,24 @@ class TestStickStepping:
         inc = sample_increment(4, 0.05, 99, 0)
         c = stick_step_shared(st, 0.05, inc)
         assert not np.allclose(a.value, c.value)
+
+    def test_shared_step_refuses_increment_for_another_delta(self):
+        st = stick_init(4, 1.0, 3)
+        with pytest.raises(ValueError, match=r"0\.02.*0\.01"):
+            stick_step_shared(st, 0.01, sample_increment(4, 0.02, 3))
+
+    @pytest.mark.parametrize("seed, batch", [(3, (3,)), ([1, 2, 3], (1,)),
+                                             ([1, 2, 3], ()), (list(range(5)), (3,)),
+                                             (np.arange(4).reshape(2, 2), (2, 2))])
+    def test_init_refuses_seed_not_matching_batch(self, seed, batch):
+        # one stream per path: a mismatch would repeat or grow the paths
+        with pytest.raises(ValueError, match=r"seed of shape .* batch"):
+            stick_init(2, 1.0, seed, batch)
+
+    def test_init_accepts_one_seed_per_path(self):
+        assert stick_init(2, 1.0, 3).batch == ()
+        assert stick_init(2, 1.0, [4, 5, 6], (3,)).batch == (3,)
+        assert stick_init(2, 1.0, np.arange(2), (2,)).batch == (2,)
 
     def test_shared_step_covariance_first_order(self):
         # one shared-increment step from zero has covariance

@@ -22,7 +22,8 @@ from sdnlw.spectral import (
     to_spectral,
     zero_field,
 )
-from _utils import cosine_field, cosine_pair, to_physical_fancy, to_spectral_fancy
+from _utils import FFT_BACKENDS, cosine_field, cosine_pair, fft_backend, to_physical_fancy, \
+    to_spectral_fancy
 
 RNG = np.random.default_rng(101)
 
@@ -119,9 +120,28 @@ class TestTransformProperties:
         M = K + extra
         # non-Hermitian coefficients and arbitrary (not band-limited) samples
         c = rng.standard_normal(batch + (K, K)) + 1j * rng.standard_normal(batch + (K, K))
-        assert np.array_equal(to_physical(c, M), to_physical_fancy(c, M))
         phys = rng.standard_normal(batch + (M, M))
-        assert np.array_equal(to_spectral(phys, N), to_spectral_fancy(phys, N))
+        for backend in FFT_BACKENDS:  # each against that backend's 2-d calls
+            with fft_backend(backend):
+                assert np.array_equal(to_physical(c, M), to_physical_fancy(c, M))
+                assert np.array_equal(to_spectral(phys, N), to_spectral_fancy(phys, N))
+
+    def test_scipy_c2r_scale_rounded_as_pocketfft(self):
+        # 2801 is the smallest M whose 1/(M*M) in double differs from the
+        # long-double factor scipy's irfft2 applies
+        M = 2801
+        assert spectral._c2r_scale(M) != 1 / (M * M)
+        c = np.random.default_rng(3).standard_normal((3, 3)) + 0j
+        with fft_backend("scipy"):
+            assert np.array_equal(to_physical(c, M), to_physical_fancy(c, M))
+
+    @settings(deadline=None, max_examples=50)
+    @given(K=st.integers(1, 33), batch=BATCHES, seed=SEEDS)
+    def test_fft2_equals_numpy_fft2(self, K, batch, seed):
+        w = np.random.default_rng(seed).standard_normal(batch + (K, K))
+        for backend in FFT_BACKENDS:
+            with fft_backend(backend):
+                assert np.array_equal(spectral.fft2(w), np.fft.fft2(w))
 
     @settings(deadline=None)
     @given(N=st.integers(0, 16), extra=st.integers(0, 20), batch=BATCHES, seed=SEEDS)
