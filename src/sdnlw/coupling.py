@@ -61,10 +61,10 @@ from .dynamics import FlowState, _check_blowup, cube_grid_size, flow_init, full_
 from .noise import NoiseIncrement, sample_increment
 from .propagator import apply_tables, kick_tables, propagator_tables, xalpha_norm
 from .spectral import (
+    bracket_table,
     dealiased_product,
     grad2_table,
     hnorm,
-    omega_table,
     pair_norm,
     quad_grid_size,
     resize,
@@ -296,7 +296,7 @@ def epsilon_scale(record: CouplingRecord, Q: np.ndarray | None = None) -> np.nda
 
 def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
     N = truncation_of(b_moll)
-    return (omega_table(N) ** s) * b_moll / np.sqrt(2.0)
+    return bracket_table(N, s) * b_moll / np.sqrt(2.0)
 
 
 def shift_h(record: CouplingRecord) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import spectral
 from .propagator import apply_tables, kick_tables, propagator_tables
-from .spectral import lattice_size, omega_table, read_only, zero_pair
+from .spectral import bracket_table, lattice_size, omega_table, read_only, zero_pair
 
 # The random stream every draw comes from; a change to any field changes
 # emitted numbers and bumps the version.
@@ -83,9 +83,12 @@ def normal_block(seed: int, step: int, block: int, shape: tuple) -> np.ndarray:
 
 def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
     """Each seed's block drawn into its row of one array; a scalar seed
-    gives an unbatched array."""
+    gives an unbatched array, a 1-d sequence of n seeds a batch (n,)."""
     if np.isscalar(seed):
         return normal_block(seed, step, block, shape)
+    if np.ndim(seed) > 1:
+        raise ValueError(f"seed of shape {np.shape(seed)}: a draw takes a scalar "
+                         "seed or a 1-d sequence of seeds")
     seeds = np.asarray(seed).ravel()
     out = np.empty((seeds.size,) + tuple(shape))
     for s, row in zip(seeds, out):
@@ -97,7 +100,7 @@ def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _forcing_table(N: int, s: float) -> np.ndarray:
     """sqrt(2) omega^{-s}, the per-mode weight of the shared kick."""
-    return read_only(np.sqrt(2.0) * omega_table(N) ** (-s))
+    return read_only(np.sqrt(2.0) * bracket_table(N, -s))
 
 
 def unit_hermitian(N: int, seed, step: int, block: int) -> np.ndarray:

@@ -15,42 +15,57 @@ The module also provides the exponentially weighted sup norm
 
     ||v||_{X^alpha} = sup_{t>=0} e^{t/8} ||S(t) v||_{W^{alpha,2/alpha} x W^{alpha-1,2/alpha}},
 
-evaluated on a time grid over [0, T_star] plus a certified tail bound.  Two
-facts about a real field g with (2N+1)^2 Fourier modes ghat_n give it:
+evaluated on a time grid over [0, T_star] plus a certified tail bound for
+t > T_star,
+
+    2.8 (2N+1) e^{T_star/8} ||S(T_star) v||_{H^alpha},
+
+from two facts about fields with (2N+1)^2 Fourier modes ghat_n:
 
   (i)  max_x |g(x)| <= sum_n |ghat_n| <= (2N+1) ||ghat||_2 (Cauchy-Schwarz),
-       so the padded quadrature of ||g||_{L^p}, the p-th root of a grid
-       mean of |g|^p, is at most (2N+1) ||g||_{L^2} for every p;
-  (ii) the H^alpha-conjugated mode matrices D S_n(t) D^{-1}, with
-       D = diag(omega_n^alpha, omega_n^{alpha-1}), have 2-norm
+       and (a^p + b^p)^{1/p} <= (a^2 + b^2)^{1/2} for p >= 2;
+  (ii) the H^alpha-conjugated mode matrices D_n S_n(t) D_n^{-1}, with
+       D_n = diag(omega_n^alpha, omega_n^{alpha-1}), have 2-norm
        <= 2.8 e^{-t/2} (DECAY_CONST; numerically the max over n and
-       t in [0, 40] of e^{t/2} ||D S_n(t) D^{-1}||_2 is 1.77).
+       t in [0, 40] of e^{t/2} ||D_n S_n(t) D_n^{-1}||_2 is 1.77).
 
-For p >= 2, (a^p + b^p)^{1/p} <= (a^2 + b^2)^{1/2}, so (i) bounds the
-quadrature pair norm at time t, weighted, by the Plancherel bound
+Most grid times cannot raise the maximum, and the evaluation skips them
+with a mode-sum certificate.  Let z_n = D_n (S(t) v)_n in C^2, |z_n| its
+Euclidean norm, and
 
-    B(t) = (2N+1) e^{t/8} ||S(t) v||_{H^alpha},
+    W(t) = e^{t/8} max( sum_{n2=0} |z_n| + 2 sum_{n2>0} |z_n|,  sum_n |z_n| ).
 
-and (ii) with S(t') = S(t' - t) S(t) gives, for every t' >= t,
+  1. W(t) bounds the weighted value.  The c2r in spectral.to_physical
+     reads only the columns n2 >= 0, so every sample of a component, and
+     with it its L^p quadrature, is at most sum_{n2=0} |c_n| +
+     2 sum_{n2>0} |c_n|; at p = 2 the value is the full-lattice Plancherel
+     sum, at most sum_n |c_n|.  For p >= 2 (a^p + b^p)^{1/p} <=
+     (a^2 + b^2)^{1/2}, and Minkowski's inequality in R^2 puts the pair of
+     component sums below the sum of |z_n|.  The larger of the two sums
+     covers every p and non-Hermitian input alike.
+  2. The tail stop holds.  Fact (ii) applies per mode, so for t' >= t
+     W(t') <= 2.8 e^{-3(t'-t)/8} W(t) <= 2.8 W(t).
+  3. It never prunes less than the Plancherel bound (2N+1) e^{t/8}
+     ||S(t) v||_{H^alpha}: for a real field the two sums agree and
+     W(t) = e^{t/8} sum_n |z_n|, which Cauchy-Schwarz puts below it.
+  4. Skipping is exact.  A (path, time) entry whose W(t), times 1 + 1e-9
+     for round-off, is at most that path's running max cannot raise it;
+     NaN fails every comparison, so it never prunes and propagates as
+     without pruning.
 
-    e^{t'/8} ||S(t') v||_{W} <= 2.8 e^{-3(t'-t)/8} B(t) <= 2.8 B(t).
-
-At t = T_star this is the tail bound for t > T_star.
-
-The grid maximum is evaluated in chunks of grid times, one broadcast
-transform and quadrature per chunk, with the chunk sized so that its
-physical-grid samples stay within CHUNK_BYTES; per grid point the
-arithmetic is that of a batched single-time evaluation.  The loop prunes
-with the two bounds, computed from the chunk's S(t) v without
-any transform: a chunk whose B(t) (times 1 + 1e-9 for round-off) is at
-most the running max for every path and time is not transformed, and the
-loop stops once 2.8 B(t) at the chunk's last time is at most the running
-max, since that covers every later grid time.  A skipped value cannot
-exceed the running max, so the maximum, and with it the returned value,
-is bit-identical to evaluating every grid time; only the cost depends on
-the data (the weighted norm decays like e^{-3t/8}, so the max is usually
-reached and certified within the first few time units).  NaN fails every
-comparison, so it never prunes and propagates as without pruning.
+The grid is walked in chunks of grid times, with the chunk sized so that
+the physical-grid samples of all paths stay within CHUNK_BYTES.  Per chunk
+S(t) v and W(t) come from the tables without any transform; only the
+(path, time) entries that W cannot exclude are gathered and go through
+the transform and quadrature, row by row as in a batched single-time
+evaluation.  A path's value therefore does not depend on the batch, and
+neither does its cost beyond the chunk length, which the batch size sets.
+The loop stops once 2.8 W at the chunk's last time is at most the running
+max of every path, which covers every later grid time.  The maximum, and
+with it the returned value, is bit-identical to evaluating every grid
+time; only the cost depends on the data (the weighted norm decays like
+e^{-3t/8}, so the max is usually reached and certified within the first
+few time units).
 """
 
 from __future__ import annotations
@@ -62,8 +77,10 @@ import numpy as np
 
 from . import spectral
 from .spectral import (
+    bracket_table,
     hnorm,
     lattice_size,
+    mode_range,
     omega_table,
     pair_norm,
     quad_grid_size,
@@ -155,6 +172,25 @@ def grid_tables(N: int, t_star: float, dt_grid: float):
     return grid, PropagatorTables(*(read_only(np.stack(m)) for m in zip(*per_t)))
 
 
+@lru_cache(maxsize=None)
+def _half_spectrum_weights(N: int) -> np.ndarray:
+    """How often the c2r counts each column n2: 0 for n2 < 0, 1 for n2 = 0
+    and 2 for n2 > 0."""
+    n = mode_range(N)
+    return read_only((n >= 0) + (n > 0) * 1.0)
+
+
+def mode_sum_bound(evolved: np.ndarray, alpha: float) -> np.ndarray:
+    """e^{-t/8} W(t) of the module docstring: an upper bound on the
+    W^{alpha,p} x W^{alpha-1,p} pair norm for every p >= 2."""
+    N = truncation_of(evolved)
+    sq = evolved.real ** 2 + evolved.imag ** 2
+    sq[..., 0, :, :] *= bracket_table(N, 2.0 * alpha)
+    sq[..., 1, :, :] *= bracket_table(N, 2.0 * alpha - 2.0)
+    cols = np.sum(np.sqrt(sq[..., 0, :, :] + sq[..., 1, :, :]), axis=-2)
+    return np.maximum(cols @ _half_spectrum_weights(N), np.sum(cols, axis=-1))
+
+
 def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
                       t_star: float = 40.0, dt_grid: float = 0.25,
                       pad: float = 2.0, return_detail: bool = False):
@@ -165,7 +201,8 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
     quadrature error of ``pad``.  The value of a path does not depend on
     the batch it is evaluated in.  Needs p >= 2: grid times that provably
     cannot raise the maximum are skipped (module docstring), and the result
-    equals the unpruned evaluation bit for bit.
+    equals the unpruned evaluation bit for bit.  The detail adds, per path,
+    the number of grid times transformed (``transformed``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("weighted sup norm needs 0 < alpha < 1")
@@ -182,16 +219,19 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
     # the grid axis sits just before the component axis of the pair
     lifted = pair[..., None, :, :, :]
     best = np.zeros(pair.shape[:-3])
+    transformed = np.zeros(pair.shape[:-3], dtype=int)
     for start in range(0, grid.size, g):
         sl = slice(start, start + g)
         evolved = apply_tables(PropagatorTables(*(m[sl] for m in tables)), lifted)
-        weight = np.exp(grid[sl] / 8.0)
-        # Plancherel bound B(t) on the quadrature values, with slack for
-        # round-off; NaN compares false, so it never prunes
-        bound = (1.0 + 1e-9) * K * weight * hnorm(evolved, alpha)
-        if not np.all(bound <= best[..., None]):
-            val = weight * pair_norm(evolved, alpha, p, pad)
+        weight = np.broadcast_to(np.exp(grid[sl] / 8.0), evolved.shape[:-3])
+        # slack for round-off; NaN compares false, so it never prunes
+        bound = (1.0 + 1e-9) * weight * mode_sum_bound(evolved, alpha)
+        need = ~(bound <= best[..., None])
+        if need.any():
+            val = np.zeros(need.shape)
+            val[need] = weight[need] * pair_norm(evolved[need], alpha, p, pad)
             best = np.maximum(best, np.max(val, axis=-1))
+            transformed += np.count_nonzero(need, axis=-1)
         # the tail bound at the chunk's last time covers every later grid time
         if np.all(DECAY_CONST * bound[..., -1] <= best):
             break
@@ -199,7 +239,8 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
     tail = DECAY_CONST * K * np.exp(t_star / 8.0) * hnorm(end, alpha)
     total = np.maximum(best, tail)
     if return_detail:
-        return total, {"grid_max": best, "tail_bound": tail}
+        return total, {"grid_max": best, "tail_bound": tail,
+                       "transformed": transformed}
     return total
 
 

@@ -194,12 +194,17 @@ def project_leq(coeffs: np.ndarray, J: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def bracket_table(N: int, sigma: float) -> np.ndarray:
+    """omega_n^sigma on the (K, K) lattice, the symbol of <grad>^sigma."""
+    return read_only(omega_table(N) ** sigma)
+
+
 def bracket_multiplier(coeffs: np.ndarray, sigma: float) -> np.ndarray:
     """Apply <grad>^sigma, i.e. scale mode n by omega_n^sigma."""
     if sigma == 0.0:
         return coeffs.copy()
-    N = truncation_of(coeffs)
-    return coeffs * omega_table(N) ** sigma
+    return coeffs * bracket_table(truncation_of(coeffs), sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,16 @@ class TestStickStepping:
         with pytest.raises(ValueError, match=r"seed of shape .* batch"):
             stick_init(2, 1.0, seed, batch)
 
+    @pytest.mark.parametrize("draw", [
+        lambda seed: sample_increment(2, 0.1, seed),
+        lambda seed: noise.unit_hermitian(2, seed, 0, 0),
+        lambda seed: noise.sample_stick_at(2, 1.0, 0.5, seed),
+    ], ids=["sample_increment", "unit_hermitian", "sample_stick_at"])
+    def test_draws_refuse_multi_dimensional_seed(self, draw):
+        # a (2, 2) seed array would silently become a batch of 4
+        with pytest.raises(ValueError, match=r"seed of shape \(2, 2\)"):
+            draw(np.arange(4).reshape(2, 2))
+
     def test_init_accepts_one_seed_per_path(self):
         assert stick_init(2, 1.0, 3).batch == ()
         assert stick_init(2, 1.0, [4, 5, 6], (3,)).batch == (3,)

@@ -8,9 +8,11 @@ from _utils import cosine_pair, weighted_sup_norm_loop
 from sdnlw import propagator
 from sdnlw.propagator import (
     apply_S,
+    default_time_grid,
     determinant_defect,
     grid_tables,
     mode_matrix,
+    mode_sum_bound,
     propagator_tables,
     semigroup_defect,
     wave_residual_field,
@@ -18,9 +20,11 @@ from sdnlw.propagator import (
     xalpha_norm,
 )
 from sdnlw.spectral import (
+    bracket_table,
     constant_field,
     gaussian_bump_pair,
     grad2_table,
+    hnorm,
     l2_norm,
     mode_range,
     omega_table,
@@ -224,6 +228,23 @@ def _with_nan():
     return v
 
 
+def _single_mode(n1, n2, component=0):
+    # one coefficient without its conjugate partner: a non-Hermitian input
+    v = zero_pair(4, (1,))
+    v[0, component, 4 + n1, 4 + n2] = 1.0 - 0.5j
+    return v
+
+
+def _mixed_batch():
+    # one slowly decaying path (the zero mode, u = 1) among small random
+    # ones, and a NaN row
+    v = 1e-3 * random_pair(4, RNG, batch=(9,))
+    v[3] = 0.0
+    v[3, 0, 4, 4] = 1.0
+    v[6, 1, 2, 5] = np.nan
+    return v
+
+
 PRUNE_INPUTS = {
     "velocity_only": _velocity_only,
     "constant": _constant,
@@ -232,6 +253,12 @@ PRUNE_INPUTS = {
     "bump": lambda: gaussian_bump_pair(8)[None],
     "zero": lambda: zero_pair(4, (3,)),
     "nan": _with_nan,
+    # the c2r doubles a column n2 > 0 and ignores a column n2 < 0, which
+    # the p = 2 Plancherel sum still sees
+    "lone_mode_right": lambda: _single_mode(1, 2),
+    "lone_mode_left": lambda: _single_mode(-1, -2),
+    "lone_velocity_mode": lambda: _single_mode(2, 0, component=1),
+    "mixed_batch": _mixed_batch,
 }
 
 
@@ -252,6 +279,51 @@ class TestPrunedSupNorm:
         assert np.array_equal(total, want, equal_nan=True)
         assert np.array_equal(detail["grid_max"], grid_max, equal_nan=True)
         assert np.array_equal(detail["tail_bound"], tail, equal_nan=True)
+
+    @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
+    @pytest.mark.parametrize("kind", sorted(PRUNE_INPUTS))
+    def test_rows_equal_lone_paths(self, monkeypatch, kind, p):
+        # at one grid time per chunk a path meets the same running max alone
+        # and in a batch, so its value and its cost are its own
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 1)
+        v = PRUNE_INPUTS[kind]()
+        total, detail = weighted_sup_norm(v, 0.25, p, return_detail=True)
+        for i, row in enumerate(v):
+            alone, own = weighted_sup_norm(row, 0.25, p, return_detail=True)
+            assert np.array_equal(total[i], alone, equal_nan=True)
+            assert detail["transformed"][i] == own["transformed"]
+
+    @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
+    @pytest.mark.parametrize("kind", ["lone_mode_right", "lone_mode_left",
+                                      "lone_velocity_mode", "velocity_only",
+                                      "mixed_batch"])
+    def test_mode_sum_bound_covers_every_grid_time(self, kind, p):
+        v = PRUNE_INPUTS[kind]()
+        for t in default_time_grid(4.0, 0.25):
+            evolved = apply_S(v, float(t))
+            value = pair_norm(evolved, 0.25, p)
+            # a lone mode meets the bound up to round-off, hence the slack
+            bound = (1.0 + 1e-9) * mode_sum_bound(evolved, 0.25)
+            ok = np.isnan(value) | (value <= bound)
+            assert np.all(ok)
+
+    def test_mode_sum_bound_is_tighter_than_plancherel(self):
+        # for real fields sum_n |z_n| <= (2N+1) ||z||_2
+        v = random_pair(8, RNG, batch=(20,))
+        assert np.all(mode_sum_bound(v, 0.25) <= 17 * hnorm(v, 0.25) * (1 + 1e-12))
+
+    def test_velocity_mode_transforms_later_grid_times(self, monkeypatch):
+        # u grows from zero, so the bound stays above the t = 0 value for a
+        # while and grid times after t = 0 go through the transform
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 1)
+        v = PRUNE_INPUTS["lone_velocity_mode"]()
+        detail = weighted_sup_norm(v, 0.25, 8.0, return_detail=True)[1]
+        assert detail["transformed"][0] > 1
+
+    def test_bump_transforms_fewer_grid_times(self):
+        # the (2N+1) ||.||_2 bound transformed two chunks of 12 grid times
+        detail = xalpha_norm(gaussian_bump_pair(8), 0.25, return_detail=True)[1]
+        assert detail["transformed"] < 24
 
     def test_bump_skips_chunks(self, monkeypatch):
         calls = []
@@ -276,6 +348,9 @@ class TestCachedTablesReadOnly:
         lambda: grid_tables(4, 1.0, 0.3)[0],
         lambda: grid_tables(4, 1.0, 0.3)[1].m22,
         lambda: omega_table(4),
+        lambda: bracket_table(4, 0.25),
+        lambda: bracket_table(4, -0.75),
+        lambda: propagator._half_spectrum_weights(4),
         lambda: grad2_table(4),
         lambda: mode_range(4),
     ])

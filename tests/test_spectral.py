@@ -13,8 +13,10 @@ from sdnlw.spectral import (
     hermitian_defect,
     hermitize,
     l2_inner,
+    lp_norm,
     pair_norm,
     project_leq,
+    quad_grid_size,
     random_field,
     random_pair,
     sobolev_norm,
@@ -156,6 +158,52 @@ class TestTransformProperties:
         rng = np.random.default_rng(seed)
         f, g = random_field(Nf, rng), random_field(Ng, rng)
         assert np.max(np.abs(dealiased_product(f, g) - convolution_oracle(f, g))) < 1e-12
+
+
+# the rows of a batch that a boolean mask gathers, as the X^alpha evaluation
+# gathers the (path, time) entries it transforms
+MASKS = {"some": lambda n: np.arange(n) % 3 == 1, "one": lambda n: np.arange(n) == n - 1,
+         "all": lambda n: np.ones(n, dtype=bool)}
+
+
+def _batch_routes(M, p):
+    return {
+        "to_physical": lambda c, ph: to_physical(c[..., 0, :, :], M),
+        "to_spectral": lambda c, ph: to_spectral(ph, (c.shape[-1] - 1) // 2),
+        "lp_norm": lambda c, ph: lp_norm(c[..., 1, :, :], p),
+        "pair_norm": lambda c, ph: pair_norm(c, 0.25, p),
+    }
+
+
+class TestBatchIndependence:
+    @pytest.mark.parametrize("backend", FFT_BACKENDS)
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
+    @pytest.mark.parametrize("N, batch", [(1, (6,)), (4, (41,)), (8, (12,))])
+    def test_masked_rows_equal_full_batch(self, backend, mask, p, N, batch):
+        rng = np.random.default_rng(N)
+        K, M = 2 * N + 1, quad_grid_size(N)
+        c = rng.standard_normal(batch + (2, K, K)) + 1j * rng.standard_normal(batch + (2, K, K))
+        ph = rng.standard_normal(batch + (M, M))
+        keep = MASKS[mask](batch[0])
+        with fft_backend(backend):
+            for name, route in _batch_routes(M, p).items():
+                assert np.array_equal(route(c[keep], ph[keep]), route(c, ph)[keep]), name
+
+    @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
+    @pytest.mark.parametrize("N", [1, 4, 8])
+    def test_backends_agree(self, p, N):
+        rng = np.random.default_rng(N)
+        M = quad_grid_size(N)
+        c = random_pair(N, rng, batch=(5,))
+        ph = rng.standard_normal((5, M, M))
+        out = {}
+        for backend in FFT_BACKENDS:
+            with fft_backend(backend):
+                out[backend] = {k: route(c, ph) for k, route in _batch_routes(M, p).items()}
+        for name, a in out["scipy"].items():
+            b = out["numpy"][name]
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
 
 
 class TestDealiasedProduct:
