@@ -2,7 +2,7 @@
 on the 2-torus: truncated dynamics, renormalized stochastic objects, energy
 diagnostics, and the Girsanov asymptotic-coupling construction."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .config import ConfigError, SimConfig, load_config
 from .dynamics import BlowUpError, FlowState, flow_init, full_flow, v_step

@@ -35,6 +35,14 @@ def _load_cfg(args) -> SimConfig:
     return replace(cfg, **{k: v for k, v in over.items() if v is not None}).check()
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither nan nor +-inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(p, *names):
     """--config plus those of --seed, --out and --t that ``names`` lists."""
     p.add_argument("--config", help="flat key=value configuration file")
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one trajectory, emit observable series")
     _add_common(p, "seed", "out", "t")
     p.add_argument("--u0", choices=("zero", "bump"), default="zero")
-    p.add_argument("--amplitude", type=float, default=1.0)
+    p.add_argument("--amplitude", type=_finite, default=1.0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("stick-stats", help="stochastic-convolution diagnostics")
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("couple", help="Girsanov coupling experiment")
     _add_common(p, "seed", "out", "t")
-    p.add_argument("--u2-perturbation", type=float, default=1.0,
+    p.add_argument("--u2-perturbation", type=_finite, default=1.0,
                    help="bump amplitude of the second initial datum")
     p.add_argument("--eps-every", type=int, default=5)
     p.add_argument("--check-horizon", type=float, default=2.0)
@@ -183,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ergodic", help="two-initial-data convergence experiment")
     _add_common(p, "seed", "out", "t")
     p.add_argument("--seeds", type=int, default=8)
-    p.add_argument("--u2-amplitude", type=float, default=1.0)
+    p.add_argument("--u2-amplitude", type=_finite, default=1.0)
     p.set_defaults(fn=cmd_ergodic)
 
     p = sub.add_parser("verify", help="analytic identity suite (pass/fail table)")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import coupling as coupling_mod
 from . import noise as noise_mod
-from .config import SimConfig, steps
+from .config import ConfigError, SimConfig, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
 from .dynamics import FlowState, flow_init, full_flow, v_step
 from .propagator import weighted_sup_norm
@@ -213,10 +213,10 @@ def time_averages(series: dict, burn: float, T: float) -> dict:
 
 def worker_count() -> int:
     """Worker processes for the two-start ensembles: SDNLW_WORKERS, default 1."""
-    try:
-        return max(int(os.environ.get("SDNLW_WORKERS", "1")), 1)
-    except ValueError:
-        return 1
+    raw = os.environ.get("SDNLW_WORKERS", "1")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ConfigError(f"SDNLW_WORKERS: expected a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _chunk(seq: list, k: int) -> list:
@@ -254,6 +254,8 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds) -> dict:
     with one worker each start runs in-process as one batch.
     """
     seeds = list(seeds)
+    if len(seeds) < 2:  # the across-seed standard error needs two
+        raise ValueError(f"seeds: need at least 2 for a standard error, got {len(seeds)}")
     names = tuple(cfg.observables)
     workers = worker_count()
     chunks = _chunk(seeds, workers)

@@ -42,17 +42,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# The transforms below split numpy's 2-d calls into 1-d passes in the same
-# axis order.  Each backend scales a 2-d c2r differently: scipy once, by
-# 1/(M*M) rounded from long double, after both passes; numpy by 1/M in each
-# pass.  _SCIPY_FFT selects the matching scaling (and scipy's in-place
-# inverse pass), so every sample equals the 2-d call's bit for bit.
 try:  # scipy's pocketfft is noticeably faster on small batched transforms
     from scipy import fft as _fft
-    _SCIPY_FFT = True
 except ImportError:  # pragma: no cover
     from numpy import fft as _fft
-    _SCIPY_FFT = False
 
 OMEGA0 = np.sqrt(0.75)  # omega at the zero mode, <0> = sqrt(3/4)
 
@@ -211,12 +204,6 @@ def bracket_multiplier(coeffs: np.ndarray, sigma: float) -> np.ndarray:
 # transforms
 
 
-@lru_cache(maxsize=None)
-def _c2r_scale(M: int) -> float:
-    """scipy's 2-d c2r scale factor, computed as pocketfft does."""
-    return float(1 / np.longdouble(M * M))
-
-
 def to_physical(coeffs: np.ndarray, M: int) -> np.ndarray:
     """Evaluate a real (Hermitian-symmetric) field on the M x M grid x_j = j/M.
 
@@ -233,17 +220,10 @@ def to_physical(coeffs: np.ndarray, M: int) -> np.ndarray:
     half = np.zeros(coeffs.shape[:-2] + (M, M // 2 + 1), dtype=np.complex128)
     half[..., :N + 1, :N + 1] = coeffs[..., N:, N:]
     half[..., M - N:, :N + 1] = coeffs[..., :N, N:]
-    # f(x_j) = sum_n c(n) e^{2 pi i n.j/M} = M^2 * irfft2(half); the column
-    # pass runs on the N+1 nonzero columns only
-    if _SCIPY_FFT:
-        half[..., :N + 1] = _fft.ifft(half[..., :N + 1], axis=-2, norm="forward")
-        phys = _fft.irfft(half, n=M, axis=-1, norm="forward", overwrite_x=True)
-        phys *= _c2r_scale(M)
-    else:
-        half[..., :N + 1] = _fft.ifft(half[..., :N + 1], axis=-2)
-        phys = _fft.irfft(half, n=M, axis=-1)
-    phys *= M * M
-    return phys
+    # f(x_j) = sum_n c(n) e^{2 pi i n.j/M} is the unnormalized inverse; the
+    # column pass runs on the N+1 nonzero columns only
+    half[..., :N + 1] = _fft.ifft(half[..., :N + 1], axis=-2, norm="forward")
+    return _fft.irfft(half, n=M, axis=-1, norm="forward")
 
 
 def to_spectral(phys: np.ndarray, N: int) -> np.ndarray:

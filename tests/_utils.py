@@ -93,7 +93,7 @@ def to_physical_fancy(coeffs, M: int):
     idx = np.mod(mode_range(N), M)
     half = np.zeros(coeffs.shape[:-2] + (M, M // 2 + 1), dtype=np.complex128)
     half[..., idx[:, None], np.arange(N + 1)[None, :]] = coeffs[..., :, N:]
-    return spectral._fft.irfft2(half, s=(M, M)) * (M * M)
+    return spectral._fft.irfft2(half, s=(M, M), norm="forward")
 
 
 def to_spectral_fancy(phys, N: int):
@@ -113,11 +113,10 @@ FFT_BACKENDS = ("scipy", "numpy")
 
 @contextmanager
 def fft_backend(name: str):
-    """Bind ``spectral``'s FFT module, and the scaling flag beside it, to
-    scipy.fft or numpy.fft for the duration of the block."""
+    """Bind ``spectral``'s FFT module to scipy.fft or numpy.fft for the
+    duration of the block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_fft", importlib.import_module(name + ".fft"))
-        mp.setattr(spectral, "_SCIPY_FFT", name == "scipy")
         yield
 
 

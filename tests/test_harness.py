@@ -25,7 +25,7 @@ from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse
 from sdnlw.coupling import coupling_distance, coupling_init, run_coupling, \
     shifted_flow_check
 from sdnlw.dynamics import flow_init, full_flow, run_steps
-from sdnlw.ergodics import compare_starts
+from sdnlw.ergodics import compare_starts, two_start_convergence, worker_count
 from sdnlw.runner import fmt_float, simulate_run
 from sdnlw.spectral import gaussian_bump_pair, hnorm, random_pair
 
@@ -213,6 +213,19 @@ class TestRunner:
                      for k in ("avg1", "avg2", "combined_se")] for r in reps.values()]
             assert np.array_equal(rows[0], rows[1])
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_worker_count_refused(self, monkeypatch, value):
+        monkeypatch.setenv("SDNLW_WORKERS", value)
+        with pytest.raises(ConfigError, match="SDNLW_WORKERS"):
+            worker_count()
+
+    @pytest.mark.parametrize("seeds", [[], [5]])
+    def test_too_few_seeds_refused(self, seeds):
+        cfg = SimConfig(N=2, s=1.0, dt=0.05, observables=("mean_u2",))
+        for run in (compare_starts, two_start_convergence):
+            with pytest.raises(ValueError, match="seeds"):
+                run(cfg, None, None, 0.5, seeds)
+
     def test_unguarded_script_fails_fast(self, tmp_path):
         # a spawn pool started from a script without a main guard: the
         # workers die while importing it, and the pool must say so at once
@@ -375,6 +388,35 @@ class TestCli:
         assert "DIFFERS" in capsys.readouterr().out
         report = json.loads((tmp_path / "ergodic.json").read_text())
         assert not report["observables"]["mean_u2"]["within_3se"]
+
+    @pytest.mark.parametrize("seeds", ["1", "0"])
+    def test_ergodic_too_few_seeds_exit_one(self, tmp_path, capsys, seeds):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\nobservables = mean_u2\n")
+        assert self.run_cli("ergodic", "--config", str(cfg_file), "--seeds", seeds,
+                            "--t", "0.5", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "seeds" in err and "Traceback" not in err
+        assert not (tmp_path / "ergodic.json").exists()
+
+    def test_ergodic_bad_worker_count_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SDNLW_WORKERS", "abc")
+        assert self.run_cli("ergodic", "--seeds", "3", "--t", "0.5",
+                            "--out", str(tmp_path)) == 1
+        assert "SDNLW_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "ergodic.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--amplitude", "nan"],
+        ["couple", "--u2-perturbation", "nan"],
+        ["ergodic", "--u2-amplitude", "inf"],
+        ["ergodic", "--u2-amplitude=-inf"],
+    ])
+    def test_non_finite_amplitude_exit_one(self, tmp_path, capsys, argv):
+        assert self.run_cli(*argv, "--t", "0.5", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert argv[1].split("=")[0] in err and "finite" in err
+        assert not any(tmp_path.iterdir())
 
     def test_stick_stats_flagged_exit_three(self, tmp_path, capsys, monkeypatch):
         real = cli.stationary_moment_report

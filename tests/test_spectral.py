@@ -128,14 +128,25 @@ class TestTransformProperties:
                 assert np.array_equal(to_physical(c, M), to_physical_fancy(c, M))
                 assert np.array_equal(to_spectral(phys, N), to_spectral_fancy(phys, N))
 
-    def test_scipy_c2r_scale_rounded_as_pocketfft(self):
-        # 2801 is the smallest M whose 1/(M*M) in double differs from the
-        # long-double factor scipy's irfft2 applies
+    def test_large_grid_equals_fancy_index_oracle(self):
+        # 2801 is the smallest M whose 1/(M*M) in double differs from its
+        # long-double rounding, where a scaled inverse would show it
         M = 2801
-        assert spectral._c2r_scale(M) != 1 / (M * M)
         c = np.random.default_rng(3).standard_normal((3, 3)) + 0j
-        with fft_backend("scipy"):
-            assert np.array_equal(to_physical(c, M), to_physical_fancy(c, M))
+        for backend in FFT_BACKENDS:
+            with fft_backend(backend):
+                assert np.array_equal(to_physical(c, M), to_physical_fancy(c, M))
+
+    @pytest.mark.parametrize("backend", FFT_BACKENDS)
+    def test_constant_field_samples_exactly(self, backend):
+        # the unnormalized inverse applies no scale factor to round
+        grids = sorted({spectral.fast_grid_size(m) for m in range(1, 700)})
+        with fft_backend(backend):
+            for M in grids:
+                for N in {0, (M - 1) // 2}:
+                    for value in (1.0, 3.0, -0.7):
+                        phys = to_physical(spectral.constant_field(N, value), M)
+                        assert np.all(phys == value), (M, N, value)
 
     @settings(deadline=None, max_examples=50)
     @given(K=st.integers(1, 33), batch=BATCHES, seed=SEEDS)
