@@ -226,17 +226,18 @@ def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
     opts = opts or CouplingOptions()
     flow = flow_init(cfg, u1_0, seed=seed, batch=batch)
     b = flow.batch
-    diff0 = resize(u2_0, cfg.N) - flow.u0
-    if diff0.shape[:-3] != b:
-        diff0 = np.broadcast_to(diff0, b + diff0.shape[-3:]).copy()
+    # X^alpha of a path does not depend on its batch, so the difference of
+    # unbatched data is evaluated once and then broadcast with its value
+    u1 = zero_pair(cfg.N) if u1_0 is None else resize(u1_0, cfg.N)
+    diff0 = resize(u2_0, cfg.N) - u1
     xnorm = xalpha_norm(diff0, cfg.alpha, dt_grid=opts.dt_grid, pad=cfg.M_pad)
     monitor = None
     if monitor_M is not None:
         monitor = TauMMonitor(monitor_M, cfg.alpha, cfg.gamma, cfg.M_pad, b)
     return CouplingRecord(
-        flow=flow, lin_diff=diff0, w=zero_pair(cfg.N, b),
-        hcost=np.zeros(b), log_density=np.zeros(b),
-        diff0_xnorm=np.asarray(xnorm), eps=np.ones(b),
+        flow=flow, lin_diff=np.broadcast_to(diff0, b + diff0.shape[-3:]).copy(),
+        w=zero_pair(cfg.N, b), hcost=np.zeros(b), log_density=np.zeros(b),
+        diff0_xnorm=np.broadcast_to(xnorm, b).copy(), eps=np.ones(b),
         h_last=zero_field(cfg.N, b), h_frozen=zero_field(cfg.N, b),
         opts=opts, monitor=monitor)
 

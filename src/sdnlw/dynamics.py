@@ -150,16 +150,37 @@ def next_increment(state: FlowState) -> NoiseIncrement:
                             state.stick.step)
 
 
+def _check_next_stick(state: FlowState, stick: StickState) -> None:
+    """Refuse a stick that is not one step ahead of the state's own stick
+    on the same paths."""
+    own = state.stick
+    if stick.step != own.step + 1:
+        raise ValueError(f"stick: at step {stick.step}, the state's next step "
+                         f"is {own.step + 1}")
+    if stick.batch != own.batch:
+        raise ValueError(f"stick: batch {stick.batch} differs from the state's "
+                         f"{own.batch}")
+    if stick.seed is not own.seed and not np.array_equal(stick.seed, own.seed):
+        raise ValueError(f"stick: seeds {stick.seed!r} differ from the state's "
+                         f"{own.seed!r}")
+
+
 def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
-           x0_phys: np.ndarray | None = None) -> FlowState:
+           x0_phys: np.ndarray | None = None,
+           stick: StickState | None = None) -> FlowState:
     """Advance stick and remainder by one step of length cfg.dt of the
     chosen integrator; ``incr`` overrides the lineage draw and must be
     drawn for that step length.  ``x0_phys`` is pi1 of the state's full
     flow on the cube grid, when the caller has sampled it already (see
-    ``nonlinearity_field``)."""
+    ``nonlinearity_field``).  ``stick`` is the state's stick already
+    advanced by ``incr``, when the caller has stepped it for several
+    states on the same noise; it must be one step ahead on the same
+    seeds (a ValueError naming ``stick`` otherwise)."""
     cfg = state.cfg
     delta = cfg.dt
     N = cfg.N
+    if stick is not None:
+        _check_next_stick(state, stick)
     if incr is None:
         incr = next_increment(state)
     tab = propagator_tables(N, delta)
@@ -183,10 +204,11 @@ def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
     else:
         raise ValueError(f"unknown integrator {cfg.integrator!r}")
 
-    stick_new = noise_mod.stick_step_shared(state.stick, delta, incr)
+    if stick is None:
+        stick = noise_mod.stick_step_shared(state.stick, delta, incr)
     lin_new = apply_tables(tab, state.lin)
-    _check_blowup(v_new, cfg, stick_new.t)
-    return replace(state, lin=lin_new, stick=stick_new, v=v_new)
+    _check_blowup(v_new, cfg, stick.t)
+    return replace(state, lin=lin_new, stick=stick, v=v_new)
 
 
 def run_steps(state: FlowState, n_steps: int,

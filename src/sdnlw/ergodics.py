@@ -2,11 +2,14 @@
 convergence experiment.
 
 ``compare_starts`` (behind ``sdnlw ergodic`` and ``two_start_convergence``)
-splits its seeds over one spawn process pool sized by SDNLW_WORKERS.  A
-path's averages depend only on its seed and join in seed order, so no number
-depends on the worker count.  A script calling it with SDNLW_WORKERS > 1
-needs an ``if __name__ == "__main__":`` guard, or the pool fails at once
-with ``BrokenProcessPool``.
+runs its two starts on the same seeds: they share each step's white-noise
+increment and stochastic convolution (synchronous coupling), which are
+drawn and advanced once per step while both starts are stepped in lockstep.
+It splits its seeds over one spawn process pool sized by SDNLW_WORKERS.  A
+path's averages depend only on its seed and start and join in seed order,
+so no number depends on the worker count.  A script calling it with
+SDNLW_WORKERS > 1 needs an ``if __name__ == "__main__":`` guard, or the
+pool fails at once with ``BrokenProcessPool``.
 
 Birkhoff averages (1/T) int_0^T F(Phi_t) dt are computed by the trapezoid
 rule over the stored sampling times.  Error bars use the integrated
@@ -34,7 +37,7 @@ from . import coupling as coupling_mod
 from . import noise as noise_mod
 from .config import ConfigError, SimConfig, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
-from .dynamics import FlowState, flow_init, full_flow, v_step
+from .dynamics import FlowState, flow_init, full_flow, next_increment, v_step
 from .propagator import weighted_sup_norm
 from .spectral import dealiased_product, hnorm, integral, mean_square, pair_norm
 
@@ -167,13 +170,17 @@ def ensemble_summary(series: dict, burn: float) -> dict:
 # trajectory sampling
 
 
-def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = None,
-                      observables: tuple | None = None) -> dict:
-    """Run one (batched) trajectory and sample observables on the cadence.
+def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
+                   observables: tuple | None = None) -> list:
+    """Run one (batched) trajectory per start in lockstep on the same seeds
+    and sample observables on the cadence.
 
-    T and obs_interval must be multiples of dt, and T of obs_interval (a
-    ConfigError before any step otherwise).  Returns
-    {"series": {name: ObservableSeries}, "state": final FlowState}.
+    Per step the white-noise increment is drawn once and the stochastic
+    convolution advanced once; every start is stepped by ``v_step`` with
+    both (synchronous coupling).  Each start's numbers equal those of its
+    own run, bit for bit, since the (seed, step, block) lineage gives it the
+    same increment and stick.  A blow-up of any start stops the run.
+    Returns one {"series", "state"} per start, as ``sample_trajectory``.
     """
     T = cfg.T if T is None else T
     names = observables if observables is not None else cfg.observables
@@ -182,19 +189,35 @@ def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = Non
     every = steps(cfg.obs_interval, cfg.dt, "obs_interval")
     steps(T, cfg.obs_interval, "T")
     batch = () if seeds is None or np.isscalar(seeds) else (len(seeds),)
-    state = flow_init(cfg, u0, seed=seeds, batch=batch)
+    states = [flow_init(cfg, u0, seed=seeds, batch=batch) for u0 in starts]
     times = [0.0]
-    values = {name: [np.asarray(fn(full_flow(state), cfg))] for name, fn in fns.items()}
+    values = [{name: [np.asarray(fn(full_flow(state), cfg))] for name, fn in fns.items()}
+              for state in states]
     for k in range(n_steps):
-        state = v_step(state)
+        incr = next_increment(states[0])
+        stick = noise_mod.stick_step_shared(states[0].stick, cfg.dt, incr)
+        states = [v_step(state, incr, stick=stick) for state in states]
         if (k + 1) % every == 0:
-            times.append(state.t)
-            phi = full_flow(state)
-            for name, fn in fns.items():
-                values[name].append(np.asarray(fn(phi, cfg)))
-    series = {name: ObservableSeries(name, np.array(times), np.stack(vals))
-              for name, vals in values.items()}
-    return {"series": series, "state": state}
+            times.append(stick.t)
+            for state, vals in zip(states, values):
+                phi = full_flow(state)
+                for name, fn in fns.items():
+                    vals[name].append(np.asarray(fn(phi, cfg)))
+    return [{"series": {name: ObservableSeries(name, np.array(times), np.stack(v))
+                        for name, v in vals.items()},
+             "state": state}
+            for state, vals in zip(states, values)]
+
+
+def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = None,
+                      observables: tuple | None = None) -> dict:
+    """Run one (batched) trajectory and sample observables on the cadence.
+
+    T and obs_interval must be multiples of dt, and T of obs_interval (a
+    ConfigError before any step otherwise).  Returns
+    {"series": {name: ObservableSeries}, "state": final FlowState}.
+    """
+    return _sample_starts(cfg, (u0,), seeds, T, observables)[0]
 
 
 def time_averages(series: dict, burn: float, T: float) -> dict:
@@ -225,10 +248,12 @@ def _chunk(seq: list, k: int) -> list:
     return [seq[i: i + size] for i in range(0, len(seq), size)]
 
 
-def _averages_worker(payload) -> dict:
-    cfg, u0, T, seeds = payload
-    run = sample_trajectory(cfg, u0, seeds, T)
-    return time_averages(run["series"], 0.25 * T, T)
+def _averages_worker(payload) -> list:
+    """Per-trajectory averages over [T/4, T] of every start, for one seed
+    chunk."""
+    cfg, starts, T, seeds = payload
+    return [time_averages(run["series"], 0.25 * T, T)
+            for run in _sample_starts(cfg, starts, seeds, T)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +271,31 @@ def compare_averages(a1, a2) -> dict:
 
 
 def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds) -> dict:
-    """Independent ensembles from two starts on the same seeds: for each
-    observable of cfg, |avg1 - avg2| of the per-trajectory time averages
-    over [T/4, T] against their combined standard error.
+    """Ensembles from two starts on the same seeds: for each observable of
+    cfg, |avg1 - avg2| of the per-trajectory time averages over [T/4, T]
+    against their combined standard error.
 
-    Both starts' seed chunks go to one pool of ``worker_count()`` processes;
-    with one worker each start runs in-process as one batch.
+    The two starts share each step's white-noise increment and stochastic
+    convolution (synchronous coupling) and are stepped in lockstep, seed
+    chunk by seed chunk; the seed chunks go to one pool of
+    ``worker_count()`` processes, and with one worker both starts run
+    in-process as one batch each.
     """
     seeds = list(seeds)
     if len(seeds) < 2:  # the across-seed standard error needs two
         raise ValueError(f"seeds: need at least 2 for a standard error, got {len(seeds)}")
     names = tuple(cfg.observables)
     workers = worker_count()
-    chunks = _chunk(seeds, workers)
-    payloads = [(cfg, u0, T, chunk) for u0 in (u1_0, u2_0) for chunk in chunks]
+    payloads = [(cfg, (u1_0, u2_0), T, chunk) for chunk in _chunk(seeds, workers)]
     if workers == 1:
         results = [_averages_worker(p) for p in payloads]
     else:  # imported here so that in-process runs do not pay for it
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        with ProcessPoolExecutor(min(workers, len(payloads)),
-                                 mp_context=get_context("spawn")) as pool:
+        with ProcessPoolExecutor(len(payloads), mp_context=get_context("spawn")) as pool:
             results = list(pool.map(_averages_worker, payloads))
-    avg1, avg2 = ({name: np.concatenate([r[name] for r in part]) for name in names}
-                  for part in (results[:len(chunks)], results[len(chunks):]))
+    avg1, avg2 = ({name: np.concatenate([r[i][name] for r in results]) for name in names}
+                  for i in range(2))
     return {"observables": {name: compare_averages(avg1[name], avg2[name])
                             for name in names},
             "seeds": tuple(seeds), "T": T}

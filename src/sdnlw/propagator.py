@@ -33,16 +33,19 @@ Most grid times cannot raise the maximum, and the evaluation skips them
 with a mode-sum certificate.  Let z_n = D_n (S(t) v)_n in C^2, |z_n| its
 Euclidean norm, and
 
-    W(t) = e^{t/8} max( sum_{n2=0} |z_n| + 2 sum_{n2>0} |z_n|,  sum_n |z_n| ).
+    W(t) = e^{t/8} (sum_{n2=0} |z_n| + 2 sum_{n2>0} |z_n|)   for p > 2,
+    W(t) = e^{t/8} sum_n |z_n|                               for p = 2.
 
-  1. W(t) bounds the weighted value.  The c2r in spectral.to_physical
-     reads only the columns n2 >= 0, so every sample of a component, and
-     with it its L^p quadrature, is at most sum_{n2=0} |c_n| +
-     2 sum_{n2>0} |c_n|; at p = 2 the value is the full-lattice Plancherel
-     sum, at most sum_n |c_n|.  For p >= 2 (a^p + b^p)^{1/p} <=
-     (a^2 + b^2)^{1/2}, and Minkowski's inequality in R^2 puts the pair of
-     component sums below the sum of |z_n|.  The larger of the two sums
-     covers every p and non-Hermitian input alike.
+  1. W(t) bounds the weighted value.  For p > 2 the c2r in
+     spectral.to_physical reads only the columns n2 >= 0, so every sample
+     of a component, and with it its L^p quadrature, is at most
+     sum_{n2=0} |c_n| + 2 sum_{n2>0} |c_n|; at p = 2 the value is the
+     full-lattice Plancherel sum, at most sum_n |c_n|.  For p >= 2
+     (a^p + b^p)^{1/p} <= (a^2 + b^2)^{1/2}, and Minkowski's inequality in
+     R^2 puts the pair of component sums below the sum of |z_n|.  Each sum
+     reads what its quadrature reads, so non-Hermitian input is covered
+     too, and a field with modes only in columns n2 < 0, which samples to
+     zero, is bounded by zero at p > 2.
   2. The tail stop holds.  Fact (ii) applies per mode, so for t' >= t
      W(t') <= 2.8 e^{-3(t'-t)/8} W(t) <= 2.8 W(t).
   3. It never prunes less than the Plancherel bound (2N+1) e^{t/8}
@@ -180,15 +183,17 @@ def _half_spectrum_weights(N: int) -> np.ndarray:
     return read_only((n >= 0) + (n > 0) * 1.0)
 
 
-def mode_sum_bound(evolved: np.ndarray, alpha: float) -> np.ndarray:
+def mode_sum_bound(evolved: np.ndarray, alpha: float, p: float) -> np.ndarray:
     """e^{-t/8} W(t) of the module docstring: an upper bound on the
-    W^{alpha,p} x W^{alpha-1,p} pair norm for every p >= 2."""
+    W^{alpha,p} x W^{alpha-1,p} pair norm at this p >= 2."""
     N = truncation_of(evolved)
     sq = evolved.real ** 2 + evolved.imag ** 2
     sq[..., 0, :, :] *= bracket_table(N, 2.0 * alpha)
     sq[..., 1, :, :] *= bracket_table(N, 2.0 * alpha - 2.0)
     cols = np.sum(np.sqrt(sq[..., 0, :, :] + sq[..., 1, :, :]), axis=-2)
-    return np.maximum(cols @ _half_spectrum_weights(N), np.sum(cols, axis=-1))
+    if p == 2.0:
+        return np.sum(cols, axis=-1)
+    return cols @ _half_spectrum_weights(N)
 
 
 def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
@@ -225,7 +230,7 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
         evolved = apply_tables(PropagatorTables(*(m[sl] for m in tables)), lifted)
         weight = np.broadcast_to(np.exp(grid[sl] / 8.0), evolved.shape[:-3])
         # slack for round-off; NaN compares false, so it never prunes
-        bound = (1.0 + 1e-9) * weight * mode_sum_bound(evolved, alpha)
+        bound = (1.0 + 1e-9) * weight * mode_sum_bound(evolved, alpha, p)
         need = ~(bound <= best[..., None])
         if need.any():
             val = np.zeros(need.shape)

@@ -2,7 +2,8 @@
 FFT backend switch, and the oracles the package's fast routes are checked
 against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
 route, the one-time-per-pass sup norm, the expanded-coefficient
-nonlinearity, the standalone Girsanov density)."""
+nonlinearity, the standalone Girsanov density, the two-start comparison
+with one run per start)."""
 
 import importlib
 from contextlib import contextmanager
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from sdnlw import spectral
+from sdnlw.ergodics import compare_averages, sample_trajectory, time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
 from sdnlw.spectral import dealiased_product, hnorm, lattice_size, mode_range, \
@@ -132,3 +134,14 @@ def unit_hermitian_fft2(N: int, seed, step: int, block: int) -> np.ndarray:
 
     w = normals(seed) if np.isscalar(seed) else np.stack([normals(s) for s in seed])
     return np.fft.fftshift(np.fft.fft2(w) / K, axes=(-2, -1))
+
+
+def compare_starts_separately(cfg, u1_0, u2_0, T: float, seeds) -> dict:
+    """One ``sample_trajectory`` run per start, each drawing its own noise:
+    the oracle for the lockstep ``ergodics.compare_starts``."""
+    seeds = list(seeds)
+    avg1, avg2 = (time_averages(sample_trajectory(cfg, u0, seeds, T)["series"],
+                                0.25 * T, T) for u0 in (u1_0, u2_0))
+    return {"observables": {name: compare_averages(avg1[name], avg2[name])
+                            for name in cfg.observables},
+            "seeds": tuple(seeds), "T": T}

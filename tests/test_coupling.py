@@ -33,6 +33,7 @@ from sdnlw.spectral import (
     l2_norm,
     random_field,
     random_pair,
+    resize,
     sobolev_norm,
     zero_field,
     zero_pair,
@@ -90,6 +91,24 @@ def make_record(amplitude=0.5, N=4, gamma=0.3, seed=5, steps=0, batch=(),
     for _ in range(steps):
         rec = coupling_step(rec)
     return rec
+
+
+class TestCouplingInit:
+    @pytest.mark.parametrize("u1", ["zero", "one pair", "batched"])
+    def test_difference_norm_equals_batch_evaluation(self, u1):
+        # unbatched data: X^alpha of the difference is evaluated once and
+        # broadcast, which must equal evaluating the broadcast batch row by row
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+        batch = (6,)
+        u1_0 = {"zero": None, "one pair": 0.1 * random_pair(4, RNG),
+                "batched": 0.1 * random_pair(4, RNG, batch=batch)}[u1]
+        u2_0 = gaussian_bump_pair(6, 0.5)  # cropped to N = 4
+        opts = cp.CouplingOptions(dt_grid=1.0)
+        rec = coupling_init(cfg, u1_0, u2_0, opts, seed=list(range(6)), batch=batch)
+        diff = resize(u2_0, 4) - rec.flow.u0
+        assert np.array_equal(rec.lin_diff, diff)
+        assert np.array_equal(rec.diff0_xnorm,
+                              xalpha_norm(diff, 0.25, dt_grid=1.0, pad=cfg.M_pad))
 
 
 class TestEpsilonScale:

@@ -15,12 +15,13 @@ from sdnlw.dynamics import (
     flow_init,
     full_flow,
     modified_energy_F,
+    next_increment,
     nonlinearity_field,
     restart_check,
     run_steps,
     v_step,
 )
-from sdnlw.noise import NoiseIncrement, sample_increment
+from sdnlw.noise import NoiseIncrement, sample_increment, stick_step_shared
 from sdnlw.propagator import apply_S, xalpha_norm
 from sdnlw.renorm import cubic_coefficients
 from sdnlw.spectral import (
@@ -244,6 +245,45 @@ class TestOneClock:
         assert (back.t, back.step) == (back.stick.t, back.stick.step) \
             == (st.t, st.step)
         assert np.array_equal(full_flow(v_step(back)), full_flow(v_step(st)))
+
+
+def _advanced(stick, dt, n=1):
+    """The stick n steps further along its own lineage."""
+    for _ in range(n):
+        stick = stick_step_shared(stick, dt,
+                                  sample_increment(stick.N, dt, stick.seed, stick.step))
+    return stick
+
+
+class TestSharedStick:
+    """``v_step(state, incr, stick=...)``: a stick the caller advanced once
+    for several states on the same noise."""
+
+    cfg = SimConfig(N=2, s=1.0, gamma=0.3, dt=0.05)
+
+    @pytest.mark.parametrize("integrator", ["euler", "midpoint"])
+    def test_equals_own_stick(self, integrator):
+        cfg = dataclasses.replace(self.cfg, integrator=integrator)
+        st = run_steps(flow_init(cfg, random_pair(2, RNG, batch=(2,)), seed=[4, 5]), 2)
+        incr = next_increment(st)
+        got = v_step(st, incr, stick=stick_step_shared(st.stick, cfg.dt, incr))
+        want = v_step(st)
+        for name in ("lin", "v"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.stick.value, want.stick.value)
+        assert (got.t, got.step) == (want.t, want.step)
+
+    @pytest.mark.parametrize("seeds, ahead, message", [
+        ([4, 5], 0, "at step 1, the state's next step is 2"),
+        ([4, 5], 2, "at step 3"),
+        ([4, 5, 6], 1, r"batch \(3,\)"),
+        ([4, 6], 1, r"seeds \[4, 6\]"),
+    ])
+    def test_foreign_stick_refused(self, seeds, ahead, message):
+        st = run_steps(flow_init(self.cfg, seed=[4, 5], batch=(2,)), 1)
+        other = flow_init(self.cfg, seed=seeds, batch=(len(seeds),), step0=1).stick
+        with pytest.raises(ValueError, match=f"^stick: .*{message}"):
+            v_step(st, next_increment(st), stick=_advanced(other, self.cfg.dt, ahead))
 
 
 class TestFullFlow:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from sdnlw import dynamics, noise
 from sdnlw.config import SimConfig
 from sdnlw.coupling import d_n
 from sdnlw.ergodics import (
     ObservableSeries,
     autocorr_time,
+    compare_starts,
     get_observable,
     krylov_bogolyubov_diagnostic,
     linear_moment_report,
@@ -20,6 +22,7 @@ from sdnlw.ergodics import (
 )
 from sdnlw.noise import sample_stick_at
 from sdnlw.spectral import gaussian_bump_pair, random_pair, zero_pair
+from _utils import compare_starts_separately
 
 RNG = np.random.default_rng(77)
 
@@ -215,3 +218,40 @@ class TestExperiments:
         s = run["series"]["mean_u2"]
         assert s.times[0] == 0.0 and s.times[-1] == pytest.approx(1.0)
         assert len(s.times) == 5
+
+
+class TestLockstep:
+    """``compare_starts`` steps both starts on one draw and one stick per
+    step; each start's numbers must equal its own run's."""
+
+    @staticmethod
+    def config(integrator="euler"):
+        return SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, obs_interval=0.25,
+                         integrator=integrator,
+                         observables=("mean_u2", "mean_u4", "clipped_halpha"))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("integrator", ["euler", "midpoint"])
+    def test_equals_one_run_per_start(self, monkeypatch, integrator, workers):
+        # uneven chunks at two workers (5 seeds: 3 + 2), a nonzero first start
+        monkeypatch.setenv("SDNLW_WORKERS", workers)
+        cfg = self.config(integrator)
+        u1 = 0.3 * random_pair(4, np.random.default_rng(5), decay=2.0)
+        u2 = gaussian_bump_pair(4, 1.0)
+        seeds = [21, 22, 23, 24, 25]
+        got = compare_starts(cfg, u1, u2, 1.0, seeds)
+        assert got == compare_starts_separately(cfg, u1, u2, 1.0, seeds)
+
+    def test_one_draw_per_step(self, monkeypatch):
+        monkeypatch.setenv("SDNLW_WORKERS", "1")
+        calls = []
+        real = noise.sample_increment
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        for mod in (noise, dynamics):
+            monkeypatch.setattr(mod, "sample_increment", counting)
+        compare_starts(self.config(), None, gaussian_bump_pair(4, 1.0), 1.0, [3, 4, 5])
+        assert len(calls) == 20  # T / dt, for the one seed chunk

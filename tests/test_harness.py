@@ -459,6 +459,18 @@ class TestCli:
         assert "blow-up signal at t=0.1" in capsys.readouterr().err
         assert not (tmp_path / "couple.json").exists()
 
+    def test_ergodic_blowup_exit_two(self, tmp_path, capsys):
+        # the bump start trips at the first step, the zero start at t = 1.45;
+        # the starts run in lockstep, so the run stops at the first
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\nseed = 0\nobservables = mean_u2\n"
+                            "blowup_threshold = 0.5\n")
+        code = self.run_cli("ergodic", "--config", str(cfg_file), "--seeds", "3",
+                            "--t", "2.0", "--u2-amplitude", "5.0", "--out", str(tmp_path))
+        assert code == 2
+        assert "blow-up signal at t=0.05 " in capsys.readouterr().err
+        assert not (tmp_path / "ergodic.json").exists()
+
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "sdnlw.cli", "verify"],
                               capture_output=True, text=True)

@@ -303,14 +303,25 @@ class TestPrunedSupNorm:
             evolved = apply_S(v, float(t))
             value = pair_norm(evolved, 0.25, p)
             # a lone mode meets the bound up to round-off, hence the slack
-            bound = (1.0 + 1e-9) * mode_sum_bound(evolved, 0.25)
+            bound = (1.0 + 1e-9) * mode_sum_bound(evolved, 0.25, p)
             ok = np.isnan(value) | (value <= bound)
             assert np.all(ok)
 
     def test_mode_sum_bound_is_tighter_than_plancherel(self):
-        # for real fields sum_n |z_n| <= (2N+1) ||z||_2
+        # for real fields sum_n |z_n| <= (2N+1) ||z||_2, and both sums are it
         v = random_pair(8, RNG, batch=(20,))
-        assert np.all(mode_sum_bound(v, 0.25) <= 17 * hnorm(v, 0.25) * (1 + 1e-12))
+        for p in (2.0, 8.0):
+            assert np.all(mode_sum_bound(v, 0.25, p)
+                          <= 17 * hnorm(v, 0.25) * (1 + 1e-12))
+
+    @pytest.mark.parametrize("p", [8.0, 16.0])
+    def test_left_mode_transforms_no_grid_time(self, p):
+        # the c2r ignores columns n2 < 0, so the value is 0 at every grid
+        # time and so is the half-spectrum bound: nothing to transform
+        v = PRUNE_INPUTS["lone_mode_left"]()
+        total, detail = weighted_sup_norm(v, 0.25, p, return_detail=True)
+        assert detail["transformed"][0] == 0
+        assert np.array_equal(detail["grid_max"], weighted_sup_norm_loop(v, 0.25, p)[1])
 
     def test_velocity_mode_transforms_later_grid_times(self, monkeypatch):
         # u grows from zero, so the bound stays above the t = 0 value for a
