@@ -101,13 +101,12 @@ def cmd_couple(args) -> int:
     horizon = min(cfg.T, args.check_horizon)
     n_run = steps(cfg.T, cfg.dt, "T")
     n_check = steps(horizon, cfg.dt, "check_horizon")
-    check = shifted_flow_check(cfg, None, u2, horizon, opts, seed=cfg.seed)
+    residual, rec = shifted_flow_check(cfg, None, u2, horizon, opts, seed=cfg.seed)
     # the check's coupling record is the first part of the run to T
-    rec = run_coupling(check["record"], n_run - n_check)
+    rec = run_coupling(rec, n_run - n_check)
     hcost = float(rec.hcost)
     w_h1 = float(hnorm(rec.w))
     d1 = float(coupling_distance(rec, 1))
-    residual = float(check["rel_residual"][-1])
     print(f"h-cost int |h|^2 dt:      {hcost:.6e}")
     print(f"|w(T)|_H1:                {w_h1:.6e}")
     print(f"coupled d_1(T):           {d1:.6e}")

@@ -3,7 +3,8 @@
 Constraints enforced here: N >= 0, s > 0, 0 < alpha < min(s, 1/3), dt > 0,
 T >= 0, M_pad >= 1, obs_interval > 0, blowup_threshold > 0, and every float
 key finite except blowup_threshold, which may be +inf.  NaN fails every
-constraint.  Each violated constraint is reported individually, naming the
+constraint.  A boolean key reads only 1/0, true/false, yes/no or on/off, in
+any case.  Each violated constraint is reported individually, naming the
 offending key.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 DEFAULT_OBSERVABLES = ("mean_u", "mean_u2", "clipped_halpha")
 
@@ -85,11 +86,22 @@ class SimConfig:
         return d
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(v: str) -> bool:
+    try:
+        return _BOOLS[v.strip().lower()]
+    except KeyError:
+        raise ValueError(v) from None
+
+
 # one parser per key, chosen by the SimConfig field's declared type
 _TYPE_PARSERS = {
     "int": int, "float": float, "str": str,
     "tuple": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
-    "bool": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
+    "bool": _parse_bool,
 }
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SimConfig)}
 

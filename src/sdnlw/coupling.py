@@ -28,10 +28,12 @@ bracket the pathwise identity
 holds for the truncated dynamics (the outer P_N mirrors the projected
 remainder equation; the continuum display corresponds to N = infinity).
 ``shifted_flow_check`` verifies the identity by simulating the left side
-directly: the shift is injected into the white-noise increments by the
-trapezoid rule, whose order-1 gap against the left-endpoint w-integrator
-is exactly what the residual measures (it vanishes to round-off whenever
-h = 0, e.g. identical data or the cubic switched off).
+directly, in lockstep with the coupling: step k adds dt h_k, the shift
+coupling step k used, to that step's white-noise increment.  Then
+sqrt(2) <grad>^{-s} dt h_k is the step's mollified bracket, so under the
+Euler integrator the identity holds for the discrete schemes themselves
+and the gap is round-off.  w is always integrated by Euler, so under the
+midpoint integrator the gap is the O(dt) difference of the two schemes.
 
 The stopped process h_M freezes h at its value at the first time any of
 |stick|_{W^{alpha,4/alpha} pair}, |wick2|_{L^4}, |wick3|_{L^2} exceeds M;
@@ -58,7 +60,7 @@ import numpy as np
 from .config import SimConfig, steps
 from .dynamics import FlowState, _check_blowup, cube_grid_size, flow_init, full_flow, \
     next_increment, v_step
-from .noise import NoiseIncrement, sample_increment
+from .noise import NoiseIncrement
 from .propagator import apply_tables, kick_tables, propagator_tables, xalpha_norm
 from .spectral import (
     bracket_table,
@@ -206,8 +208,7 @@ class CouplingRecord:
     log_density: np.ndarray  # running log E(h)
     diff0_xnorm: np.ndarray  # |u2^0 - u1^0|_{X^alpha}, fixed at t = 0
     eps: np.ndarray          # current mollifier scale
-    h_last: np.ndarray       # h used on the most recent step
-    h_frozen: np.ndarray     # h(tau_M) where stopped
+    h_last: np.ndarray       # h used on the most recent step; h(tau_M) where stopped
     opts: CouplingOptions = field(default_factory=CouplingOptions)
     monitor: TauMMonitor | None = None
 
@@ -238,8 +239,7 @@ def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
         flow=flow, lin_diff=np.broadcast_to(diff0, b + diff0.shape[-3:]).copy(),
         w=zero_pair(cfg.N, b), hcost=np.zeros(b), log_density=np.zeros(b),
         diff0_xnorm=np.broadcast_to(xnorm, b).copy(), eps=np.ones(b),
-        h_last=zero_field(cfg.N, b), h_frozen=zero_field(cfg.N, b),
-        opts=opts, monitor=monitor)
+        h_last=zero_field(cfg.N, b), opts=opts, monitor=monitor)
 
 
 def _flow_samples(record: CouplingRecord) -> np.ndarray:
@@ -300,19 +300,6 @@ def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
     return bracket_table(N, s) * b_moll / np.sqrt(2.0)
 
 
-def shift_h(record: CouplingRecord) -> np.ndarray:
-    """The Girsanov shift h = 2^{-1/2} <grad>^s B_moll at the current time
-    (frozen at its tau_M value on stopped paths)."""
-    cfg = record.flow.cfg
-    Q, _ = _plain_bracket(record)
-    b_moll = _moll_bracket(record, Q, record.eps)
-    h = _h_from_bracket(b_moll, cfg.s)
-    if record.monitor is not None:
-        stopped = record.monitor.stopped
-        h = np.where(stopped[..., None, None], record.h_frozen, h)
-    return h
-
-
 def coupling_step(record: CouplingRecord,
                   incr: NoiseIncrement | None = None) -> CouplingRecord:
     """One shared-clock step: advance u1 (same noise), w, the h cost and
@@ -335,14 +322,9 @@ def coupling_step(record: CouplingRecord,
     b_moll = _moll_bracket(record, Q, eps)
     h_live = _h_from_bracket(b_moll, cfg.s)
 
-    h_frozen = record.h_frozen
-    if monitor is not None:
-        newly = monitor.stopped & ~record.monitor.stopped
-        if np.any(newly):
-            h_frozen = np.where(newly[..., None, None], h_live, h_frozen)
-        h_used = np.where(monitor.stopped[..., None, None], h_frozen, h_live)
-    else:
-        h_used = h_live
+    # a path stopped before this step keeps the h it used at tau_M
+    h_used = h_live if monitor is None else \
+        np.where(record.monitor.stopped[..., None, None], record.h_last, h_live)
 
     if incr is None:
         incr = next_increment(flow)
@@ -361,7 +343,7 @@ def coupling_step(record: CouplingRecord,
 
     return replace(record, flow=flow_new, lin_diff=lin_diff_new, w=w_new,
                    hcost=hcost, log_density=log_density, eps=np.asarray(eps),
-                   h_last=h_used, h_frozen=h_frozen, monitor=monitor)
+                   h_last=h_used, monitor=monitor)
 
 
 def run_coupling(record: CouplingRecord, n_steps: int,
@@ -385,42 +367,23 @@ def coupling_distance(record: CouplingRecord, n: int = 1):
 
 def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
                        T: float, opts: CouplingOptions | None = None,
-                       seed=None, sample_every: int = 1,
-                       incr_table: list | None = None) -> dict:
-    """Residual series |Phi_t(u2^0, xi + h) - [Phi_t(u1^0, xi) + S(t) udiff + w]|_H1.
+                       seed=None) -> tuple[float, CouplingRecord]:
+    """Largest relative H^1 gap |Phi_t(u2^0, xi + h) - [Phi_t(u1^0, xi) + S(t) udiff + w]|
+    over the steps to T, and the coupling record at T.
 
-    Pass 1 builds the coupling record (recording the h path); pass 2 drives
-    the plain simulator from u2^0 with the shift injected into the noise
-    increments by the trapezoid rule.  Its node at t_k (k < n) is the h that
-    step k used, with that step's eps; its node at T is ``shift_h`` of the
-    final record.  The residual converges to zero at the integrator's order
-    and is round-off whenever h vanishes.  An explicit ``incr_table`` fixes
-    the white-noise path (step-size studies coarsen one fine path so all
-    runs see the same realization).
+    One lockstep pass: each step's increment is drawn once, drives the
+    coupling step, and then, shifted by dt times the h that step used,
+    drives the plain simulator from u2^0.  The gap is round-off under the
+    Euler integrator and O(dt) under midpoint.
     """
     seed = cfg.seed if seed is None else seed
-    delta = cfg.dt
-    n = steps(T, delta, "T")
-    if incr_table is None:
-        incr_table = [sample_increment(cfg.N, delta, seed, k) for k in range(n)]
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seed)
-    h_series, rhs = [], []
-    for k in range(n):
-        rec = coupling_step(rec, incr_table[k])
-        h_series.append(rec.h_last)
-        rhs.append(full_flow(rec.flow) + rec.lin_diff + rec.w)
-    h_series.append(shift_h(rec))
-
     direct = flow_init(cfg, u2_0, seed=seed)
-    times, residuals, rel = [], [], []
-    for k in range(n):
-        shift = 0.5 * delta * (h_series[k] + h_series[k + 1])
-        direct = v_step(direct, NoiseIncrement(incr_table[k].coeffs + shift, delta))
-        if (k + 1) % sample_every == 0 or k == n - 1:
-            r = float(np.max(hnorm(full_flow(direct) - rhs[k])))
-            scale = float(np.max(hnorm(rhs[k])))
-            times.append((k + 1) * delta)
-            residuals.append(r)
-            rel.append(r / max(scale, 1e-30))
-    return {"times": np.array(times), "residual": np.array(residuals),
-            "rel_residual": np.array(rel), "record": rec}
+    worst = 0.0
+    for _ in range(steps(T, cfg.dt, "T")):
+        incr = next_increment(rec.flow)
+        rec = coupling_step(rec, incr)
+        direct = v_step(direct, NoiseIncrement(incr.coeffs + cfg.dt * rec.h_last, cfg.dt))
+        rhs = full_flow(rec.flow) + rec.lin_diff + rec.w
+        worst = max(worst, float(np.max(hnorm(full_flow(direct) - rhs) / hnorm(rhs))))
+    return worst, rec

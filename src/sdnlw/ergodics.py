@@ -79,13 +79,9 @@ _REGISTRY = {
 }
 
 
-def observable_registry() -> dict:
-    """Named functionals ``fn(pair, cfg)`` of the full state; extend with
-    register_observable."""
-    return dict(_REGISTRY)
-
-
 def register_observable(name: str, fn) -> None:
+    """Add a named functional ``fn(pair, cfg)`` of the full state to the
+    observables a config may list."""
     _REGISTRY[name] = fn
 
 
@@ -95,6 +91,15 @@ def get_observable(name: str):
     except KeyError:
         raise KeyError(f"unknown observable {name!r}; "
                        f"known: {sorted(_REGISTRY)}") from None
+
+
+def _observable_fns(names) -> dict:
+    """The registered functional of each name; a ConfigError naming
+    ``observables`` for a name not registered."""
+    try:
+        return {name: get_observable(name) for name in names}
+    except KeyError as exc:
+        raise ConfigError(f"observables: {exc.args[0]}") from None
 
 
 @dataclass
@@ -184,7 +189,7 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
     """
     T = cfg.T if T is None else T
     names = observables if observables is not None else cfg.observables
-    fns = {name: get_observable(name) for name in names}
+    fns = _observable_fns(names)
     n_steps = steps(T, cfg.dt, "T")
     every = steps(cfg.obs_interval, cfg.dt, "obs_interval")
     steps(T, cfg.obs_interval, "T")
@@ -285,6 +290,7 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds) -> dict:
     if len(seeds) < 2:  # the across-seed standard error needs two
         raise ValueError(f"seeds: need at least 2 for a standard error, got {len(seeds)}")
     names = tuple(cfg.observables)
+    _observable_fns(names)  # refuse an unknown name before any worker starts
     workers = worker_count()
     payloads = [(cfg, (u1_0, u2_0), T, chunk) for chunk in _chunk(seeds, workers)]
     if workers == 1:

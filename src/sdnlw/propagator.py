@@ -78,7 +78,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import spectral
 from .spectral import (
     bracket_table,
     hnorm,
@@ -127,13 +126,6 @@ def propagator_tables(N: int, t: float) -> PropagatorTables:
         raise ValueError("t must be >= 0")
     tables = _tables_from_omega(omega_table(N), float(t))
     return PropagatorTables(*map(read_only, tables))
-
-
-def mode_matrix(n: tuple[int, int], t: float) -> np.ndarray:
-    """The 2x2 matrix S_n(t) for a single mode n."""
-    omega = np.sqrt(0.75 + (2.0 * np.pi) ** 2 * (n[0] ** 2 + n[1] ** 2))
-    tab = _tables_from_omega(np.asarray(omega), float(t))
-    return np.array([[tab.m11, tab.m12], [tab.m21, tab.m22]], dtype=float)
 
 
 def apply_tables(tables: PropagatorTables, pair: np.ndarray) -> np.ndarray:
@@ -269,24 +261,3 @@ def determinant_defect(N: int, t: float) -> float:
     tab = propagator_tables(N, t)
     det = tab.m11 * tab.m22 - tab.m12 * tab.m21
     return float(np.max(np.abs(det - np.exp(-t))))
-
-
-def wave_residual_field(pair: np.ndarray, t: float, h: float) -> np.ndarray:
-    """Centered finite-difference residual of u_tt + u_t + u - Delta u at time t.
-
-    Converges to zero at O(h^2) for the first component of S(t) v.
-    """
-    N = truncation_of(pair)
-    um = apply_S(pair, t - h)[..., 0, :, :]
-    u0 = apply_S(pair, t)[..., 0, :, :]
-    up = apply_S(pair, t + h)[..., 0, :, :]
-    utt = (up - 2.0 * u0 + um) / h**2
-    ut = (up - um) / (2.0 * h)
-    return utt + ut + (1.0 + spectral.grad2_table(N)) * u0
-
-
-def wave_residual_ratios(pair: np.ndarray, t: float, hs) -> list:
-    """Successive L^2-residual ratios over the dyadic h values (~4 = O(h^2))."""
-    res = [float(np.max(spectral.l2_norm(wave_residual_field(pair, t, h))))
-           for h in hs]
-    return [res[i] / res[i + 1] for i in range(len(res) - 1)]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise, propagator, spectral
+from . import propagator, spectral
 from .spectral import add_fields, dealiased_product, embed, truncation_of
 
 
@@ -106,9 +106,3 @@ def quadratic_Q(u1: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
     No = truncation_of(out)
     out[..., No, No] -= 3.0 * gamma
     return out
-
-
-def gamma_star(s: float, N: int) -> float:
-    """Stationary spatial variance of the truncated stick component,
-    sum_n Var(uhat(n)); the Wick-ordering preset for gamma."""
-    return float(np.sum(noise.stationary_covariance(N, s)[..., 0, 0]))

@@ -123,12 +123,6 @@ def zero_pair(N: int, batch: tuple = ()) -> np.ndarray:
     return np.zeros(batch + (2, lattice_size(N), lattice_size(N)), dtype=np.complex128)
 
 
-def constant_field(N: int, value: float, batch: tuple = ()) -> np.ndarray:
-    c = zero_field(N, batch)
-    c[..., N, N] = value
-    return c
-
-
 def reflect(coeffs: np.ndarray) -> np.ndarray:
     """The map fhat(n) -> fhat(-n) in centered layout."""
     return coeffs[..., ::-1, ::-1]
@@ -137,10 +131,6 @@ def reflect(coeffs: np.ndarray) -> np.ndarray:
 def hermitize(coeffs: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric (real-field) coefficients."""
     return 0.5 * (coeffs + np.conj(reflect(coeffs)))
-
-
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    return float(np.max(np.abs(coeffs - np.conj(reflect(coeffs)))))
 
 
 def random_field(N: int, rng: np.random.Generator, decay: float = 1.0,

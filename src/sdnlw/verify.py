@@ -159,37 +159,13 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     out.append(_leq("girsanov: E(0) = 1 exactly",
                     abs(float(np.exp(rec.log_density)) - 1.0), 0.0))
 
-    out.append(_leq("coupling: exact shifted-flow identity (rel)",
-                    exact_shift_residual(cfg), 1e-12))
-
-    return out
-
-
-def exact_shift_residual(cfg: SimConfig) -> float:
-    """Largest relative H^1 gap |Phi(u2, xi + h) - [Phi(u1, xi) + S(t) udiff + w]|
-    over 10 Euler steps from u1 = 0, u2 = a Gaussian bump (N = 4).
-
-    Step k of the shifted flow adds dt h_k to the white-noise increment,
-    h_k being the shift coupling step k used.  Then sqrt(2) <grad>^{-s}
-    dt h_k is the step's mollified bracket, and the identity holds for the
-    discrete schemes themselves: the gap is round-off, whereas the
-    trapezoid injection of ``shifted_flow_check`` leaves an O(dt) gap.
-    """
+    # Phi(u2, xi + h) = Phi(u1, xi) + S(t) udiff + w for the Euler scheme
     ccfg = replace(cfg, N=4, dt=0.05, integrator="euler", linear_only=False,
                    seed=5).check()
-    u2 = spectral.gaussian_bump_pair(4)
-    rec = coupling.coupling_init(ccfg, None, u2)
-    direct = dynamics.flow_init(ccfg, u2)
-    worst = 0.0
-    for _ in range(10):
-        incr = dynamics.next_increment(rec.flow)
-        rec = coupling.coupling_step(rec, incr)
-        shifted = noise.NoiseIncrement(incr.coeffs + ccfg.dt * rec.h_last, ccfg.dt)
-        direct = dynamics.v_step(direct, shifted)
-        rhs = dynamics.full_flow(rec.flow) + rec.lin_diff + rec.w
-        gap = spectral.hnorm(dynamics.full_flow(direct) - rhs) / spectral.hnorm(rhs)
-        worst = max(worst, float(gap))
-    return worst
+    gap, _ = coupling.shifted_flow_check(ccfg, None, spectral.gaussian_bump_pair(4), 0.5)
+    out.append(_leq("coupling: exact shifted-flow identity (rel)", gap, 1e-12))
+
+    return out
 
 
 def format_table(results: list[CheckResult]) -> str:

@@ -3,7 +3,10 @@ FFT backend switch, and the oracles the package's fast routes are checked
 against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
 route, the one-time-per-pass sup norm, the expanded-coefficient
 nonlinearity, the standalone Girsanov density, the two-start comparison
-with one run per start)."""
+with one run per start, the two-pass trapezoid shifted-flow check), and
+small diagnostics only the tests use (the single-mode propagator matrix,
+the wave-equation finite-difference residual, the Hermitian defect, the
+Wick-ordering preset gamma_*)."""
 
 import importlib
 from contextlib import contextmanager
@@ -11,12 +14,58 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from sdnlw import spectral
+from sdnlw import coupling, propagator, spectral
+from sdnlw.config import steps
+from sdnlw.dynamics import flow_init, full_flow, v_step
 from sdnlw.ergodics import compare_averages, sample_trajectory, time_averages
-from sdnlw.noise import NoiseIncrement, sample_increment
+from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
-from sdnlw.spectral import dealiased_product, hnorm, lattice_size, mode_range, \
-    pair_norm, project_leq, resize, truncation_of, zero_field, zero_pair
+from sdnlw.spectral import dealiased_product, grad2_table, hnorm, l2_norm, \
+    lattice_size, mode_range, pair_norm, project_leq, reflect, resize, \
+    truncation_of, zero_field, zero_pair
+
+
+def constant_field(N: int, value: float, batch: tuple = ()) -> np.ndarray:
+    c = zero_field(N, batch)
+    c[..., N, N] = value
+    return c
+
+
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    return float(np.max(np.abs(coeffs - np.conj(reflect(coeffs)))))
+
+
+def mode_matrix(n: tuple[int, int], t: float) -> np.ndarray:
+    """The 2x2 matrix S_n(t) for a single mode n."""
+    omega = np.sqrt(0.75 + (2.0 * np.pi) ** 2 * (n[0] ** 2 + n[1] ** 2))
+    tab = propagator._tables_from_omega(np.asarray(omega), float(t))
+    return np.array([[tab.m11, tab.m12], [tab.m21, tab.m22]], dtype=float)
+
+
+def wave_residual_field(pair: np.ndarray, t: float, h: float) -> np.ndarray:
+    """Centered finite-difference residual of u_tt + u_t + u - Delta u at time t.
+
+    Converges to zero at O(h^2) for the first component of S(t) v.
+    """
+    N = truncation_of(pair)
+    um = apply_S(pair, t - h)[..., 0, :, :]
+    u0 = apply_S(pair, t)[..., 0, :, :]
+    up = apply_S(pair, t + h)[..., 0, :, :]
+    utt = (up - 2.0 * u0 + um) / h**2
+    ut = (up - um) / (2.0 * h)
+    return utt + ut + (1.0 + grad2_table(N)) * u0
+
+
+def wave_residual_ratios(pair: np.ndarray, t: float, hs) -> list:
+    """Successive L^2-residual ratios over the dyadic h values (~4 = O(h^2))."""
+    res = [float(np.max(l2_norm(wave_residual_field(pair, t, h)))) for h in hs]
+    return [res[i] / res[i + 1] for i in range(len(res) - 1)]
+
+
+def gamma_star(s: float, N: int) -> float:
+    """Stationary spatial variance of the truncated stick component,
+    sum_n Var(uhat(n)); the Wick-ordering preset for gamma."""
+    return float(np.sum(stationary_covariance(N, s)[..., 0, 0]))
 
 
 def cosine_field(N: int, k=(1, 0), amplitude: float = 1.0) -> np.ndarray:
@@ -145,3 +194,57 @@ def compare_starts_separately(cfg, u1_0, u2_0, T: float, seeds) -> dict:
     return {"observables": {name: compare_averages(avg1[name], avg2[name])
                             for name in cfg.observables},
             "seeds": tuple(seeds), "T": T}
+
+
+def shift_h(record) -> np.ndarray:
+    """The Girsanov shift h = 2^{-1/2} <grad>^s B_moll at the record's time
+    (on paths stopped before the record's last step, the h that step used)."""
+    Q, _ = coupling._plain_bracket(record)
+    b_moll = coupling._moll_bracket(record, Q, record.eps)
+    h = coupling._h_from_bracket(b_moll, record.flow.cfg.s)
+    if record.monitor is not None:
+        h = np.where(record.monitor.stopped[..., None, None], record.h_last, h)
+    return h
+
+
+def trapezoid_shift_check(cfg, u1_0, u2_0, T: float, opts=None, seed=None,
+                          sample_every: int = 1, incr_table: list | None = None) -> dict:
+    """Residual series |Phi_t(u2^0, xi + h) - [Phi_t(u1^0, xi) + S(t) udiff + w]|_H1
+    with the shift injected by the trapezoid rule: the two-pass oracle
+    beside the lockstep ``coupling.shifted_flow_check``.
+
+    Pass 1 builds the coupling record (recording the h path); pass 2 drives
+    the plain simulator from u2^0 with the shift injected into the noise
+    increments by the trapezoid rule.  Its node at t_k (k < n) is the h that
+    step k used, with that step's eps; its node at T is ``shift_h`` of the
+    final record.  The residual converges to zero at the integrator's order
+    and is round-off whenever h vanishes.  An explicit ``incr_table`` fixes
+    the white-noise path (step-size studies coarsen one fine path so all
+    runs see the same realization).
+    """
+    seed = cfg.seed if seed is None else seed
+    delta = cfg.dt
+    n = steps(T, delta, "T")
+    if incr_table is None:
+        incr_table = [sample_increment(cfg.N, delta, seed, k) for k in range(n)]
+    rec = coupling.coupling_init(cfg, u1_0, u2_0, opts, seed=seed)
+    h_series, rhs = [], []
+    for k in range(n):
+        rec = coupling.coupling_step(rec, incr_table[k])
+        h_series.append(rec.h_last)
+        rhs.append(full_flow(rec.flow) + rec.lin_diff + rec.w)
+    h_series.append(shift_h(rec))
+
+    direct = flow_init(cfg, u2_0, seed=seed)
+    times, residuals, rel = [], [], []
+    for k in range(n):
+        shift = 0.5 * delta * (h_series[k] + h_series[k + 1])
+        direct = v_step(direct, NoiseIncrement(incr_table[k].coeffs + shift, delta))
+        if (k + 1) % sample_every == 0 or k == n - 1:
+            r = float(np.max(hnorm(full_flow(direct) - rhs[k])))
+            scale = float(np.max(hnorm(rhs[k])))
+            times.append((k + 1) * delta)
+            residuals.append(r)
+            rel.append(r / max(scale, 1e-30))
+    return {"times": np.array(times), "residual": np.array(residuals),
+            "rel_residual": np.array(rel), "record": rec}

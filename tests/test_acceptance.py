@@ -17,7 +17,6 @@ from sdnlw.coupling import (
     coupling_init,
     coupling_step,
     run_coupling,
-    shifted_flow_check,
     tv_bound,
 )
 from sdnlw.dynamics import energy, flow_init, full_flow, restart_check, run_steps, v_step
@@ -31,7 +30,6 @@ from sdnlw.noise import (
 from sdnlw.propagator import (
     determinant_defect,
     semigroup_defect,
-    wave_residual_ratios,
 )
 from sdnlw.renorm import cubic_coefficients, quadratic_Q, wick_powers
 from sdnlw.spectral import (
@@ -46,7 +44,7 @@ from sdnlw.spectral import (
     truncation_of,
 )
 from sdnlw import coupling as cp
-from _utils import coarsen, fine_increments
+from _utils import coarsen, fine_increments, trapezoid_shift_check, wave_residual_ratios
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -172,9 +170,9 @@ def test_criterion_05_coupling_identity():
     for dt in deltas:
         c = dataclasses.replace(cfg, dt=dt)
         table = coarsen(fine, round(dt / min(deltas)), dt)
-        out = shifted_flow_check(c, None, u2, 2.0,
-                                 CouplingOptions(eps_every=1, dt_grid=1.0),
-                                 seed=1, sample_every=10**6, incr_table=table)
+        out = trapezoid_shift_check(c, None, u2, 2.0,
+                                    CouplingOptions(eps_every=1, dt_grid=1.0),
+                                    seed=1, sample_every=10**6, incr_table=table)
         res.append(float(out["rel_residual"][-1]))
     ratios = _pairwise_ratios(res)
     ok = all(r >= 1.7 for r in ratios) and res[-1] <= 1e-3

@@ -18,7 +18,6 @@ from sdnlw.coupling import (
     mollify,
     epsilon_scale,
     run_coupling,
-    shift_h,
     shifted_flow_check,
     tv_bound,
 )
@@ -26,7 +25,6 @@ from sdnlw.dynamics import BlowUpError, full_flow, v_step
 from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.renorm import quadratic_Q
 from sdnlw.spectral import (
-    constant_field,
     dealiased_product,
     gaussian_bump_pair,
     hnorm,
@@ -39,7 +37,8 @@ from sdnlw.spectral import (
     zero_pair,
 )
 from sdnlw.propagator import xalpha_norm
-from _utils import coarsen, fine_increments, girsanov_log_density
+from _utils import coarsen, constant_field, fine_increments, girsanov_log_density, shift_h, \
+    trapezoid_shift_check
 
 RNG = np.random.default_rng(31)
 
@@ -271,15 +270,16 @@ class TestWSystem:
 
 
 class TestShiftedFlow:
+    # the trapezoid tests run the two-pass oracle of tests/_utils.py
     def test_identical_data_roundoff(self):
         cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.02)
-        out = shifted_flow_check(cfg, None, zero_pair(4), 0.5, seed=2)
+        out = trapezoid_shift_check(cfg, None, zero_pair(4), 0.5, seed=2)
         assert out["residual"][-1] < 1e-12
 
     def test_cubic_disabled_roundoff(self):
         cfg = SimConfig(N=4, s=1.0, linear_only=True, alpha=0.25, dt=0.02)
         u2 = gaussian_bump_pair(4, 1.0)
-        out = shifted_flow_check(cfg, None, u2, 0.5, seed=2)
+        out = trapezoid_shift_check(cfg, None, u2, 0.5, seed=2)
         assert out["residual"][-1] < 1e-11
 
     def test_residual_decreases_with_dt(self):
@@ -291,10 +291,10 @@ class TestShiftedFlow:
         res = {}
         for dt in (2e-2, 1e-2):
             c = dataclasses.replace(cfg, dt=dt)
-            out = shifted_flow_check(c, None, u2, 1.0,
-                                     CouplingOptions(eps_every=5, dt_grid=1.0),
-                                     seed=1, sample_every=10,
-                                     incr_table=coarsen(fine, round(dt / 1e-2), dt))
+            out = trapezoid_shift_check(c, None, u2, 1.0,
+                                        CouplingOptions(eps_every=5, dt_grid=1.0),
+                                        seed=1, sample_every=10,
+                                        incr_table=coarsen(fine, round(dt / 1e-2), dt))
             res[dt] = out["residual"][-1]
         assert res[2e-2] / res[1e-2] >= 1.7
 
@@ -302,17 +302,37 @@ class TestShiftedFlow:
         # `sdnlw couple` defaults of the benchmark: eps every step, large h;
         # the trapezoid node at t = 0 must be the h the first step used
         cfg = SimConfig(N=8, s=1.0, gamma=0.0, alpha=0.25, dt=0.05)
-        out = shifted_flow_check(cfg, None, gaussian_bump_pair(8, 1.0), 1.0,
-                                 CouplingOptions(eps_every=1), seed=1)
+        out = trapezoid_shift_check(cfg, None, gaussian_bump_pair(8, 1.0), 1.0,
+                                    CouplingOptions(eps_every=1), seed=1)
         assert out["rel_residual"][-1] < 0.6
+
+    def test_midpoint_gap_is_the_scheme_difference(self):
+        # w is always integrated by Euler, the flows here by midpoint; under
+        # Euler the same run reads round-off (the CLI test at these settings)
+        cfg = SimConfig(N=8, s=1.0, gamma=0.0, alpha=0.25, dt=0.05,
+                        integrator="midpoint")
+        gap, _ = shifted_flow_check(cfg, None, gaussian_bump_pair(8, 1.0), 1.0,
+                                    CouplingOptions(eps_every=1), seed=1)
+        assert gap > 1e-3
+
+    def test_check_record_is_the_coupling_run(self):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.05, seed=3)
+        u2 = gaussian_bump_pair(4, 0.5)
+        _, rec = shifted_flow_check(cfg, None, u2, 0.5)
+        ref = run_coupling(coupling_init(cfg, None, u2, seed=3), 10)
+        for name in ("w", "hcost", "log_density", "h_last"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name))
+        assert np.array_equal(full_flow(rec.flow), full_flow(ref.flow))
 
     @pytest.mark.parametrize("gamma, s", [(0.0, 1.0), (0.7, 2.0)])
     def test_exact_injection_identity(self, gamma, s):
         # injecting dt * h_last, the h each step used, makes the identity
         # hold for the discrete schemes: round-off, not the trapezoid gap
-        cfg = SimConfig(gamma=gamma, s=s, alpha=0.25, integrator="midpoint")
-        assert verify.exact_shift_residual(cfg) < 1e-12
-        line = [r for r in verify.run_identity_suite(SimConfig())
+        cfg = SimConfig(N=4, gamma=gamma, s=s, alpha=0.25, dt=0.05, seed=5)
+        gap, _ = shifted_flow_check(cfg, None, gaussian_bump_pair(4), 0.5)
+        assert gap < 1e-12
+        # the verify line runs Euler whatever the config's integrator
+        line = [r for r in verify.run_identity_suite(SimConfig(integrator="midpoint"))
                 if r.name.startswith("coupling: exact shifted-flow")]
         assert len(line) == 1 and line[0].passed and line[0].threshold == 1e-12
 
@@ -490,7 +510,7 @@ class TestReplay:
                   for k in ("running_max", "stopped", "stop_time")}
         a = run_coupling(mid, 5)
         b = run_coupling(mid, 5)
-        for name in ("log_density", "h_frozen"):
+        for name in ("log_density", "h_last"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         for name in ("stopped", "stop_time"):
             assert np.array_equal(getattr(a.monitor, name), getattr(b.monitor, name))

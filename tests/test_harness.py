@@ -1,9 +1,11 @@
 """Configuration parsing, checkpoints, emission formats, CLI, determinism."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,6 +86,18 @@ class TestConfig:
     def test_observables_list(self):
         cfg = parse_config("observables = mean_u, mean_u2\n")
         assert cfg.observables == ("mean_u", "mean_u2")
+
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("off", False),
+    ])
+    def test_bool_words(self, text, value):
+        assert parse_config(f"linear_only = {text}\n").linear_only is value
+
+    @pytest.mark.parametrize("text", ["ture", "2", "", "y", "none"])
+    def test_bad_bool_refused(self, text):
+        with pytest.raises(ConfigError, match="^linear_only: "):
+            parse_config(f"linear_only = {text}\n")
 
     def test_round_trip_via_dump(self, tmp_path):
         cfg = SimConfig(N=6, s=0.7, alpha=0.2, dt=0.02, seed=11)
@@ -272,6 +286,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "s:" in err and "Traceback" not in err
 
+    def test_bad_bool_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("linear_only = ture\n")
+        assert self.run_cli("simulate", "--config", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert "linear_only:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "ergodic"])
+    def test_unknown_observable_exit_one(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\nobservables = mean_u, nope\n")
+        out = tmp_path / "out"
+        assert self.run_cli(command, "--config", str(cfg_file), "--t", "0.5",
+                            "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "observables:" in err and "'nope'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_couple_zero_perturbation_zero_cost(self, tmp_path, capsys):
         assert self.run_cli("couple", "--u2-perturbation", "0",
                             "--t", "1.0", "--out", str(tmp_path)) == 0
@@ -298,11 +330,24 @@ class TestCli:
         cfg = load_config(cfg_file)
         u2 = gaussian_bump_pair(4, 1.0)
         rec = run_coupling(coupling_init(cfg, None, u2, seed=4), 10)
-        check = shifted_flow_check(cfg, None, u2, 0.25, seed=4)
+        gap, _ = shifted_flow_check(cfg, None, u2, 0.25, seed=4)
         assert report["hcost"] == float(rec.hcost) > 0.0
         assert report["w_h1"] == float(hnorm(rec.w))
         assert report["coupled_d1"] == float(coupling_distance(rec, 1))
-        assert report["shifted_flow_rel_residual"] == float(check["rel_residual"][-1])
+        assert report["shifted_flow_rel_residual"] == gap
+
+    @pytest.mark.parametrize("seed", ["1", "7", "401"])
+    def test_couple_residual_roundoff_at_benchmark_settings(self, tmp_path, capsys, seed):
+        # the `couple` benchmark workload: eps every step, bump 1.0, T = 1;
+        # the two-pass trapezoid read 0.43-0.48 here
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 8\ns = 1.0\ngamma = 0.0\nalpha = 0.25\ndt = 0.05\n")
+        assert self.run_cli("couple", "--config", str(cfg_file), "--seed", seed,
+                            "--t", "1", "--check-horizon", "1", "--eps-every", "1",
+                            "--u2-perturbation", "1.0", "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "couple.json").read_text())
+        assert report["shifted_flow_rel_residual"] <= 1e-12
+        assert report["hcost"] > 0.0
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--eps-every", "0", "eps_every"),
@@ -477,7 +522,54 @@ class TestCli:
         assert proc.returncode == 0
 
 
+# public names kept without a caller in the package or the benchmark
+KEPT_WITHOUT_CALLER = {
+    "register_observable": "the documented extension point for observables",
+    "modified_energy_F": "the paper's drift functional F",
+    "krylov_bogolyubov_diagnostic": "the paper's tightness table",
+    "linear_moment_report": "criterion 03's subject: the linear flow against its law",
+    "two_start_convergence": "criterion 10's subject: two starts and the coupled d_n",
+}
+
+
+def _referenced_names(node) -> Counter:
+    """Names, attributes, imported names and dotted string constants (the
+    benchmark names traced functions by string) under ``node``."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rpartition(".")[2]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and all(part.isidentifier() for part in n.value.split(".")):
+            out.update(n.value.split("."))
+    return out
+
+
 class TestPublicSurface:
+    def test_every_public_definition_has_a_caller(self):
+        import sdnlw
+        root = Path(__file__).resolve().parents[1]
+        package = sorted((root / "src" / "sdnlw").glob("*.py"))
+        trees = {p: ast.parse(p.read_text()) for p in
+                 package + sorted((root / "perfbench").glob("*.py"))}
+        total = sum((_referenced_names(t) for t in trees.values()), Counter())
+        defined, orphans = set(), []
+        for path in package:
+            for node in trees[path].body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                        and not node.name.startswith("_"):
+                    defined.add(node.name)
+                    own = _referenced_names(node)[node.name]
+                    if total[node.name] == own and node.name not in sdnlw.__all__ \
+                            and node.name not in KEPT_WITHOUT_CALLER:
+                        orphans.append(f"{path.stem}.{node.name}")
+        assert orphans == [], "no caller in src/sdnlw or perfbench; move to tests/_utils.py"
+        assert set(KEPT_WITHOUT_CALLER) <= defined
+
     def test_all_is_explicit_and_complete(self):
         import types
         import sdnlw

@@ -16,8 +16,8 @@ from sdnlw.noise import (
     stick_step_shared,
 )
 from sdnlw.propagator import propagator_tables
-from sdnlw.spectral import hermitian_defect, omega_table
-from _utils import FFT_BACKENDS, fft_backend, unit_hermitian_fft2
+from sdnlw.spectral import omega_table
+from _utils import FFT_BACKENDS, fft_backend, hermitian_defect, unit_hermitian_fft2
 
 
 def quad_covariance(omega: float, delta: float, s: float) -> np.ndarray:

@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _utils import cosine_pair, weighted_sup_norm_loop
+from _utils import constant_field, cosine_pair, mode_matrix, wave_residual_field, \
+    weighted_sup_norm_loop
 from sdnlw import propagator
 from sdnlw.propagator import (
     apply_S,
     default_time_grid,
     determinant_defect,
     grid_tables,
-    mode_matrix,
     mode_sum_bound,
     propagator_tables,
     semigroup_defect,
-    wave_residual_field,
     weighted_sup_norm,
     xalpha_norm,
 )
 from sdnlw.spectral import (
     bracket_table,
-    constant_field,
     gaussian_bump_pair,
     grad2_table,
     hnorm,

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from sdnlw.noise import sample_stick_at, stationary_covariance
-from sdnlw.renorm import cubic_coefficients, gamma_star, quadratic_Q, wick_powers
+from sdnlw.renorm import cubic_coefficients, quadratic_Q, wick_powers
 from sdnlw.spectral import (
     add_fields,
-    constant_field,
     dealiased_product,
     embed,
     integral,
@@ -19,7 +18,7 @@ from sdnlw.spectral import (
 )
 from sdnlw.propagator import apply_S
 from sdnlw.spectral import project_leq
-from _utils import cosine_field
+from _utils import constant_field, cosine_field, gamma_star
 
 RNG = np.random.default_rng(55)
 

@@ -10,7 +10,6 @@ from sdnlw.spectral import (
     bracket_multiplier,
     convolution_oracle,
     dealiased_product,
-    hermitian_defect,
     hermitize,
     l2_inner,
     lp_norm,
@@ -24,8 +23,8 @@ from sdnlw.spectral import (
     to_spectral,
     zero_field,
 )
-from _utils import FFT_BACKENDS, cosine_field, cosine_pair, fft_backend, to_physical_fancy, \
-    to_spectral_fancy
+from _utils import FFT_BACKENDS, constant_field, cosine_field, cosine_pair, fft_backend, \
+    hermitian_defect, to_physical_fancy, to_spectral_fancy
 
 RNG = np.random.default_rng(101)
 
@@ -58,7 +57,7 @@ class TestProjection:
 
 class TestBracketMultiplier:
     def test_zero_mode_sigma_one(self):
-        f = spectral.constant_field(4, 1.0)
+        f = constant_field(4, 1.0)
         g = bracket_multiplier(f, 1.0)
         assert g[4, 4] == pytest.approx(np.sqrt(0.75), abs=1e-15)
 
@@ -80,7 +79,7 @@ class TestBracketMultiplier:
 
 class TestTransforms:
     def test_constant_field(self):
-        f = spectral.constant_field(3, 2.5)
+        f = constant_field(3, 2.5)
         phys = to_physical(f, 9)
         assert np.allclose(phys, 2.5, atol=1e-14)
 
@@ -145,7 +144,7 @@ class TestTransformProperties:
             for M in grids:
                 for N in {0, (M - 1) // 2}:
                     for value in (1.0, 3.0, -0.7):
-                        phys = to_physical(spectral.constant_field(N, value), M)
+                        phys = to_physical(constant_field(N, value), M)
                         assert np.all(phys == value), (M, N, value)
 
     @settings(deadline=None, max_examples=50)
@@ -227,8 +226,8 @@ class TestDealiasedProduct:
         assert abs(cube[3, 3]) < 1e-15
 
     def test_constants_multiply(self):
-        f = spectral.constant_field(2, 3.0)
-        g = spectral.constant_field(2, -0.5)
+        f = constant_field(2, 3.0)
+        g = constant_field(2, -0.5)
         prod = dealiased_product(f, g)
         assert spectral.integral(prod) == pytest.approx(-1.5, abs=1e-14)
         assert np.sum(np.abs(prod)) == pytest.approx(1.5, abs=1e-14)
@@ -259,7 +258,7 @@ class TestDealiasedProduct:
 
 class TestNorms:
     def test_constant_field_all_alpha_p(self):
-        f = spectral.constant_field(4, -1.7)
+        f = constant_field(4, -1.7)
         for alpha in (-1.0, 0.0, 0.6):
             for p in (2.0, 4.0, 16.0):
                 expect = 1.7 * 0.75 ** (alpha / 2.0)
