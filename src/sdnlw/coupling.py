@@ -61,7 +61,8 @@ from .config import SimConfig, steps
 from .dynamics import FlowState, _check_blowup, cube_grid_size, flow_init, full_flow, \
     next_increment, v_step
 from .noise import NoiseIncrement
-from .propagator import apply_tables, kick_tables, propagator_tables, xalpha_norm
+from .propagator import _half_spectrum_weights, apply_tables, kick_tables, \
+    mode_sum_bound, propagator_tables, xalpha_norm
 from .spectral import (
     bracket_table,
     dealiased_product,
@@ -120,18 +121,59 @@ def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float, pad: float = 2.0):
 # stopping-time monitor
 
 
+def _wick_norms(psi: np.ndarray, gamma: float):
+    """|wick2|_{L^4} and |wick3|_{L^2} by quadrature over the samples psi,
+    with wick2 = psi^2 - gamma and wick3 = (psi^2 - 3 gamma) psi."""
+    psi2 = psi * psi
+    w2 = psi2 - gamma
+    w3 = (psi2 - 3.0 * gamma) * psi
+    w2sq = w2 * w2
+    return (np.mean(w2sq * w2sq, axis=(-2, -1)) ** 0.25,
+            np.sqrt(np.mean(w3 * w3, axis=(-2, -1))))
+
+
 @dataclass(frozen=True, eq=False)
 class TauMMonitor:
     """Running maxima of the three stick norms and the first-exceedance time.
 
     Norms tracked: |stick|_{W^{alpha,4/alpha} pair}, |wick2|_{L^4},
     |wick3|_{L^2}, all by padded quadrature on one shared grid (the Wick
-    powers are formed pointwise from the samples, which equals the
-    dealiased spectral route up to the documented quadrature error of the
-    norms themselves).  ``M = inf`` never stops; larger M stops later (the
-    trigger is a running max).  The monitor is frozen: ``update`` returns a
-    new monitor and leaves this one's arrays untouched, so records that
-    share a monitor cannot disturb each other.
+    powers are formed pointwise from the samples psi of the stick's first
+    component, which equals the dealiased spectral route up to the
+    documented quadrature error of the norms themselves).  ``M = inf``
+    never stops; larger M stops later (the trigger is a running max).  The
+    monitor is frozen: ``update`` returns a new monitor and leaves this
+    one's arrays untouched, so records that share a monitor cannot disturb
+    each other.
+
+    ``update`` evaluates a norm only on the paths whose running max it
+    could raise.  Each norm has a transform-free upper bound:
+
+      - the stick pair: ``propagator.mode_sum_bound`` at p = 4/alpha, the
+        half-spectrum mode sum proven there (item 1 of its module
+        docstring, at t = 0);
+      - the Wick powers: with S = sum_{n2=0} |uhat_n| + 2 sum_{n2>0} |uhat_n|
+        (the same half-spectrum weights), every c2r sample obeys
+        |psi(x)| <= S, by the same argument.  Pointwise
+        |psi^2 - gamma| <= S^2 + |gamma| and
+        |(psi^2 - 3 gamma) psi| <= (S^2 + 3 |gamma|) S, and a quadrature
+        L^p norm, a power mean of the samples, is at most their maximum.
+
+    A norm is skipped on a path when its bound, times 1 + 1e-9 for
+    round-off, is at most the path's running max and at most
+    (DBL_MAX / (4 Mq^2))^{1/p}, with Mq^2 the quadrature samples and p the
+    norm's exponent.  The cap keeps the sum of the p-th powers finite (the
+    factor 4 also covers the pair's a^p + b^p), so a skipped norm would
+    have evaluated to a finite number no larger than its bound; without
+    it, a norm whose p-th powers overflow to inf could be skipped under a
+    finite running max set by another norm.  A NaN bound fails both
+    comparisons and an inf bound the cap, so their rows are always
+    evaluated.  The stick pair is evaluated on its own rows,
+    psi and both Wick powers on theirs, gathered by a boolean mask as
+    ``weighted_sup_norm`` gathers its grid times; a row's norms do not
+    depend on the batch it is evaluated in.  A skipped norm enters the max
+    as 0, and the max is exact, so ``running_max``, ``stopped`` and
+    ``stop_time`` are bit-identical to evaluating every norm on every path.
     """
 
     M: float
@@ -151,22 +193,36 @@ class TauMMonitor:
             object.__setattr__(self, "stop_time", np.full(batch, np.inf))
             object.__setattr__(self, "running_max", np.zeros(batch))
 
-    def norms(self, stick_pair: np.ndarray):
-        N = truncation_of(stick_pair)
-        M_quad = quad_grid_size(N, self.pad)
-        psi = to_physical(stick_pair[..., 0, :, :], M_quad)
-        psi2 = psi * psi
-        w2 = psi2 - self.gamma
-        w3 = (psi2 - 3.0 * self.gamma) * psi
-        w2sq = w2 * w2
-        n_stick = pair_norm(stick_pair, self.alpha, 4.0 / self.alpha, self.pad)
-        n_w2 = np.mean(w2sq * w2sq, axis=(-2, -1)) ** 0.25
-        n_w3 = np.sqrt(np.mean(w3 * w3, axis=(-2, -1)))
-        return n_stick, n_w2, n_w3
+    def _skips(self, bound: np.ndarray, p: float, M_quad: int) -> np.ndarray:
+        """Where a norm of L^p quadrature type with this upper bound can
+        neither raise the running max nor overflow (class docstring)."""
+        cap = (np.finfo(float).max / (4.0 * M_quad * M_quad)) ** (1.0 / p)
+        bound = (1.0 + 1e-9) * bound
+        return (bound <= self.running_max) & (bound <= cap)
 
     def update(self, t: float, stick_pair: np.ndarray) -> "TauMMonitor":
+        batch = self.running_max.shape
+        if stick_pair.shape[:-3] != batch:
+            raise ValueError(f"stick batch {stick_pair.shape[:-3]} differs from "
+                             f"the monitor's batch {batch}")
+        N = truncation_of(stick_pair)
+        M_quad = quad_grid_size(N, self.pad)
+        p = 4.0 / self.alpha
+        S = np.abs(stick_pair[..., 0, :, :]).sum(-2) @ _half_spectrum_weights(N)
+        S2, g = S * S, abs(self.gamma)
+        need_pair = ~self._skips(mode_sum_bound(stick_pair, self.alpha, p), p, M_quad)
+        need_psi = ~(self._skips(S2 + g, 4.0, M_quad)
+                     & self._skips((S2 + 3.0 * g) * S, 2.0, M_quad))
+        # a skipped norm enters the max as 0
+        n_stick, n_w2, n_w3 = (np.zeros(batch) for _ in range(3))
+        if need_pair.any():
+            n_stick[need_pair] = pair_norm(stick_pair[need_pair], self.alpha, p,
+                                           self.pad)
+        if need_psi.any():
+            psi = to_physical(stick_pair[..., 0, :, :][need_psi], M_quad)
+            n_w2[need_psi], n_w3[need_psi] = _wick_norms(psi, self.gamma)
         running_max = np.maximum(self.running_max,
-                                 np.maximum.reduce(self.norms(stick_pair)))
+                                 np.maximum.reduce((n_stick, n_w2, n_w3)))
         newly = (running_max > self.M) & ~self.stopped
         return replace(self, stopped=self.stopped | newly,
                        stop_time=np.where(newly, t, self.stop_time),

@@ -2,12 +2,13 @@
 FFT backend switch, and the oracles the package's fast routes are checked
 against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
 route, the one-time-per-pass sup norm, the expanded-coefficient
-nonlinearity, the standalone Girsanov density, the two-start comparison
+nonlinearity, the tau_M norms on every path, the standalone Girsanov density, the two-start comparison
 with one run per start, the two-pass trapezoid shifted-flow check), and
 small diagnostics only the tests use (the single-mode propagator matrix,
 the wave-equation finite-difference residual, the Hermitian defect, the
 Wick-ordering preset gamma_*)."""
 
+import dataclasses
 import importlib
 from contextlib import contextmanager
 
@@ -21,8 +22,8 @@ from sdnlw.ergodics import compare_averages, sample_trajectory, time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
 from sdnlw.spectral import dealiased_product, grad2_table, hnorm, l2_norm, \
-    lattice_size, mode_range, pair_norm, project_leq, reflect, resize, \
-    truncation_of, zero_field, zero_pair
+    lattice_size, mode_range, pair_norm, project_leq, quad_grid_size, reflect, \
+    resize, to_physical, truncation_of, zero_field, zero_pair
 
 
 def constant_field(N: int, value: float, batch: tuple = ()) -> np.ndarray:
@@ -135,6 +136,32 @@ def girsanov_log_density(h_fields, increments, delta: float):
         total = total - 0.5 * delta * np.sum(np.abs(h) ** 2, axis=(-2, -1)) \
             + np.sum(h * np.conj(coeffs), axis=(-2, -1)).real
     return total
+
+
+def tau_m_norms(stick_pair, alpha: float, gamma: float, pad: float = 2.0):
+    """The three tau_M norms (stick pair, wick2, wick3) of every path: the
+    oracle for the certified skip in ``coupling.TauMMonitor.update``."""
+    N = truncation_of(stick_pair)
+    M_quad = quad_grid_size(N, pad)
+    psi = to_physical(stick_pair[..., 0, :, :], M_quad)
+    psi2 = psi * psi
+    w2 = psi2 - gamma
+    w3 = (psi2 - 3.0 * gamma) * psi
+    w2sq = w2 * w2
+    n_stick = pair_norm(stick_pair, alpha, 4.0 / alpha, pad)
+    n_w2 = np.mean(w2sq * w2sq, axis=(-2, -1)) ** 0.25
+    n_w3 = np.sqrt(np.mean(w3 * w3, axis=(-2, -1)))
+    return n_stick, n_w2, n_w3
+
+
+def tau_m_update(monitor, t: float, stick_pair):
+    """``TauMMonitor.update`` with every norm evaluated on every path."""
+    norms = tau_m_norms(stick_pair, monitor.alpha, monitor.gamma, monitor.pad)
+    running_max = np.maximum(monitor.running_max, np.maximum.reduce(norms))
+    newly = (running_max > monitor.M) & ~monitor.stopped
+    return dataclasses.replace(monitor, stopped=monitor.stopped | newly,
+                               stop_time=np.where(newly, t, monitor.stop_time),
+                               running_max=running_max)
 
 
 def to_physical_fancy(coeffs, M: int):

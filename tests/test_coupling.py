@@ -38,7 +38,7 @@ from sdnlw.spectral import (
 )
 from sdnlw.propagator import xalpha_norm
 from _utils import coarsen, constant_field, fine_increments, girsanov_log_density, shift_h, \
-    trapezoid_shift_check
+    tau_m_norms, tau_m_update, trapezoid_shift_check
 
 RNG = np.random.default_rng(31)
 
@@ -364,9 +364,13 @@ class TestGirsanov:
         n, steps, delta, c = 100_000, 5, 0.1, 0.8
         h = constant_field(2, c)
         logs = np.empty(n)
-        for i in range(n):
-            incs = [sample_increment(2, delta, 5000 + i, k) for k in range(steps)]
-            logs[i] = girsanov_log_density([h] * steps, incs, delta)
+        # one batched draw per step and chunk of seeds; a path's increments
+        # do not depend on the batch it is drawn in
+        chunk = 10_000
+        for start in range(0, n, chunk):
+            seeds = list(range(5000 + start, 5000 + start + chunk))
+            incs = [sample_increment(2, delta, seeds, k) for k in range(steps)]
+            logs[start:start + chunk] = girsanov_log_density([h] * steps, incs, delta)
         dens = np.exp(logs)
         se = dens.std(ddof=1) / np.sqrt(n)
         assert abs(dens.mean() - 1.0) <= 5 * se
@@ -495,6 +499,149 @@ class TestTauM:
         rec = run_coupling(rec, 150)
         late = float(coupling_distance(rec, 1))
         assert late < early
+
+
+MONITOR_FIELDS = ("running_max", "stopped", "stop_time")
+
+
+def assert_monitors_equal(mon, ref):
+    for name in MONITOR_FIELDS:
+        assert np.array_equal(getattr(mon, name), getattr(ref, name), equal_nan=True), name
+
+
+def replay(M, sticks, gamma=0.3, alpha=0.25):
+    """Update a monitor and the unpruned oracle on the same (t, stick)
+    sequence, checking them equal after every step."""
+    batch = sticks[0][1].shape[:-3]
+    mon = TauMMonitor(M, alpha, gamma, batch=batch)
+    ref = TauMMonitor(M, alpha, gamma, batch=batch)
+    for t, stick in sticks:
+        mon = mon.update(t, stick)
+        ref = tau_m_update(ref, t, stick)
+        assert_monitors_equal(mon, ref)
+    return mon
+
+
+@pytest.fixture
+def row_counts(monkeypatch):
+    """Per update, the paths whose stick pair and whose samples were
+    transformed."""
+    counts = {"pair": [], "psi": []}
+    pair_norm, wick_norms = cp.pair_norm, cp._wick_norms
+
+    def counted_pair(stick, *args):
+        counts["pair"].append(stick.shape[0])
+        return pair_norm(stick, *args)
+
+    def counted_wick(psi, gamma):
+        counts["psi"].append(psi.shape[0])
+        return wick_norms(psi, gamma)
+
+    monkeypatch.setattr(cp, "pair_norm", counted_pair)
+    monkeypatch.setattr(cp, "_wick_norms", counted_wick)
+    return counts
+
+
+def stick_path(n_paths, n_steps, seed=11):
+    """(t, stick) at the start of each step of a coupling at the
+    ``girsanov`` benchmark settings."""
+    cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+    rec = coupling_init(cfg, None, gaussian_bump_pair(4, 0.02),
+                        CouplingOptions(eps_every=10, dt_grid=1.0),
+                        seed=[seed + i for i in range(n_paths)], batch=(n_paths,))
+    out = []
+    for _ in range(n_steps):
+        out.append((rec.t, rec.flow.stick.value))
+        rec = coupling_step(rec)
+    return out
+
+
+class TestTauMSkip:
+    """The certified skip in ``TauMMonitor.update`` against the oracle that
+    evaluates every norm on every path."""
+
+    def test_unbatched_stick_refused_by_batched_monitor(self):
+        mon = TauMMonitor(1.0, 0.25, 0.3, batch=(3,))
+        stick = make_record(amplitude=0.3).flow.stick.value
+        with pytest.raises(ValueError, match=r"stick batch \(\) .* batch \(3,\)"):
+            mon.update(0.0, stick)
+
+    def test_batched_stick_refused_by_unbatched_monitor(self):
+        mon = TauMMonitor(1.0, 0.25, 0.3)
+        stick = make_record(amplitude=0.3, batch=(5,)).flow.stick.value
+        with pytest.raises(ValueError, match=r"stick batch \(5,\) .* batch \(\)"):
+            mon.update(0.0, stick)
+
+    def test_unbatched_monitor(self):
+        sticks = [(t, s[2]) for t, s in stick_path(4, 12)]
+        replay(1.0, sticks)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the non-finite data
+    def test_nan_and_inf_rows(self):
+        sticks = []
+        for k, (t, s) in enumerate(stick_path(4, 8)):
+            s = s.copy()
+            if k >= 3:
+                s[1, 0, 4, 4] = np.nan
+                s[2, 1, 4, 5] = np.inf
+            sticks.append((t, s))
+        mon = replay(30.0, sticks)
+        assert np.isnan(mon.running_max[1])
+        assert not mon.stopped[1]
+
+    def test_negative_gamma(self):
+        replay(2.0, stick_path(16, 15), gamma=-0.7)
+
+    @pytest.mark.parametrize("M", [0.0, np.inf])
+    def test_extreme_M(self, M):
+        mon = replay(M, stick_path(16, 10))
+        assert mon.stopped.all() if M == 0.0 else not mon.stopped.any()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the non-finite data
+    @pytest.mark.parametrize("scale", [1e20, 1e300])
+    def test_overflowing_rows(self, scale):
+        # the unpruned p-th powers overflow to inf on the scaled rows
+        sticks = []
+        for k, (t, s) in enumerate(stick_path(4, 8)):
+            s = s.copy()
+            s[1] *= scale * (1.0 + 0.5 * np.sin(k))
+            s[3] *= 1e-3 if k % 2 else scale
+            sticks.append((t, s))
+        mon = replay(30.0, sticks)
+        assert np.isinf(mon.running_max[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the non-finite data
+    def test_overflow_under_a_finite_running_max(self, row_counts):
+        # a constant stick: |wick3| ~ c^3 sets a finite running max far above
+        # the pair bound ~ c; doubling c overflows the pair's 16th powers,
+        # so the pair must be transformed although its bound is below the max
+        sticks = []
+        for t, c in ((0.0, 1e19), (0.1, 2e19), (0.2, 1.0)):
+            s = zero_pair(4)
+            s[0, 4, 4] = c
+            sticks.append((t, s))
+        mon = replay(np.inf, sticks)
+        assert np.isinf(mon.running_max)
+        assert row_counts["pair"] == [1, 1]
+
+    def test_crossing_right_after_a_skipped_step(self, row_counts):
+        _, base = stick_path(1, 6)[-1]
+        M = 2.0 * float(np.max(tau_m_norms(base, 0.25, 0.3)))
+        sticks = [(0.0, base), (0.1, 1e-2 * base), (0.2, 10.0 * base)]
+        mon = replay(M, sticks)
+        # step 1 transformed nothing, and step 2 stops the path
+        assert row_counts["pair"] == [1, 1] and row_counts["psi"] == [1, 1]
+        assert mon.stopped[0] and mon.stop_time[0] == 0.2
+
+    @pytest.mark.parametrize("M", [2.0, 30.0, np.inf])
+    def test_benchmark_settings(self, M, row_counts):
+        mon = replay(M, stick_path(64, 40))
+        # the maxima still grow over these 40 steps, so over half the rows
+        # transform; over the 100 steps of the benchmark about a third do
+        assert sum(row_counts["pair"]) < 0.75 * 64 * 40
+        assert sum(row_counts["psi"]) < 0.75 * 64 * 40
+        if M == 2.0:
+            assert mon.stopped.any()
 
 
 class TestReplay:

@@ -24,8 +24,8 @@ from sdnlw import cli, coupling
 from sdnlw.cli import main as cli_main
 from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse_config, \
     steps
-from sdnlw.coupling import coupling_distance, coupling_init, run_coupling, \
-    shifted_flow_check
+from sdnlw.coupling import CouplingOptions, coupling_distance, coupling_init, \
+    run_coupling, shifted_flow_check
 from sdnlw.dynamics import flow_init, full_flow, run_steps
 from sdnlw.ergodics import compare_starts, two_start_convergence, worker_count
 from sdnlw.runner import fmt_float, simulate_run
@@ -313,24 +313,35 @@ class TestCli:
     def test_couple_single_pass(self, tmp_path, capsys, monkeypatch):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("N = 4\ndt = 0.05\nseed = 4\n")
-        steps = []
-        real_step = coupling.coupling_step
+        calls = Counter()
+        real_step, real_eps = coupling.coupling_step, coupling.epsilon_scale
 
-        def counting(*args):
-            steps.append(1)
-            return real_step(*args)
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(coupling, "coupling_step", counting)
-        assert self.run_cli("couple", "--config", str(cfg_file), "--t", "0.5",
-                            "--check-horizon", "0.25", "--out", str(tmp_path)) == 0
-        assert len(steps) == 10
+        monkeypatch.setattr(coupling, "coupling_step", counting("step", real_step))
+        monkeypatch.setattr(coupling, "epsilon_scale", counting("eps", real_eps))
+        # eps underflows at this config, so only the count of eps evaluations
+        # shows whether --eps-every reaches the coupling
+        for flag, eps_every, eps_calls in (((), 5, 2), (("--eps-every", "1"), 1, 10)):
+            calls.clear()
+            out = tmp_path / f"every{eps_every}"
+            assert self.run_cli("couple", "--config", str(cfg_file), "--t", "0.5",
+                                "--check-horizon", "0.25", *flag, "--out", str(out)) == 0
+            assert calls == {"step": 10, "eps": eps_calls}
         monkeypatch.setattr(coupling, "coupling_step", real_step)
-        report = json.loads((tmp_path / "couple.json").read_text())
-        # two-pass reference: the full run, then the check over its horizon
+        monkeypatch.setattr(coupling, "epsilon_scale", real_eps)
+        report = json.loads((tmp_path / "every5" / "couple.json").read_text())
+        # two-pass reference at the CLI default: the full run, then the check
+        # over its horizon
         cfg = load_config(cfg_file)
         u2 = gaussian_bump_pair(4, 1.0)
-        rec = run_coupling(coupling_init(cfg, None, u2, seed=4), 10)
-        gap, _ = shifted_flow_check(cfg, None, u2, 0.25, seed=4)
+        opts = CouplingOptions(eps_every=5)
+        rec = run_coupling(coupling_init(cfg, None, u2, opts, seed=4), 10)
+        gap, _ = shifted_flow_check(cfg, None, u2, 0.25, opts, seed=4)
         assert report["hcost"] == float(rec.hcost) > 0.0
         assert report["w_h1"] == float(hnorm(rec.w))
         assert report["coupled_d1"] == float(coupling_distance(rec, 1))
