@@ -60,7 +60,7 @@ import numpy as np
 from .config import SimConfig, steps
 from .dynamics import FlowState, _check_blowup, cube_grid_size, flow_init, full_flow, \
     next_increment, v_step
-from .noise import NoiseIncrement
+from .noise import NoiseIncrement, StickState
 from .propagator import _half_spectrum_weights, apply_tables, kick_tables, \
     mode_sum_bound, propagator_tables, xalpha_norm
 from .spectral import (
@@ -356,11 +356,11 @@ def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
     return bracket_table(N, s) * b_moll / np.sqrt(2.0)
 
 
-def coupling_step(record: CouplingRecord,
-                  incr: NoiseIncrement | None = None) -> CouplingRecord:
+def coupling_step(record: CouplingRecord, incr: NoiseIncrement | None = None, *,
+                  stick: StickState | None = None) -> CouplingRecord:
     """One shared-clock step: advance u1 (same noise), w, the h cost and
     the discrete Girsanov density; h is computed before the increment is
-    revealed (predictable)."""
+    revealed (predictable).  ``incr`` and ``stick`` are handed to ``v_step``."""
     flow = record.flow
     cfg = flow.cfg
     N, delta = cfg.N, cfg.dt
@@ -394,7 +394,7 @@ def coupling_step(record: CouplingRecord,
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
     _check_blowup(w_new, cfg, flow.t + delta, "w")
-    flow_new = v_step(flow, incr, x0_phys=p_ph)
+    flow_new = v_step(flow, incr, x0_phys=p_ph, stick=stick)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 
     return replace(record, flow=flow_new, lin_diff=lin_diff_new, w=w_new,
@@ -402,15 +402,16 @@ def coupling_step(record: CouplingRecord,
                    h_last=h_used, monitor=monitor)
 
 
-def run_coupling(record: CouplingRecord, n_steps: int,
-                 incr_table: list | None = None) -> CouplingRecord:
-    for k in range(n_steps):
-        record = coupling_step(record, incr_table[k] if incr_table is not None else None)
+def run_coupling(record: CouplingRecord, n_steps: int) -> CouplingRecord:
+    for _ in range(n_steps):
+        record = coupling_step(record)
     return record
 
 
 def coupling_distance(record: CouplingRecord, n: int = 1):
     """d_n between the coupled pair: 1 /\\ n |S(t) udiff + w|_{X^alpha}."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cfg = record.flow.cfg
     val = xalpha_norm(record.lin_diff + record.w, cfg.alpha,
                       dt_grid=record.opts.dt_grid, pad=cfg.M_pad)

@@ -211,11 +211,10 @@ def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
     return replace(state, lin=lin_new, stick=stick, v=v_new)
 
 
-def run_steps(state: FlowState, n_steps: int,
-              incr_table: list | None = None) -> FlowState:
-    """Advance n_steps; ``incr_table[k]`` overrides the lineage draw."""
-    for k in range(n_steps):
-        state = v_step(state, incr_table[k] if incr_table is not None else None)
+def run_steps(state: FlowState, n_steps: int) -> FlowState:
+    """Advance n_steps on the state's own noise lineage."""
+    for _ in range(n_steps):
+        state = v_step(state)
     return state
 
 

@@ -1,15 +1,15 @@
 """Time-averaged observables, ensemble statistics, and the two-initial-data
 convergence experiment.
 
-``compare_starts`` (behind ``sdnlw ergodic`` and ``two_start_convergence``)
-runs its two starts on the same seeds: they share each step's white-noise
-increment and stochastic convolution (synchronous coupling), which are
-drawn and advanced once per step while both starts are stepped in lockstep.
-It splits its seeds over one spawn process pool sized by SDNLW_WORKERS.  A
-path's averages depend only on its seed and start and join in seed order,
-so no number depends on the worker count.  A script calling it with
-SDNLW_WORKERS > 1 needs an ``if __name__ == "__main__":`` guard, or the
-pool fails at once with ``BrokenProcessPool``.
+``compare_starts`` (behind ``sdnlw ergodic`` and criterion 10) steps its
+two starts in lockstep on the same seeds: one white-noise increment and
+one stochastic convolution per step serve both (synchronous coupling), and
+with coupling options a coupling record toward the second start carries
+the first start's flow.  The seeds are split over one spawn process pool
+sized by SDNLW_WORKERS; a path's numbers depend only on its seed and the
+starts and join in seed order, so none depends on the worker count.  A
+script calling it with SDNLW_WORKERS > 1 needs an ``if __name__ ==
+"__main__":`` guard, or the pool fails at once with ``BrokenProcessPool``.
 
 Birkhoff averages (1/T) int_0^T F(Phi_t) dt are computed by the trapezoid
 rule over the stored sampling times.  Error bars use the integrated
@@ -176,16 +176,15 @@ def ensemble_summary(series: dict, burn: float) -> dict:
 
 
 def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
-                   observables: tuple | None = None) -> list:
+                   observables: tuple | None = None,
+                   coupled: tuple | None = None) -> list:
     """Run one (batched) trajectory per start in lockstep on the same seeds
-    and sample observables on the cadence.
-
-    Per step the white-noise increment is drawn once and the stochastic
-    convolution advanced once; every start is stepped by ``v_step`` with
-    both (synchronous coupling).  Each start's numbers equal those of its
-    own run, bit for bit, since the (seed, step, block) lineage gives it the
-    same increment and stick.  A blow-up of any start stops the run.
-    Returns one {"series", "state"} per start, as ``sample_trajectory``.
+    (module docstring) and sample observables on the cadence; a start's
+    numbers equal its own run's bit for bit (the same lineage), and a
+    blow-up of any start stops the run.  Returns one {"series", "state"} per
+    start, as ``sample_trajectory``; with ``coupled = (opts, n, every)`` the
+    first run's "coupled_dn" series holds d_n of the coupled pair per path
+    every ``every`` steps.
     """
     T = cfg.T if T is None else T
     names = observables if observables is not None else cfg.observables
@@ -195,23 +194,39 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
     steps(T, cfg.obs_interval, "T")
     batch = () if seeds is None or np.isscalar(seeds) else (len(seeds),)
     states = [flow_init(cfg, u0, seed=seeds, batch=batch) for u0 in starts]
+    if coupled is not None:
+        opts, dn_n, dn_every = coupled
+        rec = coupling_init(cfg, *starts, opts, seed=seeds, batch=batch)
+        states[0] = rec.flow
+        dn_times, dn_vals = [0.0], [coupling_distance(rec, dn_n)]
     times = [0.0]
     values = [{name: [np.asarray(fn(full_flow(state), cfg))] for name, fn in fns.items()}
               for state in states]
     for k in range(n_steps):
         incr = next_increment(states[0])
         stick = noise_mod.stick_step_shared(states[0].stick, cfg.dt, incr)
-        states = [v_step(state, incr, stick=stick) for state in states]
+        if coupled is None:
+            states = [v_step(state, incr, stick=stick) for state in states]
+        else:
+            rec = coupling_step(rec, incr, stick=stick)
+            states = [rec.flow, v_step(states[1], incr, stick=stick)]
+            if (k + 1) % dn_every == 0:
+                dn_times.append(stick.t)
+                dn_vals.append(coupling_distance(rec, dn_n))
         if (k + 1) % every == 0:
             times.append(stick.t)
             for state, vals in zip(states, values):
                 phi = full_flow(state)
                 for name, fn in fns.items():
                     vals[name].append(np.asarray(fn(phi, cfg)))
-    return [{"series": {name: ObservableSeries(name, np.array(times), np.stack(v))
+    runs = [{"series": {name: ObservableSeries(name, np.array(times), np.stack(v))
                         for name, v in vals.items()},
              "state": state}
             for state, vals in zip(states, values)]
+    if coupled is not None:
+        runs[0]["coupled_dn"] = ObservableSeries("coupled_dn", np.array(dn_times),
+                                                 np.stack(dn_vals))
+    return runs
 
 
 def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = None,
@@ -253,12 +268,13 @@ def _chunk(seq: list, k: int) -> list:
     return [seq[i: i + size] for i in range(0, len(seq), size)]
 
 
-def _averages_worker(payload) -> list:
-    """Per-trajectory averages over [T/4, T] of every start, for one seed
-    chunk."""
-    cfg, starts, T, seeds = payload
-    return [time_averages(run["series"], 0.25 * T, T)
-            for run in _sample_starts(cfg, starts, seeds, T)]
+def _averages_worker(payload) -> tuple:
+    """Per-trajectory averages over [T/4, T] of every start, and the
+    coupled d_n series (None when uncoupled), for one seed chunk."""
+    cfg, starts, T, seeds, coupled = payload
+    runs = _sample_starts(cfg, starts, seeds, T, coupled=coupled)
+    return ([time_averages(run["series"], 0.25 * T, T) for run in runs],
+            runs[0].get("coupled_dn"))
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +291,30 @@ def compare_averages(a1, a2) -> dict:
             "combined_se": se, "within_3se": abs(diff) <= 3.0 * se or se == 0.0}
 
 
-def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds) -> dict:
-    """Ensembles from two starts on the same seeds: for each observable of
-    cfg, |avg1 - avg2| of the per-trajectory time averages over [T/4, T]
-    against their combined standard error.
-
-    The two starts share each step's white-noise increment and stochastic
-    convolution (synchronous coupling) and are stepped in lockstep, seed
-    chunk by seed chunk; the seed chunks go to one pool of
-    ``worker_count()`` processes, and with one worker both starts run
-    in-process as one batch each.
+def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
+                   coupling_opts: CouplingOptions | None = None,
+                   dn_n: int = 1, dn_every: float = 2.0) -> dict:
+    """Ensembles from two starts on the same seeds, stepped in lockstep
+    (module docstring): for each observable of cfg, |avg1 - avg2| of the
+    per-trajectory time averages over [T/4, T] against their combined
+    standard error.  With ``coupling_opts``, "coupled_dn" holds the seed
+    mean of d_n of the coupled pair every ``dn_every``, which must be > 0
+    and divide T (a ConfigError before any step otherwise).
     """
     seeds = list(seeds)
     if len(seeds) < 2:  # the across-seed standard error needs two
         raise ValueError(f"seeds: need at least 2 for a standard error, got {len(seeds)}")
     names = tuple(cfg.observables)
     _observable_fns(names)  # refuse an unknown name before any worker starts
+    coupled = None
+    if coupling_opts is not None:
+        if not dn_every > 0:
+            raise ConfigError(f"dn_every: must be > 0, got {dn_every}")
+        steps(T, dn_every, "dn_every")
+        coupled = (coupling_opts, dn_n, steps(dn_every, cfg.dt, "dn_every"))
     workers = worker_count()
-    payloads = [(cfg, (u1_0, u2_0), T, chunk) for chunk in _chunk(seeds, workers)]
+    payloads = [(cfg, (u1_0, u2_0), T, chunk, coupled)
+                for chunk in _chunk(seeds, workers)]
     if workers == 1:
         results = [_averages_worker(p) for p in payloads]
     else:  # imported here so that in-process runs do not pay for it
@@ -300,33 +322,17 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds) -> dict:
         from multiprocessing import get_context
         with ProcessPoolExecutor(len(payloads), mp_context=get_context("spawn")) as pool:
             results = list(pool.map(_averages_worker, payloads))
-    avg1, avg2 = ({name: np.concatenate([r[i][name] for r in results]) for name in names}
-                  for i in range(2))
-    return {"observables": {name: compare_averages(avg1[name], avg2[name])
-                            for name in names},
-            "seeds": tuple(seeds), "T": T}
-
-
-def two_start_convergence(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
-                          coupling_opts: CouplingOptions | None = None,
-                          dn_n: int = 1, dn_every: float = 2.0) -> dict:
-    """``compare_starts`` plus the empirical coupled d_n series from the
-    Girsanov-shift construction run on the same seeds."""
-    seeds = list(seeds)
-    n_steps = steps(T, cfg.dt, "T")
-    every = max(steps(dn_every, cfg.dt, "dn_every"), 1)
-    report = compare_starts(cfg, u1_0, u2_0, T, seeds)
-    # coupled d_n bound from the shift construction, same seeds
-    opts = coupling_opts or CouplingOptions(eps_every=10)
-    rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seeds, batch=(len(seeds),))
-    dn_times, dn_vals = [0.0], [float(np.mean(coupling_distance(rec, dn_n)))]
-    for k in range(n_steps):
-        rec = coupling_step(rec)
-        if (k + 1) % every == 0:
-            dn_times.append(rec.t)
-            dn_vals.append(float(np.mean(coupling_distance(rec, dn_n))))
-    report["coupled_dn"] = {"times": np.array(dn_times), "values": np.array(dn_vals),
-                            "n": dn_n, "final": dn_vals[-1]}
+    avg1, avg2 = ({name: np.concatenate([avgs[i][name] for avgs, _ in results])
+                   for name in names} for i in range(2))
+    report = {"observables": {name: compare_averages(avg1[name], avg2[name])
+                              for name in names},
+              "seeds": tuple(seeds), "T": T}
+    if coupled is not None:
+        # one 1-d array of all seeds per time, so the chunking moves no bit
+        per_path = np.concatenate([dn.values for _, dn in results], axis=1)
+        dn_vals = [float(np.mean(row)) for row in per_path]
+        report["coupled_dn"] = {"times": results[0][1].times, "values": np.array(dn_vals),
+                                "n": dn_n, "final": dn_vals[-1]}
     return report
 
 

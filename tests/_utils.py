@@ -2,11 +2,12 @@
 FFT backend switch, and the oracles the package's fast routes are checked
 against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
 route, the one-time-per-pass sup norm, the expanded-coefficient
-nonlinearity, the tau_M norms on every path, the standalone Girsanov density, the two-start comparison
-with one run per start, the two-pass trapezoid shifted-flow check), and
-small diagnostics only the tests use (the single-mode propagator matrix,
-the wave-equation finite-difference residual, the Hermitian defect, the
-Wick-ordering preset gamma_*)."""
+nonlinearity, the tau_M norms on every path, the standalone Girsanov
+density, the two-start comparison with one run per start, the coupled
+two-start comparison with a second record loop, the two-pass trapezoid
+shifted-flow check), and small diagnostics only the tests use (the
+single-mode propagator matrix, the wave-equation finite-difference
+residual, the Hermitian defect, the Wick-ordering preset gamma_*)."""
 
 import dataclasses
 import importlib
@@ -18,7 +19,8 @@ import pytest
 from sdnlw import coupling, propagator, spectral
 from sdnlw.config import steps
 from sdnlw.dynamics import flow_init, full_flow, v_step
-from sdnlw.ergodics import compare_averages, sample_trajectory, time_averages
+from sdnlw.ergodics import compare_averages, compare_starts, sample_trajectory, \
+    time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
 from sdnlw.spectral import dealiased_product, grad2_table, hnorm, l2_norm, \
@@ -101,6 +103,14 @@ def coarsen(fine: list, ratio: int, delta: float) -> list:
 
 def zero_increments(N: int, delta: float, n_steps: int) -> list:
     return [NoiseIncrement(zero_field(N), delta) for _ in range(n_steps)]
+
+
+def run_table(step, state, table: list):
+    """Advance ``state`` by ``step`` (``v_step`` or ``coupling_step``) once
+    per increment of ``table``, in order: a fixed white-noise path."""
+    for incr in table:
+        state = step(state, incr)
+    return state
 
 
 def weighted_sup_norm_loop(pair, alpha, p, t_star=40.0, dt_grid=0.25, pad=2.0):
@@ -221,6 +231,28 @@ def compare_starts_separately(cfg, u1_0, u2_0, T: float, seeds) -> dict:
     return {"observables": {name: compare_averages(avg1[name], avg2[name])
                             for name in cfg.observables},
             "seeds": tuple(seeds), "T": T}
+
+
+def two_start_convergence(cfg, u1_0, u2_0, T: float, seeds, coupling_opts=None,
+                          dn_n: int = 1, dn_every: float = 2.0) -> dict:
+    """The uncoupled ``compare_starts``, then a coupling record stepping the
+    first start's flow again on the same seeds: the oracle for
+    ``compare_starts`` with ``coupling_opts``."""
+    seeds = list(seeds)
+    n_steps = steps(T, cfg.dt, "T")
+    every = max(steps(dn_every, cfg.dt, "dn_every"), 1)
+    report = compare_starts(cfg, u1_0, u2_0, T, seeds)
+    opts = coupling_opts or coupling.CouplingOptions(eps_every=10)
+    rec = coupling.coupling_init(cfg, u1_0, u2_0, opts, seed=seeds, batch=(len(seeds),))
+    dn_times, dn_vals = [0.0], [float(np.mean(coupling.coupling_distance(rec, dn_n)))]
+    for k in range(n_steps):
+        rec = coupling.coupling_step(rec)
+        if (k + 1) % every == 0:
+            dn_times.append(rec.t)
+            dn_vals.append(float(np.mean(coupling.coupling_distance(rec, dn_n))))
+    report["coupled_dn"] = {"times": np.array(dn_times), "values": np.array(dn_vals),
+                            "n": dn_n, "final": dn_vals[-1]}
+    return report
 
 
 def shift_h(record) -> np.ndarray:

@@ -19,8 +19,8 @@ from sdnlw.coupling import (
     run_coupling,
     tv_bound,
 )
-from sdnlw.dynamics import energy, flow_init, full_flow, restart_check, run_steps, v_step
-from sdnlw.ergodics import linear_moment_report, two_start_convergence
+from sdnlw.dynamics import energy, flow_init, full_flow, restart_check, v_step
+from sdnlw.ergodics import compare_starts, linear_moment_report
 from sdnlw.noise import (
     lattice_covariance,
     step_covariance,
@@ -44,7 +44,8 @@ from sdnlw.spectral import (
     truncation_of,
 )
 from sdnlw import coupling as cp
-from _utils import coarsen, fine_increments, trapezoid_shift_check, wave_residual_ratios
+from _utils import coarsen, fine_increments, run_table, trapezoid_shift_check, \
+    wave_residual_ratios
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -125,7 +126,7 @@ def test_criterion_04_integrator_order():
         c = dataclasses.replace(cfg, dt=d)
         st = flow_init(c, u0, seed=42)
         table = coarsen(fine, round(d / min(deltas)), d)
-        sols[d] = full_flow(run_steps(st, len(table), incr_table=table))
+        sols[d] = full_flow(run_table(v_step, st, table))
     v_ratios = _pairwise_ratios([float(hnorm(sols[d] - sols[d / 2]))
                                  for d in deltas[:3]])
 
@@ -137,7 +138,7 @@ def test_criterion_04_integrator_order():
         opts = CouplingOptions(eps_every=10**6, dt_grid=1.0, norm_exp=5.0)
         rec = coupling_init(c, None, u2, opts, seed=42)
         table = coarsen(fine, round(d / min(deltas)), d)
-        rec = run_coupling(rec, len(table), incr_table=table)
+        rec = run_table(coupling_step, rec, table)
         wsols[d] = rec.w
     w_ratios = _pairwise_ratios([float(hnorm(wsols[d] - wsols[d / 2]))
                                  for d in deltas[:3]])
@@ -274,7 +275,7 @@ def test_criterion_10_unique_ergodicity_desk_scale():
                     obs_interval=0.25,
                     observables=("mean_u2", "clipped_halpha"))
     u2 = gaussian_bump_pair(8, 1.0)
-    rep = two_start_convergence(
+    rep = compare_starts(
         cfg, None, u2, T=200.0, seeds=[900 + i for i in range(20)],
         coupling_opts=CouplingOptions(eps_every=10, dt_grid=1.0),
         dn_n=1, dn_every=10.0)

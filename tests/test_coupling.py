@@ -22,7 +22,7 @@ from sdnlw.coupling import (
     tv_bound,
 )
 from sdnlw.dynamics import BlowUpError, full_flow, v_step
-from sdnlw.noise import NoiseIncrement, sample_increment
+from sdnlw.noise import NoiseIncrement, sample_increment, stick_step_shared
 from sdnlw.renorm import quadratic_Q
 from sdnlw.spectral import (
     dealiased_product,
@@ -37,8 +37,8 @@ from sdnlw.spectral import (
     zero_pair,
 )
 from sdnlw.propagator import xalpha_norm
-from _utils import coarsen, constant_field, fine_increments, girsanov_log_density, shift_h, \
-    tau_m_norms, tau_m_update, trapezoid_shift_check
+from _utils import coarsen, constant_field, fine_increments, girsanov_log_density, \
+    run_table, shift_h, tau_m_norms, tau_m_update, trapezoid_shift_check
 
 RNG = np.random.default_rng(31)
 
@@ -215,7 +215,7 @@ class TestWSystem:
             table = [NoiseIncrement(sum(fine[k * r + j] for j in range(r))
                                     if r > 1 else fine[k], d)
                      for k in range(round(T / d))]
-            rec = run_coupling(rec, len(table), incr_table=table)
+            rec = run_table(coupling_step, rec, table)
             sols[d] = rec.w
         errs = [float(hnorm(sols[d] - sols[d / 2])) for d in deltas[:3]]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
@@ -267,6 +267,92 @@ class TestWSystem:
         b_moll = cp._moll_bracket(rec, q, rec.eps)
         h0 = cp._h_from_bracket(b_moll, 0.0)
         assert np.max(np.abs(h0 - b_moll / np.sqrt(2.0))) < 1e-15
+
+
+def assert_fields_equal(a, b, path="record"):
+    """Every dataclass field of a and b equal, arrays bit for bit."""
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_fields_equal(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert np.array_equal(a, b), path
+    else:
+        assert type(a) is type(b) and a == b, path
+
+
+class TestStickHandOff:
+    """``coupling_step(rec, incr, stick=s)`` takes the flow's stick already
+    advanced by a lockstep caller; it must equal the step that advances
+    the stick itself."""
+
+    @staticmethod
+    def record(integrator):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05,
+                        integrator=integrator)
+        u1 = random_pair(4, np.random.default_rng(3))
+        rec = coupling_init(cfg, u1, gaussian_bump_pair(4, 0.5),
+                            CouplingOptions(eps_every=2), seed=[5, 6], batch=(2,),
+                            monitor_M=3.0)
+        return run_coupling(rec, 3)
+
+    @pytest.mark.parametrize("integrator", ["euler", "midpoint"])
+    def test_equals_own_stick_on_every_field(self, integrator):
+        rec = self.record(integrator)
+        incr = sample_increment(4, rec.flow.cfg.dt, [5, 6], rec.step)
+        stick = stick_step_shared(rec.flow.stick, rec.flow.cfg.dt, incr)
+        got = coupling_step(rec, incr, stick=stick)
+        assert got.flow.stick is stick
+        assert_fields_equal(got, coupling_step(rec, incr))
+        assert not np.all(got.w == 0) and got.monitor.running_max.any()
+
+    def test_stick_not_one_step_ahead_refused(self):
+        rec = self.record("euler")
+        dt = rec.flow.cfg.dt
+        incr = sample_increment(4, dt, [5, 6], rec.step)
+        for stale in (rec.flow.stick,
+                      stick_step_shared(stick_step_shared(rec.flow.stick, dt, incr), dt)):
+            with pytest.raises(ValueError, match="^stick: at step"):
+                coupling_step(rec, incr, stick=stale)
+
+    def test_stick_of_other_seeds_refused(self):
+        rec = self.record("euler")
+        dt = rec.flow.cfg.dt
+        incr = sample_increment(4, dt, [5, 6], rec.step)
+        other = coupling_init(rec.flow.cfg, None, gaussian_bump_pair(4, 0.5),
+                              seed=[7, 8], batch=(2,))
+        other = run_coupling(other, 3)
+        with pytest.raises(ValueError, match="^stick: seeds"):
+            coupling_step(rec, incr, stick=stick_step_shared(other.flow.stick, dt, incr))
+
+
+class TestCouplingRegime:
+    """Which regime the mollifier runs in at two pinned settings (N = 8,
+    u2 a bump of amplitude 1, 40 steps): inert in floating point at
+    criterion 10's, acting at criterion 06's.  A change to eps shows here."""
+
+    @staticmethod
+    def brackets(opts, seeds):
+        cfg = SimConfig(N=8, s=1.0, gamma=0.0, alpha=0.25, dt=0.05)
+        rec = coupling_init(cfg, None, gaussian_bump_pair(8, 1.0), opts, seed=seeds,
+                            batch=(len(seeds),))
+        for _ in range(40):
+            Q, b_plain = cp._plain_bracket(rec)
+            nxt = coupling_step(rec)  # nxt.eps is the eps this step used
+            yield Q, nxt.eps, b_plain, cp._moll_bracket(rec, Q, nxt.eps)
+            rec = nxt
+
+    def test_inert_at_criterion_10(self):
+        opts = CouplingOptions(eps_every=10, dt_grid=1.0)
+        for Q, eps, b_plain, b_moll in self.brackets(opts, list(range(900, 920))):
+            assert np.array_equal(mollify(Q, eps), Q)
+            assert np.all(l2_norm(b_moll - b_plain) <= 1e-14 * l2_norm(b_plain))
+
+    def test_acting_at_criterion_06(self):
+        opts = CouplingOptions(eps_every=5, dt_grid=0.5, norm_exp=5.0)
+        ratio = max(float(np.max(l2_norm(b_moll - b_plain) / l2_norm(b_plain)))
+                    for _, _, b_plain, b_moll in self.brackets(opts, list(range(30, 40))))
+        assert ratio > 1e-8
 
 
 class TestShiftedFlow:

@@ -38,7 +38,7 @@ from sdnlw.spectral import (
     zero_pair,
 )
 from sdnlw import spectral
-from _utils import coarsen, fine_increments, nonlinearity, zero_increments
+from _utils import coarsen, fine_increments, nonlinearity, run_table, zero_increments
 
 RNG = np.random.default_rng(12)
 
@@ -86,7 +86,7 @@ class TestVStep:
     def test_zero_fixed_point(self):
         cfg = SimConfig(N=4, gamma=0.0, dt=0.05).check()
         st = flow_init(cfg)
-        st = run_steps(st, 40, incr_table=zero_increments(4, cfg.dt, 40))
+        st = run_table(v_step, st, zero_increments(4, cfg.dt, 40))
         assert np.all(st.v == 0)
         assert np.all(full_flow(st) == 0)
 
@@ -100,7 +100,7 @@ class TestVStep:
             c = dataclasses.replace(cfg, dt=d)
             st = flow_init(c, u0, seed=42)
             table = coarsen(fine, round(d / min(deltas)), d)
-            sols[d] = full_flow(run_steps(st, len(table), incr_table=table))
+            sols[d] = full_flow(run_table(v_step, st, table))
         errs = [float(hnorm(sols[d] - sols[d / 2])) for d in deltas[:3]]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(1.7 <= r <= 2.3 for r in ratios)
@@ -114,7 +114,7 @@ class TestVStep:
             c = dataclasses.replace(cfg, dt=d)
             st = flow_init(c, u0, seed=1)
             n = round(T / d)
-            sols[d] = full_flow(run_steps(st, n, incr_table=zero_increments(8, d, n)))
+            sols[d] = full_flow(run_table(v_step, st, zero_increments(8, d, n)))
         errs = [float(hnorm(sols[d] - sols[d / 2])) for d in deltas[:3]]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(3.4 <= r <= 4.6 for r in ratios)
@@ -149,7 +149,7 @@ class TestVStep:
         # u0 into the flow's initial data, so full_flow solves the same ODE
         st = flow_init(cfg, u0, seed=0)
         n = round(T / cfg.dt)
-        st = run_steps(st, n, incr_table=zero_increments(N, cfg.dt, n))
+        st = run_table(v_step, st, zero_increments(N, cfg.dt, n))
         got = full_flow(st)
         assert float(hnorm(got - oracle)) < 1e-6
 
@@ -159,7 +159,7 @@ class TestVStep:
         huge[0, 2, 2] = 50.0
         st = flow_init(cfg, huge, seed=0)
         with pytest.raises(BlowUpError):
-            run_steps(st, 50, incr_table=zero_increments(2, cfg.dt, 50))
+            run_table(v_step, st, zero_increments(2, cfg.dt, 50))
 
     @pytest.mark.parametrize("seed, batch", [(3, (3,)), ([1, 2, 3], (1,)),
                                              ([1, 2, 3], ()), (list(range(5)), (3,))])
@@ -188,9 +188,8 @@ class TestVStep:
         incr = fine_increments(4, cfg.dt, 50, 17)
         plus = flow_init(cfg, u0, seed=17)
         minus = flow_init(cfg, -u0, seed=17)
-        plus = run_steps(plus, 50, incr_table=[NoiseIncrement(c, cfg.dt) for c in incr])
-        minus = run_steps(minus, 50,
-                          incr_table=[NoiseIncrement(-c, cfg.dt) for c in incr])
+        plus = run_table(v_step, plus, [NoiseIncrement(c, cfg.dt) for c in incr])
+        minus = run_table(v_step, minus, [NoiseIncrement(-c, cfg.dt) for c in incr])
         assert float(hnorm(full_flow(plus) + full_flow(minus))) < 1e-12
 
     def test_linearity_with_cubic_disabled(self):

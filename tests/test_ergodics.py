@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from sdnlw import dynamics, noise
-from sdnlw.config import SimConfig
-from sdnlw.coupling import d_n
+from sdnlw import coupling, dynamics, ergodics, noise
+from sdnlw.config import ConfigError, SimConfig
+from sdnlw.coupling import CouplingOptions, d_n
 from sdnlw.ergodics import (
     ObservableSeries,
     autocorr_time,
@@ -17,11 +17,10 @@ from sdnlw.ergodics import (
     register_observable,
     sample_trajectory,
     time_averages,
-    two_start_convergence,
 )
 from sdnlw.noise import sample_stick_at
 from sdnlw.spectral import gaussian_bump_pair, random_pair, zero_pair
-from _utils import compare_starts_separately
+from _utils import compare_starts_separately, two_start_convergence
 
 RNG = np.random.default_rng(77)
 
@@ -166,8 +165,8 @@ class TestExperiments:
         cfg = SimConfig(N=4, s=1.0, gamma=0.0, dt=0.05, obs_interval=0.25,
                         observables=("mean_u2",))
         u0 = gaussian_bump_pair(4, 0.5)
-        rep = two_start_convergence(cfg, u0, u0, T=2.0, seeds=[3, 4, 5],
-                                    dn_every=1.0)
+        rep = compare_starts(cfg, u0, u0, T=2.0, seeds=[3, 4, 5],
+                             coupling_opts=CouplingOptions(eps_every=10), dn_every=1.0)
         d = rep["observables"]["mean_u2"]
         assert d["diff"] == 0.0
         assert rep["coupled_dn"]["final"] == 0.0
@@ -176,9 +175,8 @@ class TestExperiments:
         cfg = SimConfig(N=4, s=1.0, gamma=0.0, dt=0.05, obs_interval=0.25,
                         observables=("mean_u2", "clipped_halpha"))
         u2 = gaussian_bump_pair(4, 1.0)
-        rep = two_start_convergence(cfg, None, u2, T=40.0,
-                                    seeds=[100 + i for i in range(6)],
-                                    dn_every=5.0)
+        rep = compare_starts(cfg, None, u2, T=40.0, seeds=[100 + i for i in range(6)],
+                             coupling_opts=CouplingOptions(eps_every=10), dn_every=5.0)
         for d in rep["observables"].values():
             assert d["within_3se"]
         dn = rep["coupled_dn"]["values"]
@@ -253,3 +251,86 @@ class TestLockstep:
             monkeypatch.setattr(mod, "sample_increment", counting)
         compare_starts(self.config(), None, gaussian_bump_pair(4, 1.0), 1.0, [3, 4, 5])
         assert len(calls) == 20  # T / dt, for the one seed chunk
+
+
+class TestCoupledStarts:
+    """With ``coupling_opts`` the coupling record carries the first start's
+    flow inside ``compare_starts``; its report must equal the oracle that
+    steps that flow a second time in its own record loop."""
+
+    CFG = SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, obs_interval=0.25,
+                    observables=("mean_u2", "clipped_halpha"))
+    OPTS = CouplingOptions(eps_every=10)
+
+    @staticmethod
+    def starts():
+        u1 = 0.3 * random_pair(4, np.random.default_rng(5), decay=2.0)
+        return u1, u1 + gaussian_bump_pair(4, 0.05)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_equals_the_oracle(self, monkeypatch, workers):
+        # uneven chunks at two workers (5 seeds: 3 + 2), two different starts
+        monkeypatch.setenv("SDNLW_WORKERS", "1")
+        u1, u2 = self.starts()
+        seeds = [21, 22, 23, 24, 25]
+        want = two_start_convergence(self.CFG, u1, u2, 2.0, seeds, self.OPTS, 1, 0.5)
+        monkeypatch.setenv("SDNLW_WORKERS", workers)
+        got = compare_starts(self.CFG, u1, u2, 2.0, seeds, self.OPTS, 1, 0.5)
+        assert got.keys() == want.keys()
+        assert got["observables"] == want["observables"]
+        assert (got["seeds"], got["T"]) == (want["seeds"], want["T"])
+        dn, dn_want = got["coupled_dn"], want["coupled_dn"]
+        assert dn.keys() == dn_want.keys()
+        for key in ("times", "values"):
+            assert dn[key].dtype == dn_want[key].dtype
+            assert np.array_equal(dn[key], dn_want[key])
+        for key in ("n", "final"):
+            assert type(dn[key]) is type(dn_want[key]) and dn[key] == dn_want[key]
+        assert 0.0 < dn["final"] < 1.0  # d_1 neither zero nor saturated
+
+    def test_one_draw_and_one_flow_step_per_start(self, monkeypatch):
+        # the record's flow is start 1's flow: 20 steps draw 20 increments
+        # and make 40 flow steps, none of them a second run of start 1
+        monkeypatch.setenv("SDNLW_WORKERS", "1")
+        draws, flow_steps = [], []
+
+        def counting(calls, real):
+            return lambda *args, **kw: calls.append(args) or real(*args, **kw)
+
+        draw = counting(draws, noise.sample_increment)
+        step = counting(flow_steps, dynamics.v_step)
+        for mod in (noise, dynamics):
+            monkeypatch.setattr(mod, "sample_increment", draw)
+        for mod in (coupling, ergodics):
+            monkeypatch.setattr(mod, "v_step", step)
+        u1, u2 = self.starts()
+        compare_starts(self.CFG, u1, u2, 1.0, [3, 4, 5], self.OPTS, 1, 0.5)
+        assert (len(draws), len(flow_steps)) == (20, 40)
+
+    @pytest.mark.parametrize("T, dn_every, match", [
+        (2.0, 0.0, "dn_every: must be > 0"),
+        (2.0, -1.0, "dn_every: must be > 0"),
+        (2.0, 0.75, "dn_every: 2.0 is not a whole multiple of 0.75"),
+        (2.1, 0.07, "dn_every: 0.07 is not a whole multiple of 0.05"),
+    ])
+    def test_bad_dn_every_refused_before_any_step(self, monkeypatch, T, dn_every, match):
+        def no_worker(payload):
+            raise AssertionError("a seed chunk started")
+
+        monkeypatch.setenv("SDNLW_WORKERS", "1")
+        monkeypatch.setattr(ergodics, "_averages_worker", no_worker)
+        u1, u2 = self.starts()
+        with pytest.raises(ConfigError, match=match):
+            compare_starts(self.CFG, u1, u2, T, [3, 4], self.OPTS, 1, dn_every)
+
+    @pytest.mark.parametrize("dn_n", [0, -3, 0.5])
+    def test_bad_dn_n_refused(self, monkeypatch, dn_n):
+        def no_step(*args, **kw):
+            raise AssertionError("a coupling step ran")
+
+        # refused at the d_n of t = 0, before the first step
+        monkeypatch.setenv("SDNLW_WORKERS", "1")
+        monkeypatch.setattr(ergodics, "coupling_step", no_step)
+        u1, u2 = self.starts()
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            compare_starts(self.CFG, u1, u2, 1.0, [3, 4], self.OPTS, dn_n, 0.5)

@@ -27,7 +27,7 @@ from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse
 from sdnlw.coupling import CouplingOptions, coupling_distance, coupling_init, \
     run_coupling, shifted_flow_check
 from sdnlw.dynamics import flow_init, full_flow, run_steps
-from sdnlw.ergodics import compare_starts, two_start_convergence, worker_count
+from sdnlw.ergodics import compare_starts, worker_count
 from sdnlw.runner import fmt_float, simulate_run
 from sdnlw.spectral import gaussian_bump_pair, hnorm, random_pair
 
@@ -236,9 +236,9 @@ class TestRunner:
     @pytest.mark.parametrize("seeds", [[], [5]])
     def test_too_few_seeds_refused(self, seeds):
         cfg = SimConfig(N=2, s=1.0, dt=0.05, observables=("mean_u2",))
-        for run in (compare_starts, two_start_convergence):
+        for opts in (None, CouplingOptions(eps_every=10)):
             with pytest.raises(ValueError, match="seeds"):
-                run(cfg, None, None, 0.5, seeds)
+                compare_starts(cfg, None, None, 0.5, seeds, coupling_opts=opts)
 
     def test_unguarded_script_fails_fast(self, tmp_path):
         # a spawn pool started from a script without a main guard: the
@@ -539,7 +539,6 @@ KEPT_WITHOUT_CALLER = {
     "modified_energy_F": "the paper's drift functional F",
     "krylov_bogolyubov_diagnostic": "the paper's tightness table",
     "linear_moment_report": "criterion 03's subject: the linear flow against its law",
-    "two_start_convergence": "criterion 10's subject: two starts and the coupled d_n",
 }
 
 
@@ -568,17 +567,20 @@ class TestPublicSurface:
         trees = {p: ast.parse(p.read_text()) for p in
                  package + sorted((root / "perfbench").glob("*.py"))}
         total = sum((_referenced_names(t) for t in trees.values()), Counter())
-        defined, orphans = set(), []
+        defined, orphans, stale = set(), [], []
         for path in package:
             for node in trees[path].body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                         and not node.name.startswith("_"):
                     defined.add(node.name)
-                    own = _referenced_names(node)[node.name]
-                    if total[node.name] == own and node.name not in sdnlw.__all__ \
-                            and node.name not in KEPT_WITHOUT_CALLER:
+                    called = total[node.name] > _referenced_names(node)[node.name]
+                    if node.name in KEPT_WITHOUT_CALLER:
+                        if called:
+                            stale.append(f"{path.stem}.{node.name}")
+                    elif not called and node.name not in sdnlw.__all__:
                         orphans.append(f"{path.stem}.{node.name}")
         assert orphans == [], "no caller in src/sdnlw or perfbench; move to tests/_utils.py"
+        assert stale == [], "has a caller in src/sdnlw or perfbench; drop from the list"
         assert set(KEPT_WITHOUT_CALLER) <= defined
 
     def test_all_is_explicit_and_complete(self):
