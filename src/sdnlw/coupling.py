@@ -58,12 +58,13 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .config import SimConfig, steps
-from .dynamics import FlowState, _check_blowup, cube_grid_size, flow_init, full_flow, \
-    next_increment, v_step
+from .dynamics import FlowState, _check_blowup, _check_fits_paths, cube_grid_size, \
+    flow_init, full_flow, next_increment, v_step
 from .noise import NoiseIncrement, StickState
 from .propagator import _half_spectrum_weights, apply_tables, kick_tables, \
     mode_sum_bound, propagator_tables, xalpha_norm
 from .spectral import (
+    _quadrature_blocks,
     bracket_table,
     dealiased_product,
     grad2_table,
@@ -123,7 +124,8 @@ def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float, pad: float = 2.0):
 
 def _wick_norms(psi: np.ndarray, gamma: float):
     """|wick2|_{L^4} and |wick3|_{L^2} by quadrature over the samples psi,
-    with wick2 = psi^2 - gamma and wick3 = (psi^2 - 3 gamma) psi."""
+    with wick2 = psi^2 - gamma and wick3 = (psi^2 - 3 gamma) psi, per row of
+    a (rows, M, M) block of samples."""
     psi2 = psi * psi
     w2 = psi2 - gamma
     w3 = (psi2 - 3.0 * gamma) * psi
@@ -170,8 +172,9 @@ class TauMMonitor:
     comparisons and an inf bound the cap, so their rows are always
     evaluated.  The stick pair is evaluated on its own rows,
     psi and both Wick powers on theirs, gathered by a boolean mask as
-    ``weighted_sup_norm`` gathers its grid times; a row's norms do not
-    depend on the batch it is evaluated in.  A skipped norm enters the max
+    ``weighted_sup_norm`` gathers its grid times, and sampled in path
+    blocks of ``spectral.CHUNK_BYTES``; a row's norms do not depend on the
+    batch or the block it is evaluated in.  A skipped norm enters the max
     as 0, and the max is exact, so ``running_max``, ``stopped`` and
     ``stop_time`` are bit-identical to evaluating every norm on every path.
     """
@@ -219,8 +222,9 @@ class TauMMonitor:
             n_stick[need_pair] = pair_norm(stick_pair[need_pair], self.alpha, p,
                                            self.pad)
         if need_psi.any():
-            psi = to_physical(stick_pair[..., 0, :, :][need_psi], M_quad)
-            n_w2[need_psi], n_w3[need_psi] = _wick_norms(psi, self.gamma)
+            n_w2[need_psi], n_w3[need_psi] = _quadrature_blocks(
+                stick_pair[..., 0, :, :][need_psi], M_quad,
+                lambda psi: _wick_norms(psi, self.gamma))
         running_max = np.maximum(self.running_max,
                                  np.maximum.reduce((n_stick, n_w2, n_w3)))
         newly = (running_max > self.M) & ~self.stopped
@@ -258,7 +262,7 @@ class CouplingRecord:
     Girsanov cost, and the tau_M flags (shared noise, shared clock)."""
 
     flow: FlowState          # reference flow Phi_t(u1^0, xi)
-    lin_diff: np.ndarray     # S(t) (u2^0 - u1^0), evolved per step
+    lin_diff: np.ndarray     # S(t) (u2^0 - u1^0), evolved per step; data batch shape
     w: np.ndarray
     hcost: np.ndarray        # int_0^t |h|_{L2}^2 dr
     log_density: np.ndarray  # running log E(h)
@@ -280,19 +284,21 @@ class CouplingRecord:
 def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
                   opts: CouplingOptions | None = None, seed=None,
                   batch: tuple = (), monitor_M: float | None = None) -> CouplingRecord:
+    """A fresh record.  ``lin_diff`` carries no noise: like the flow's
+    ``u0`` and ``lin`` it keeps the batch shape of the data and broadcasts
+    against the paths, and X^alpha of the difference, which does not
+    depend on the batch, is evaluated once at that shape."""
     opts = opts or CouplingOptions()
     flow = flow_init(cfg, u1_0, seed=seed, batch=batch)
     b = flow.batch
-    # X^alpha of a path does not depend on its batch, so the difference of
-    # unbatched data is evaluated once and then broadcast with its value
-    u1 = zero_pair(cfg.N) if u1_0 is None else resize(u1_0, cfg.N)
-    diff0 = resize(u2_0, cfg.N) - u1
+    diff0 = resize(u2_0, cfg.N) - flow.u0  # a new array, not the caller's
+    _check_fits_paths("u2_0", diff0, b)
     xnorm = xalpha_norm(diff0, cfg.alpha, dt_grid=opts.dt_grid, pad=cfg.M_pad)
     monitor = None
     if monitor_M is not None:
         monitor = TauMMonitor(monitor_M, cfg.alpha, cfg.gamma, cfg.M_pad, b)
     return CouplingRecord(
-        flow=flow, lin_diff=np.broadcast_to(diff0, b + diff0.shape[-3:]).copy(),
+        flow=flow, lin_diff=diff0,
         w=zero_pair(cfg.N, b), hcost=np.zeros(b), log_density=np.zeros(b),
         diff0_xnorm=np.broadcast_to(xnorm, b).copy(), eps=np.ones(b),
         h_last=zero_field(cfg.N, b), opts=opts, monitor=monitor)
@@ -357,10 +363,12 @@ def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
 
 
 def coupling_step(record: CouplingRecord, incr: NoiseIncrement | None = None, *,
-                  stick: StickState | None = None) -> CouplingRecord:
+                  stick: StickState | None = None,
+                  half_stick: StickState | None = None) -> CouplingRecord:
     """One shared-clock step: advance u1 (same noise), w, the h cost and
     the discrete Girsanov density; h is computed before the increment is
-    revealed (predictable).  ``incr`` and ``stick`` are handed to ``v_step``."""
+    revealed (predictable).  ``incr``, ``stick`` and ``half_stick`` are
+    handed to ``v_step``."""
     flow = record.flow
     cfg = flow.cfg
     N, delta = cfg.N, cfg.dt
@@ -394,7 +402,7 @@ def coupling_step(record: CouplingRecord, incr: NoiseIncrement | None = None, *,
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
     _check_blowup(w_new, cfg, flow.t + delta, "w")
-    flow_new = v_step(flow, incr, x0_phys=p_ph, stick=stick)
+    flow_new = v_step(flow, incr, x0_phys=p_ph, stick=stick, half_stick=half_stick)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 
     return replace(record, flow=flow_new, lin_diff=lin_diff_new, w=w_new,

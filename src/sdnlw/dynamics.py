@@ -71,13 +71,20 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowState:
-    """One trajectory (or a batch) of the truncated flow."""
+    """One trajectory (or a batch) of the truncated flow.
+
+    Only the stick and v differ between paths and carry the batch.  The
+    initial data and its evolution S(t) u0 carry no noise: they keep the
+    batch shape of the data, one (2, K, K) pair for a single datum, and
+    broadcast against the paths wherever the flow is assembled, so a step
+    applies S(dt) to one pair, not to one per path.
+    """
 
     cfg: SimConfig
-    u0: np.ndarray       # (..., 2, K, K) initial data
-    lin: np.ndarray      # S(t) u0, evolved incrementally
+    u0: np.ndarray       # (..., 2, K, K) initial data, the data's batch shape
+    lin: np.ndarray      # S(t) u0, evolved incrementally, the data's batch shape
     stick: StickState
-    v: np.ndarray        # remainder pair, zero at t = 0
+    v: np.ndarray        # remainder pair, zero at t = 0, one per path
 
     @property
     def t(self) -> float:
@@ -92,20 +99,35 @@ class FlowState:
         return self.v.shape[:-3]
 
 
+def _check_fits_paths(name: str, data: np.ndarray, paths: tuple) -> None:
+    """Refuse data whose batch does not broadcast to the paths' batch."""
+    try:
+        fits = np.broadcast_shapes(data.shape[:-3], paths) == paths
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"{name}: batch {data.shape[:-3]} does not broadcast "
+                         f"to the paths' batch {paths}")
+
+
 def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
               batch: tuple = (), step0: int = 0) -> FlowState:
-    """Fresh flow state; ``step0`` offsets the noise lineage (restarts)."""
+    """Fresh flow state; ``step0`` offsets the noise lineage (restarts).
+
+    The paths' batch is ``batch``, or the data's when ``batch`` is ().  The
+    state keeps its own copy of ``u0`` at the data's batch shape (class
+    docstring), so a later write to the caller's array changes nothing.
+    """
     N = cfg.N
-    K = 2 * N + 1
     if u0 is None:
-        u0 = zero_pair(N, batch)
+        u0 = zero_pair(N)
     else:
-        u0 = spectral.resize(u0, N)  # cropping is the sharp projection
-        if batch and u0.shape[:-3] != batch:
-            u0 = np.broadcast_to(u0, batch + (2, K, K)).copy()
+        u0 = spectral.resize(u0, N).copy()  # cropping is the sharp projection
+    paths = tuple(batch) or u0.shape[:-3]
+    _check_fits_paths("u0", u0, paths)
     if seed is None:
         seed = cfg.seed
-    st = noise_mod.stick_init(N, cfg.s, seed, u0.shape[:-3])
+    st = noise_mod.stick_init(N, cfg.s, seed, paths)
     st = replace(st, step=step0)
     return FlowState(cfg, u0, u0.copy(), st, zero_pair(N, st.batch))
 
@@ -150,24 +172,36 @@ def next_increment(state: FlowState) -> NoiseIncrement:
                             state.stick.step)
 
 
-def _check_next_stick(state: FlowState, stick: StickState) -> None:
-    """Refuse a stick that is not one step ahead of the state's own stick
-    on the same paths."""
+def _check_next_stick(state: FlowState, stick: StickState, name: str,
+                      delta: float) -> None:
+    """Refuse a stick that is not the state's own stick advanced over
+    ``delta`` on the same paths: one step ahead on the same batch and
+    seeds, at t + delta; the ValueError names the parameter."""
     own = state.stick
     if stick.step != own.step + 1:
-        raise ValueError(f"stick: at step {stick.step}, the state's next step "
+        raise ValueError(f"{name}: at step {stick.step}, the state's next step "
                          f"is {own.step + 1}")
     if stick.batch != own.batch:
-        raise ValueError(f"stick: batch {stick.batch} differs from the state's "
+        raise ValueError(f"{name}: batch {stick.batch} differs from the state's "
                          f"{own.batch}")
     if stick.seed is not own.seed and not np.array_equal(stick.seed, own.seed):
-        raise ValueError(f"stick: seeds {stick.seed!r} differ from the state's "
+        raise ValueError(f"{name}: seeds {stick.seed!r} differ from the state's "
                          f"{own.seed!r}")
+    if stick.t != own.t + delta:
+        raise ValueError(f"{name}: at t = {stick.t!r}, expected {own.t + delta!r}")
+
+
+def _midpoint_stick(stick: StickState, delta: float, incr: NoiseIncrement) -> StickState:
+    """The stick the midpoint predictor reads: advanced over delta/2 by
+    half of the step's increment."""
+    return noise_mod.stick_step_shared(
+        stick, 0.5 * delta, NoiseIncrement(0.5 * incr.coeffs, 0.5 * delta))
 
 
 def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
            x0_phys: np.ndarray | None = None,
-           stick: StickState | None = None) -> FlowState:
+           stick: StickState | None = None,
+           half_stick: StickState | None = None) -> FlowState:
     """Advance stick and remainder by one step of length cfg.dt of the
     chosen integrator; ``incr`` overrides the lineage draw and must be
     drawn for that step length.  ``x0_phys`` is pi1 of the state's full
@@ -175,12 +209,20 @@ def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
     ``nonlinearity_field``).  ``stick`` is the state's stick already
     advanced by ``incr``, when the caller has stepped it for several
     states on the same noise; it must be one step ahead on the same
-    seeds (a ValueError naming ``stick`` otherwise)."""
+    seeds (a ValueError naming ``stick`` otherwise).  ``half_stick`` is,
+    in the same way, the midpoint integrator's half-step stick
+    (``_midpoint_stick`` of the state's stick); only that integrator
+    takes it."""
     cfg = state.cfg
     delta = cfg.dt
     N = cfg.N
     if stick is not None:
-        _check_next_stick(state, stick)
+        _check_next_stick(state, stick, "stick", delta)
+    if half_stick is not None:
+        if cfg.integrator != "midpoint":
+            raise ValueError(f"half_stick: the {cfg.integrator} integrator takes "
+                             "no half-step stick")
+        _check_next_stick(state, half_stick, "half_stick", 0.5 * delta)
     if incr is None:
         incr = next_increment(state)
     tab = propagator_tables(N, delta)
@@ -196,10 +238,10 @@ def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
         nl0 = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
                                  x0_phys)
         lin_h = apply_tables(half, state.lin)
-        stick_h = noise_mod.stick_step_shared(
-            state.stick, 0.5 * delta, NoiseIncrement(0.5 * incr.coeffs, 0.5 * delta))
+        if half_stick is None:
+            half_stick = _midpoint_stick(state.stick, delta, incr)
         v_h = apply_tables(half, state.v) - 0.5 * delta * kick_tables(half, nl0)
-        nl_mid = nonlinearity_field(lin_h, stick_h.value, v_h, cfg.gamma, N)
+        nl_mid = nonlinearity_field(lin_h, half_stick.value, v_h, cfg.gamma, N)
         v_new = apply_tables(tab, state.v) - delta * kick_tables(half, nl_mid)
     else:
         raise ValueError(f"unknown integrator {cfg.integrator!r}")

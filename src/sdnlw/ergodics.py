@@ -3,7 +3,8 @@ convergence experiment.
 
 ``compare_starts`` (behind ``sdnlw ergodic`` and criterion 10) steps its
 two starts in lockstep on the same seeds: one white-noise increment and
-one stochastic convolution per step serve both (synchronous coupling), and
+one stochastic convolution per step serve both (synchronous coupling), as
+does, under the midpoint integrator, one half-step stochastic convolution;
 with coupling options a coupling record toward the second start carries
 the first start's flow.  The seeds are split over one spawn process pool
 sized by SDNLW_WORKERS; a path's numbers depend only on its seed and the
@@ -37,7 +38,8 @@ from . import coupling as coupling_mod
 from . import noise as noise_mod
 from .config import ConfigError, SimConfig, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
-from .dynamics import FlowState, flow_init, full_flow, next_increment, v_step
+from .dynamics import FlowState, _midpoint_stick, flow_init, full_flow, next_increment, \
+    v_step
 from .propagator import weighted_sup_norm
 from .spectral import dealiased_product, hnorm, integral, mean_square, pair_norm
 
@@ -202,14 +204,17 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
     times = [0.0]
     values = [{name: [np.asarray(fn(full_flow(state), cfg))] for name, fn in fns.items()}
               for state in states]
+    midpoint = cfg.integrator == "midpoint" and not cfg.linear_only
     for k in range(n_steps):
         incr = next_increment(states[0])
         stick = noise_mod.stick_step_shared(states[0].stick, cfg.dt, incr)
+        half = _midpoint_stick(states[0].stick, cfg.dt, incr) if midpoint else None
         if coupled is None:
-            states = [v_step(state, incr, stick=stick) for state in states]
+            states = [v_step(state, incr, stick=stick, half_stick=half)
+                      for state in states]
         else:
-            rec = coupling_step(rec, incr, stick=stick)
-            states = [rec.flow, v_step(states[1], incr, stick=stick)]
+            rec = coupling_step(rec, incr, stick=stick, half_stick=half)
+            states = [rec.flow, v_step(states[1], incr, stick=stick, half_stick=half)]
             if (k + 1) % dn_every == 0:
                 dn_times.append(stick.t)
                 dn_vals.append(coupling_distance(rec, dn_n))

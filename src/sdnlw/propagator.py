@@ -57,7 +57,9 @@ Euclidean norm, and
      without pruning.
 
 The grid is walked in chunks of grid times, with the chunk sized so that
-the physical-grid samples of all paths stay within CHUNK_BYTES.  Per chunk
+the physical-grid samples of all paths stay within spectral.CHUNK_BYTES
+(when one grid time of all paths exceeds it, the quadrature splits the
+gathered rows into path blocks of that budget).  Per chunk
 S(t) v and W(t) come from the tables without any transform; only the
 (path, time) entries that W cannot exclude are gathered and go through
 the transform and quadrature, row by row as in a batched single-time
@@ -78,6 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import spectral
 from .spectral import (
     bracket_table,
     hnorm,
@@ -92,9 +95,6 @@ from .spectral import (
 
 # rigorous Frobenius bound on the H^beta-conjugated mode matrices, see module docstring
 DECAY_CONST = 2.8
-
-# budget for the complex physical-grid samples of one X^alpha chunk (all paths)
-CHUNK_BYTES = 256 * 1024
 
 
 class PropagatorTables(NamedTuple):
@@ -212,7 +212,8 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
     grid, tables = grid_tables(N, float(t_star), float(dt_grid))
     paths = int(np.prod(pair.shape[:-3]))
     # grid times per chunk, at 16 bytes per complex sample
-    g = max(1, CHUNK_BYTES // max(1, paths * quad_grid_size(N, pad) ** 2 * 16))
+    per_time = paths * quad_grid_size(N, pad) ** 2 * 16
+    g = max(1, spectral.CHUNK_BYTES // max(1, per_time))
     # the grid axis sits just before the component axis of the pair
     lifted = pair[..., None, :, :, :]
     best = np.zeros(pair.shape[:-3])

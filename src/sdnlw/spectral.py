@@ -29,6 +29,15 @@ on a zero-padded grid (default padding factor 2, spectrally accurate for
 trigonometric polynomials and exact whenever p is an even integer small
 enough for the padded grid to resolve |g|^p).
 
+Quadrature samples at most CHUNK_BYTES worth of paths at a time (at 16
+bytes per grid point, and at least one path): a batch whose M x M samples
+exceed it is transformed and reduced a block of paths at a time into a
+preallocated result, so the transient memory of a norm does not grow with
+the batch.  A path's c2r samples and
+their mean over the grid do not depend on the rows beside it, so the
+blocks give the values of one whole-batch evaluation bit for bit, and a
+batch that fits in one block is evaluated whole, as before.
+
 Pointwise products are always dealiased: factors are zero-padded to a grid
 large enough that no aliased frequency can land back inside the requested
 output square, so the returned coefficients are the exact convolution.
@@ -38,6 +47,7 @@ All functions are pure; arrays are never mutated in place.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +58,10 @@ except ImportError:  # pragma: no cover
     from numpy import fft as _fft
 
 OMEGA0 = np.sqrt(0.75)  # omega at the zero mode, <0> = sqrt(3/4)
+
+# budget for the physical-grid samples one quadrature block, or one X^alpha
+# chunk, holds at a time (module docstring; propagator)
+CHUNK_BYTES = 256 * 1024
 
 
 class ResolutionError(ValueError):
@@ -290,15 +304,44 @@ def l2_norm(coeffs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))
 
 
+def _quadrature_blocks(coeffs: np.ndarray, M: int, reduce) -> tuple:
+    """``reduce(to_physical(coeffs, M))`` a block of paths at a time.
+
+    ``reduce`` maps samples of shape (rows, M, M) to a tuple of per-row
+    arrays of shape (rows,); each comes back with the batch shape of
+    ``coeffs``.  A batch within CHUNK_BYTES goes through ``reduce`` whole
+    (module docstring).
+    """
+    batch = coeffs.shape[:-2]
+    paths = math.prod(batch)  # np.prod costs a batch-1 norm about 10%
+    rows = max(1, CHUNK_BYTES // (M * M * 16))
+    if paths <= rows:
+        return reduce(to_physical(coeffs, M))
+    flat = coeffs.reshape((paths,) + coeffs.shape[-2:])
+    out = None
+    for start in range(0, paths, rows):
+        sl = slice(start, start + rows)
+        vals = reduce(to_physical(flat[sl], M))
+        if out is None:
+            out = tuple(np.empty(paths, dtype=v.dtype) for v in vals)
+        for o, v in zip(out, vals):
+            o[sl] = v
+    return tuple(o.reshape(batch) for o in out)
+
+
 def lp_norm(coeffs: np.ndarray, p: float, pad: float = 2.0) -> np.ndarray:
-    """L^p(T^2) norm by padded quadrature (p=2 via Plancherel)."""
+    """L^p(T^2) norm by padded quadrature (p=2 via Plancherel), in path
+    blocks of CHUNK_BYTES (module docstring)."""
     if p == 2.0:
         return l2_norm(coeffs)
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    N = truncation_of(coeffs)
-    phys = to_physical(coeffs, quad_grid_size(N, pad))
-    return np.mean(np.abs(phys) ** p, axis=(-2, -1)) ** (1.0 / p)
+    M = quad_grid_size(truncation_of(coeffs), pad)
+
+    def norm(phys):
+        return (np.mean(np.abs(phys) ** p, axis=(-2, -1)) ** (1.0 / p),)
+
+    return _quadrature_blocks(coeffs, M, norm)[0]
 
 
 def sobolev_norm(coeffs: np.ndarray, alpha: float, p: float = 2.0,

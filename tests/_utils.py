@@ -1,13 +1,14 @@
 """Shared test helpers: deterministic fields, fixed-noise-path runners, the
 FFT backend switch, and the oracles the package's fast routes are checked
 against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
-route, the one-time-per-pass sup norm, the expanded-coefficient
-nonlinearity, the tau_M norms on every path, the standalone Girsanov
-density, the two-start comparison with one run per start, the coupled
-two-start comparison with a second record loop, the two-pass trapezoid
-shifted-flow check), and small diagnostics only the tests use (the
-single-mode propagator matrix, the wave-equation finite-difference
-residual, the Hermitian defect, the Wick-ordering preset gamma_*)."""
+route, the whole-batch quadrature, the one-time-per-pass sup norm, the
+expanded-coefficient nonlinearity, the tau_M norms on every path, the
+standalone Girsanov density, the two-start comparison with one run per
+start, the coupled two-start comparison with a second record loop, the
+two-pass trapezoid shifted-flow check), and small diagnostics only the
+tests use (the single-mode propagator matrix, the wave-equation
+finite-difference residual, the Hermitian defect, the Wick-ordering preset
+gamma_*)."""
 
 import dataclasses
 import importlib
@@ -23,8 +24,8 @@ from sdnlw.ergodics import compare_averages, compare_starts, sample_trajectory, 
     time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
-from sdnlw.spectral import dealiased_product, grad2_table, hnorm, l2_norm, \
-    lattice_size, mode_range, pair_norm, project_leq, quad_grid_size, reflect, \
+from sdnlw.spectral import bracket_multiplier, dealiased_product, grad2_table, hnorm, \
+    l2_norm, lattice_size, mode_range, pair_norm, project_leq, quad_grid_size, reflect, \
     resize, to_physical, truncation_of, zero_field, zero_pair
 
 
@@ -148,9 +149,17 @@ def girsanov_log_density(h_fields, increments, delta: float):
     return total
 
 
+def lp_norm_whole(coeffs, p: float, pad: float = 2.0):
+    """Every path sampled in one transform: the oracle for the path blocks
+    of ``spectral.lp_norm``."""
+    phys = to_physical(coeffs, quad_grid_size(truncation_of(coeffs), pad))
+    return np.mean(np.abs(phys) ** p, axis=(-2, -1)) ** (1.0 / p)
+
+
 def tau_m_norms(stick_pair, alpha: float, gamma: float, pad: float = 2.0):
-    """The three tau_M norms (stick pair, wick2, wick3) of every path: the
-    oracle for the certified skip in ``coupling.TauMMonitor.update``."""
+    """The three tau_M norms (stick pair, wick2, wick3) of every path, each
+    quadrature over the whole batch: the oracle for the certified skip and
+    the path blocks in ``coupling.TauMMonitor.update``."""
     N = truncation_of(stick_pair)
     M_quad = quad_grid_size(N, pad)
     psi = to_physical(stick_pair[..., 0, :, :], M_quad)
@@ -158,7 +167,10 @@ def tau_m_norms(stick_pair, alpha: float, gamma: float, pad: float = 2.0):
     w2 = psi2 - gamma
     w3 = (psi2 - 3.0 * gamma) * psi
     w2sq = w2 * w2
-    n_stick = pair_norm(stick_pair, alpha, 4.0 / alpha, pad)
+    p = 4.0 / alpha
+    a = lp_norm_whole(bracket_multiplier(stick_pair[..., 0, :, :], alpha), p, pad)
+    b = lp_norm_whole(bracket_multiplier(stick_pair[..., 1, :, :], alpha - 1.0), p, pad)
+    n_stick = (a**p + b**p) ** (1.0 / p)
     n_w2 = np.mean(w2sq * w2sq, axis=(-2, -1)) ** 0.25
     n_w3 = np.sqrt(np.mean(w3 * w3, axis=(-2, -1)))
     return n_stick, n_w2, n_w3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdnlw import coupling as cp
-from sdnlw import verify
+from sdnlw import spectral, verify
 from sdnlw.config import SimConfig
 from sdnlw.coupling import (
     CouplingOptions,
@@ -30,6 +30,7 @@ from sdnlw.spectral import (
     hnorm,
     l2_norm,
     random_field,
+    quad_grid_size,
     random_pair,
     resize,
     sobolev_norm,
@@ -95,8 +96,9 @@ def make_record(amplitude=0.5, N=4, gamma=0.3, seed=5, steps=0, batch=(),
 class TestCouplingInit:
     @pytest.mark.parametrize("u1", ["zero", "one pair", "batched"])
     def test_difference_norm_equals_batch_evaluation(self, u1):
-        # unbatched data: X^alpha of the difference is evaluated once and
-        # broadcast, which must equal evaluating the broadcast batch row by row
+        # the difference keeps the data's batch shape and its X^alpha is
+        # evaluated once at that shape, which must equal evaluating the
+        # broadcast batch row by row
         cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
         batch = (6,)
         u1_0 = {"zero": None, "one pair": 0.1 * random_pair(4, RNG),
@@ -106,8 +108,63 @@ class TestCouplingInit:
         rec = coupling_init(cfg, u1_0, u2_0, opts, seed=list(range(6)), batch=batch)
         diff = resize(u2_0, 4) - rec.flow.u0
         assert np.array_equal(rec.lin_diff, diff)
+        rows = np.broadcast_to(diff, batch + diff.shape[-3:])
         assert np.array_equal(rec.diff0_xnorm,
-                              xalpha_norm(diff, 0.25, dt_grid=1.0, pad=cfg.M_pad))
+                              xalpha_norm(rows, 0.25, dt_grid=1.0, pad=cfg.M_pad))
+
+
+class TestHeldOnce:
+    """The noise-free parts, u0, S(t) u0 and S(t) udiff, keep the data's
+    batch shape and broadcast against the paths."""
+
+    CFG = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+    OPTS = CouplingOptions(eps_every=2, dt_grid=1.0)
+
+    @pytest.mark.parametrize("data_batch", [(), (3,)])
+    def test_parts_keep_the_data_batch(self, data_batch):
+        u1 = 0.3 * random_pair(4, RNG, decay=2.0, batch=data_batch)
+        rec = coupling_init(self.CFG, u1, gaussian_bump_pair(4, 0.5), self.OPTS,
+                            seed=[5, 6, 7], batch=(3,), monitor_M=3.0)
+        rec = run_coupling(rec, 3)
+        pair = (2, 9, 9)
+        for arr in (rec.flow.u0, rec.flow.lin, rec.lin_diff):
+            assert arr.shape == data_batch + pair
+        for arr in (rec.flow.v, rec.flow.stick.value, rec.w):
+            assert arr.shape == (3,) + pair
+
+    def test_rows_equal_lone_runs(self):
+        # a lone run has batch (1,): at batch () numpy's scalar ** can move
+        # the last bit of eps (README, Reproducibility)
+        u1 = 0.3 * random_pair(4, RNG, decay=2.0)
+        u2 = u1 + gaussian_bump_pair(4, 0.5)
+        seeds = [5, 6, 7]
+        rec = run_coupling(coupling_init(self.CFG, u1, u2, self.OPTS, seed=seeds,
+                                         batch=(3,), monitor_M=0.8), 6)
+        assert 0 < rec.monitor.stopped.sum() < 3 and not np.all(rec.w == 0)
+        for i, seed in enumerate(seeds):
+            lone = run_coupling(coupling_init(self.CFG, u1, u2, self.OPTS, seed=[seed],
+                                              batch=(1,), monitor_M=0.8), 6)
+            for name in ("w", "hcost", "log_density", "eps", "h_last", "diff0_xnorm"):
+                assert np.array_equal(getattr(rec, name)[i], getattr(lone, name)[0]), name
+            assert np.array_equal(full_flow(rec.flow)[i], full_flow(lone.flow)[0])
+            for name in ("running_max", "stopped", "stop_time"):
+                assert np.array_equal(getattr(rec.monitor, name)[i],
+                                      getattr(lone.monitor, name)[0]), name
+
+    def test_caller_data_not_aliased(self):
+        # a later write to the caller's arrays changes neither the record
+        # nor its next step
+        u1 = 0.3 * random_pair(4, RNG, decay=2.0)
+        u2 = u1 + gaussian_bump_pair(4, 0.5)
+        rec = coupling_init(self.CFG, u1, u2, self.OPTS, seed=3)
+        want = coupling_step(rec)
+        u1[0, 4, 4] = u2[0, 4, 4] = 99.0
+        assert_fields_equal(coupling_step(rec), want)
+
+    def test_data_not_fitting_the_paths_refused(self):
+        with pytest.raises(ValueError, match=r"^u2_0: batch \(4,\)"):
+            coupling_init(self.CFG, None, random_pair(4, RNG, batch=(4,)),
+                          seed=[1, 2], batch=(2,))
 
 
 class TestEpsilonScale:
@@ -327,16 +384,17 @@ class TestStickHandOff:
 
 
 class TestCouplingRegime:
-    """Which regime the mollifier runs in at two pinned settings (N = 8,
-    u2 a bump of amplitude 1, 40 steps): inert in floating point at
-    criterion 10's, acting at criterion 06's.  A change to eps shows here."""
+    """Which regime the mollifier runs in at three pinned settings (N = 8,
+    u2 a bump of amplitude 1): inert in floating point at criterion 10's
+    and at the ``couple`` workload's, acting at criterion 06's.  A change
+    to eps shows here."""
 
     @staticmethod
-    def brackets(opts, seeds):
+    def brackets(opts, seeds, n_steps=40):
         cfg = SimConfig(N=8, s=1.0, gamma=0.0, alpha=0.25, dt=0.05)
         rec = coupling_init(cfg, None, gaussian_bump_pair(8, 1.0), opts, seed=seeds,
                             batch=(len(seeds),))
-        for _ in range(40):
+        for _ in range(n_steps):
             Q, b_plain = cp._plain_bracket(rec)
             nxt = coupling_step(rec)  # nxt.eps is the eps this step used
             yield Q, nxt.eps, b_plain, cp._moll_bracket(rec, Q, nxt.eps)
@@ -345,6 +403,13 @@ class TestCouplingRegime:
     def test_inert_at_criterion_10(self):
         opts = CouplingOptions(eps_every=10, dt_grid=1.0)
         for Q, eps, b_plain, b_moll in self.brackets(opts, list(range(900, 920))):
+            assert np.array_equal(mollify(Q, eps), Q)
+            assert np.all(l2_norm(b_moll - b_plain) <= 1e-14 * l2_norm(b_plain))
+
+    def test_inert_at_couple_defaults(self):
+        # sdnlw couple --eps-every 1 --u2-perturbation 1.0 --t 1.0: 20 steps
+        opts = CouplingOptions(eps_every=1)
+        for Q, eps, b_plain, b_moll in self.brackets(opts, [0, 1, 7, 401], 20):
             assert np.array_equal(mollify(Q, eps), Q)
             assert np.all(l2_norm(b_moll - b_plain) <= 1e-14 * l2_norm(b_plain))
 
@@ -642,6 +707,19 @@ def stick_path(n_paths, n_steps, seed=11):
     return out
 
 
+def non_finite_sticks():
+    """``stick_path(4, 8)`` with a NaN in row 1 and an inf in row 2 from
+    step 3 on."""
+    sticks = []
+    for k, (t, s) in enumerate(stick_path(4, 8)):
+        s = s.copy()
+        if k >= 3:
+            s[1, 0, 4, 4] = np.nan
+            s[2, 1, 4, 5] = np.inf
+        sticks.append((t, s))
+    return sticks
+
+
 class TestTauMSkip:
     """The certified skip in ``TauMMonitor.update`` against the oracle that
     evaluates every norm on every path."""
@@ -664,14 +742,7 @@ class TestTauMSkip:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the non-finite data
     def test_nan_and_inf_rows(self):
-        sticks = []
-        for k, (t, s) in enumerate(stick_path(4, 8)):
-            s = s.copy()
-            if k >= 3:
-                s[1, 0, 4, 4] = np.nan
-                s[2, 1, 4, 5] = np.inf
-            sticks.append((t, s))
-        mon = replay(30.0, sticks)
+        mon = replay(30.0, non_finite_sticks())
         assert np.isnan(mon.running_max[1])
         assert not mon.stopped[1]
 
@@ -728,6 +799,39 @@ class TestTauMSkip:
         assert sum(row_counts["psi"]) < 0.75 * 64 * 40
         if M == 2.0:
             assert mon.stopped.any()
+
+
+class TestMonitorBlocks:
+    """``TauMMonitor.update`` samples the rows it evaluates in path blocks of
+    ``spectral.CHUNK_BYTES``; it must equal the whole-batch oracle."""
+
+    BUDGETS = [1, spectral.CHUNK_BYTES, 1 << 40]
+
+    @pytest.fixture(scope="class")
+    def large_path(self):
+        return stick_path(1000, 3)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)])
+    def test_equals_whole_batch(self, monkeypatch, shape, budget):
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
+        n = int(np.prod(shape))
+        replay(2.0, [(t, s.reshape(shape + s.shape[1:])) for t, s in stick_path(n, 6)])
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_large_batch(self, monkeypatch, large_path, row_counts, budget):
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
+        replay(30.0, large_path)
+        # the psi rows go to _wick_norms one block at a time
+        per_block = max(1, min(budget // (quad_grid_size(4) ** 2 * 16), 1000))
+        assert max(row_counts["psi"]) == per_block
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the non-finite data
+    def test_nan_and_inf_rows_one_path_a_block(self, monkeypatch):
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 1)
+        mon = replay(30.0, non_finite_sticks())
+        assert np.isnan(mon.running_max[1])
+        assert np.isfinite(mon.running_max[[0, 3]]).all()
 
 
 class TestReplay:

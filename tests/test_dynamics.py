@@ -10,6 +10,7 @@ from sdnlw.checkpoint import load_checkpoint, save_checkpoint
 from sdnlw.config import SimConfig
 from sdnlw.dynamics import (
     BlowUpError,
+    _midpoint_stick,
     cube_grid_size,
     energy,
     flow_init,
@@ -283,6 +284,93 @@ class TestSharedStick:
         other = flow_init(self.cfg, seed=seeds, batch=(len(seeds),), step0=1).stick
         with pytest.raises(ValueError, match=f"^stick: .*{message}"):
             v_step(st, next_increment(st), stick=_advanced(other, self.cfg.dt, ahead))
+
+
+class TestHalfStick:
+    """``v_step(state, incr, half_stick=...)``: the midpoint integrator's
+    half-step stick, advanced once by a caller for several states."""
+
+    cfg = SimConfig(N=2, s=1.0, gamma=0.3, dt=0.05, integrator="midpoint")
+
+    def state(self):
+        return run_steps(flow_init(self.cfg, random_pair(2, RNG), seed=[4, 5],
+                                   batch=(2,)), 2)
+
+    def test_equals_own_half_stick(self):
+        st = self.state()
+        incr = next_increment(st)
+        got = v_step(st, incr, stick=stick_step_shared(st.stick, self.cfg.dt, incr),
+                     half_stick=_midpoint_stick(st.stick, self.cfg.dt, incr))
+        want = v_step(st, incr)
+        for name in ("lin", "v"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.stick.value, want.stick.value)
+
+    @pytest.mark.parametrize("seeds, ahead, message", [
+        ([4, 5], 0, "at step 1, the state's next step is 2"),
+        ([4, 5, 6], 1, r"batch \(3,\)"),
+        ([4, 6], 1, r"seeds \[4, 6\]"),
+    ])
+    def test_foreign_half_stick_refused(self, seeds, ahead, message):
+        st = run_steps(flow_init(self.cfg, seed=[4, 5], batch=(2,)), 1)
+        other = flow_init(self.cfg, seed=seeds, batch=(len(seeds),), step0=1).stick
+        with pytest.raises(ValueError, match=f"^half_stick: .*{message}"):
+            v_step(st, next_increment(st), half_stick=_advanced(other, self.cfg.dt, ahead))
+
+    def test_full_step_stick_refused(self):
+        st = self.state()
+        incr = next_increment(st)
+        full = stick_step_shared(st.stick, self.cfg.dt, incr)
+        with pytest.raises(ValueError, match=r"^half_stick: at t = 0\.15.*0\.125"):
+            v_step(st, incr, half_stick=full)
+
+    def test_refused_by_euler(self):
+        cfg = dataclasses.replace(self.cfg, integrator="euler")
+        st = flow_init(cfg, seed=[4, 5], batch=(2,))
+        incr = next_increment(st)
+        with pytest.raises(ValueError, match="^half_stick: the euler integrator"):
+            v_step(st, incr, half_stick=_midpoint_stick(st.stick, cfg.dt, incr))
+
+
+class TestHeldOnce:
+    """u0 and S(t) u0 carry no noise: they keep the data's batch shape, and
+    the state keeps its own copy of the caller's data."""
+
+    @pytest.mark.parametrize("data_batch", [(), (3,)])
+    def test_parts_keep_the_data_batch(self, data_batch):
+        cfg = SimConfig(N=2, s=1.0, gamma=0.3, dt=0.05)
+        st = run_steps(flow_init(cfg, random_pair(2, RNG, batch=data_batch),
+                                 seed=[4, 5, 6], batch=(3,)), 2)
+        assert st.u0.shape == st.lin.shape == data_batch + (2, 5, 5)
+        assert st.v.shape == st.stick.value.shape == full_flow(st).shape == (3, 2, 5, 5)
+
+    def test_rows_equal_lone_runs(self):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, integrator="midpoint")
+        u0 = 0.5 * random_pair(4, RNG, decay=2.0)
+        seeds = [4, 5, 6]
+        st = run_steps(flow_init(cfg, u0, seed=seeds, batch=(3,)), 5)
+        for i, seed in enumerate(seeds):
+            lone = run_steps(flow_init(cfg, u0, seed=seed), 5)
+            assert np.array_equal(full_flow(st)[i], full_flow(lone))
+            assert np.array_equal(st.v[i], lone.v)
+
+    def test_caller_data_not_aliased(self):
+        # a later write to the caller's array changes neither the
+        # checkpoint bytes nor the next step
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05)
+        u = random_pair(4, RNG)
+        st = flow_init(cfg, u, seed=3)
+        blob, nxt = save_checkpoint(st), v_step(st)
+        u[0, 4, 4] = 99.0
+        assert save_checkpoint(st) == blob
+        after = v_step(st)
+        for name in ("u0", "lin", "v"):
+            assert np.array_equal(getattr(after, name), getattr(nxt, name))
+
+    def test_data_not_fitting_the_paths_refused(self):
+        with pytest.raises(ValueError, match=r"^u0: batch \(4,\) .* \(2,\)"):
+            flow_init(SimConfig(N=2), random_pair(2, RNG, batch=(4,)), seed=[1, 2],
+                      batch=(2,))
 
 
 class TestFullFlow:

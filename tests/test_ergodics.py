@@ -1,5 +1,7 @@
 """Observables, Birkhoff averages, error bars, and convergence experiments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,25 @@ class TestLockstep:
         compare_starts(self.config(), None, gaussian_bump_pair(4, 1.0), 1.0, [3, 4, 5])
         assert len(calls) == 20  # T / dt, for the one seed chunk
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_one_half_step_stick_per_step(self, monkeypatch, coupled):
+        # midpoint: one half-step advance per step serves both starts (and
+        # the record's flow), beside the one full-step advance
+        monkeypatch.setenv("SDNLW_WORKERS", "1")
+        cfg = self.config("midpoint")
+        deltas = []
+        real = noise.stick_step_shared
+
+        def counting(state, delta, incr=None):
+            deltas.append(delta)
+            return real(state, delta, incr)
+
+        monkeypatch.setattr(noise, "stick_step_shared", counting)
+        opts = CouplingOptions(eps_every=10) if coupled else None
+        compare_starts(cfg, None, gaussian_bump_pair(4, 1.0), 1.0, [3, 4, 5], opts,
+                       dn_every=0.5)
+        assert deltas.count(0.5 * cfg.dt) == 20 and deltas.count(cfg.dt) == 20
+
 
 class TestCoupledStarts:
     """With ``coupling_opts`` the coupling record carries the first start's
@@ -287,6 +308,20 @@ class TestCoupledStarts:
         for key in ("n", "final"):
             assert type(dn[key]) is type(dn_want[key]) and dn[key] == dn_want[key]
         assert 0.0 < dn["final"] < 1.0  # d_1 neither zero nor saturated
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_midpoint_equals_the_oracle(self, monkeypatch, workers):
+        # the record's flow and start 2 share one half-step stick per step
+        monkeypatch.setenv("SDNLW_WORKERS", "1")
+        cfg = dataclasses.replace(self.CFG, integrator="midpoint")
+        u1, u2 = self.starts()
+        seeds = [21, 22, 23, 24, 25]
+        want = two_start_convergence(cfg, u1, u2, 1.0, seeds, self.OPTS, 1, 0.5)
+        monkeypatch.setenv("SDNLW_WORKERS", workers)
+        got = compare_starts(cfg, u1, u2, 1.0, seeds, self.OPTS, 1, 0.5)
+        assert got["observables"] == want["observables"]
+        for key in ("times", "values"):
+            assert np.array_equal(got["coupled_dn"][key], want["coupled_dn"][key])
 
     def test_one_draw_and_one_flow_step_per_start(self, monkeypatch):
         # the record's flow is start 1's flow: 20 steps draw 20 increments

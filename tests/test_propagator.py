@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from _utils import constant_field, cosine_pair, mode_matrix, wave_residual_field, \
     weighted_sup_norm_loop
-from sdnlw import propagator
+from sdnlw import propagator, spectral
 from sdnlw.propagator import (
     apply_S,
     default_time_grid,
@@ -159,7 +159,7 @@ class TestXalphaNorm:
 # (t_star, dt_grid): t_star on the grid, off the grid, and a one-point grid
 GRIDS = [(40.0, 1.0), (1.0, 0.3), (0.0, 0.25)]
 # chunk budgets: one grid time per chunk, the default, the whole grid at once
-BUDGETS = [1, propagator.CHUNK_BYTES, 1 << 40]
+BUDGETS = [1, spectral.CHUNK_BYTES, 1 << 40]
 
 
 class TestChunkedSupNorm:
@@ -169,7 +169,7 @@ class TestChunkedSupNorm:
     @pytest.mark.parametrize("batch", [(1,), (7,), (2, 3)])
     def test_equals_per_point_loop(self, monkeypatch, batch, p, t_star, dt_grid,
                                    budget):
-        monkeypatch.setattr(propagator, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
         v = random_pair(4, RNG, batch=batch)
         total, detail = weighted_sup_norm(v, 0.25, p, t_star, dt_grid,
                                           return_detail=True)
@@ -265,12 +265,12 @@ class TestPrunedSupNorm:
     skipped; the result must equal the unpruned per-point loop (random
     pairs are covered by TestChunkedSupNorm)."""
 
-    @pytest.mark.parametrize("budget", [1, propagator.CHUNK_BYTES])
+    @pytest.mark.parametrize("budget", [1, spectral.CHUNK_BYTES])
     @pytest.mark.parametrize("t_star", [0.0, 1.0, 40.0])
     @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
     @pytest.mark.parametrize("kind", sorted(PRUNE_INPUTS))
     def test_equals_per_point_loop(self, monkeypatch, kind, p, t_star, budget):
-        monkeypatch.setattr(propagator, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
         v = PRUNE_INPUTS[kind]()
         total, detail = weighted_sup_norm(v, 0.25, p, t_star, return_detail=True)
         want, grid_max, tail = weighted_sup_norm_loop(v, 0.25, p, t_star)
@@ -283,7 +283,7 @@ class TestPrunedSupNorm:
     def test_rows_equal_lone_paths(self, monkeypatch, kind, p):
         # at one grid time per chunk a path meets the same running max alone
         # and in a batch, so its value and its cost are its own
-        monkeypatch.setattr(propagator, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 1)
         v = PRUNE_INPUTS[kind]()
         total, detail = weighted_sup_norm(v, 0.25, p, return_detail=True)
         for i, row in enumerate(v):
@@ -324,7 +324,7 @@ class TestPrunedSupNorm:
     def test_velocity_mode_transforms_later_grid_times(self, monkeypatch):
         # u grows from zero, so the bound stays above the t = 0 value for a
         # while and grid times after t = 0 go through the transform
-        monkeypatch.setattr(propagator, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 1)
         v = PRUNE_INPUTS["lone_velocity_mode"]()
         detail = weighted_sup_norm(v, 0.25, 8.0, return_detail=True)[1]
         assert detail["transformed"][0] > 1
@@ -344,7 +344,7 @@ class TestPrunedSupNorm:
         monkeypatch.setattr(propagator, "pair_norm", counting)
         v = gaussian_bump_pair(8)
         got = xalpha_norm(v, 0.25)
-        per_chunk = propagator.CHUNK_BYTES // (quad_grid_size(8) ** 2 * 16)
+        per_chunk = spectral.CHUNK_BYTES // (quad_grid_size(8) ** 2 * 16)
         chunks = -(-propagator.default_time_grid().size // per_chunk)
         assert chunks == 14
         assert 1 <= len(calls) < chunks

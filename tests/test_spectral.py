@@ -1,5 +1,7 @@
 """Lattice representation, transforms, dealiased products, and norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from sdnlw.spectral import (
     zero_field,
 )
 from _utils import FFT_BACKENDS, constant_field, cosine_field, cosine_pair, fft_backend, \
-    hermitian_defect, to_physical_fancy, to_spectral_fancy
+    hermitian_defect, lp_norm_whole, to_physical_fancy, to_spectral_fancy
 
 RNG = np.random.default_rng(101)
 
@@ -214,6 +216,64 @@ class TestBatchIndependence:
         for name, a in out["scipy"].items():
             b = out["numpy"][name]
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
+
+
+# quadrature budgets: one path per block, the default, the whole batch at once
+BUDGETS = [1, spectral.CHUNK_BYTES, 1 << 40]
+
+
+class TestQuadratureBlocks:
+    """``lp_norm`` samples at most CHUNK_BYTES worth of paths at a time; its
+    values must equal one whole-batch transform bit for bit."""
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("p", [8.0 / 3.0, 8.0, 16.0])
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (2, 3), (1000,)])
+    def test_equals_whole_batch(self, monkeypatch, batch, p, budget):
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
+        c = random_field(4, np.random.default_rng(len(batch)), batch=batch)
+        got = lp_norm(c, p)
+        assert np.shape(got) == batch
+        assert np.array_equal(got, lp_norm_whole(c, p))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns on the non-finite data
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("p", [8.0 / 3.0, 8.0, 16.0])
+    def test_nan_and_inf_rows(self, monkeypatch, p, budget):
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
+        c = random_field(4, RNG, batch=(7,))
+        c[2, 4, 4] = np.nan
+        c[5, 3, 6] = np.inf
+        got = lp_norm(c, p)
+        assert np.array_equal(got, lp_norm_whole(c, p), equal_nan=True)
+        # a non-finite row spoils no other row of its block
+        assert not np.isfinite(got[[2, 5]]).any()
+        assert np.isfinite(np.delete(got, [2, 5])).all()
+
+    def test_large_batch_in_blocks(self, monkeypatch):
+        # 1000 paths at N = 8 sample 36 x 36 points each: 12 paths a block
+        rows = []
+        real = spectral.to_physical
+        monkeypatch.setattr(spectral, "to_physical",
+                            lambda c, M: rows.append(c.shape[0]) or real(c, M))
+        lp_norm(random_field(8, RNG, batch=(1000,)), 8.0)
+        per_block = spectral.CHUNK_BYTES // (quad_grid_size(8) ** 2 * 16)
+        assert per_block == 12
+        assert rows == [12] * 83 + [4]
+
+    def test_transient_memory_bounded(self):
+        # sampling all 1000 paths at once held about 34 MB; the blocks hold
+        # the multiplied copy of the input and a few blocks of samples
+        c = random_field(8, RNG, batch=(1000,))
+        sobolev_norm(c, 0.25, 8.0 / 3.0)  # plans and tables cached first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sobolev_norm(c, 0.25, 8.0 / 3.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < c.nbytes + 4 * spectral.CHUNK_BYTES
 
 
 class TestDealiasedProduct:
