@@ -44,11 +44,11 @@ the discrete Girsanov density
 uses predictable h_k, so E[E(h)] = 1 holds exactly at any step size.
 
 A ``CouplingRecord`` carries the reference ``FlowState`` and reads its clock
-from it; ``coupling_step`` draws the step's increment from the flow's
-lineage, checks w with the flow's blow-up check and advances u1 with
-``v_step``.  Records and their tau_M monitor are frozen: a step returns a
-new record with a new monitor, so continuing twice from one record gives
-the same result.
+from it; ``coupling_step`` runs on one ``StepNoise`` of that flow (its own
+``step_noise`` unless given), checks w with the flow's blow-up check and
+advances u1 with ``v_step`` on the same noise.  Records and their tau_M
+monitor are frozen: a step returns a new record with a new monitor, so
+continuing twice from one record gives the same result.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .config import SimConfig, steps
-from .dynamics import FlowState, _check_blowup, _check_fits_paths, cube_grid_size, \
-    flow_init, full_flow, next_increment, v_step
-from .noise import NoiseIncrement, StickState
+from .dynamics import FlowState, StepNoise, _check_blowup, _check_fits_paths, \
+    cube_grid_size, flow_init, full_flow, step_noise, v_step
+from .noise import NoiseIncrement
 from .propagator import _half_spectrum_weights, apply_tables, kick_tables, \
     mode_sum_bound, propagator_tables, xalpha_norm
 from .spectral import (
@@ -240,7 +240,6 @@ class TauMMonitor:
 @dataclass(frozen=True)
 class CouplingOptions:
     C: float = 1.0                 # the universal constant in eps (config override)
-    pref_exp: float | None = None  # exponent on C, default 2/alpha
     norm_exp: float | None = None  # exponent on the norm sum, default 4/alpha
     eps_every: int = 1             # re-evaluate eps every this many steps
     dt_grid: float = 0.25          # X^alpha sup grid step
@@ -250,10 +249,6 @@ class CouplingOptions:
             raise ValueError(f"eps_every must be an integer >= 1, got {self.eps_every}")
         if not self.dt_grid > 0.0:
             raise ValueError(f"dt_grid must be > 0, got {self.dt_grid}")
-
-    def exponents(self, alpha: float) -> tuple[float, float]:
-        return (self.pref_exp if self.pref_exp is not None else 2.0 / alpha,
-                self.norm_exp if self.norm_exp is not None else 4.0 / alpha)
 
 
 @dataclass(frozen=True)
@@ -311,21 +306,20 @@ def _flow_samples(record: CouplingRecord) -> np.ndarray:
     return to_physical(full_flow(record.flow)[..., 0, :, :], cube_grid_size(N))
 
 
-def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray | None = None):
+def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray | None):
     """(Q, B_plain) at the current time on one shared dealiased grid.
 
     Q has exact degree 2N; B_plain = P_N [Q (pi1 w + pi1 S(t) udiff)].
     Algebraically identical to composing renorm.quadratic_Q with
     dealiased_product; assembled pointwise on a single grid for speed.
-    ``p_ph`` are the ``_flow_samples`` of the record, when already taken.
+    ``p_ph`` are the ``_flow_samples`` of the record (None under
+    linear_only, which has no bracket).
     """
     cfg = record.flow.cfg
     N = cfg.N
     if cfg.linear_only:
         b = record.flow.batch
         return zero_field(2 * N, b), zero_field(N, b)
-    if p_ph is None:
-        p_ph = _flow_samples(record)
     q_ph = to_physical((record.w + record.lin_diff)[..., 0, :, :], cube_grid_size(N))
     q_form = 3.0 * (p_ph**2 - cfg.gamma) + 3.0 * p_ph * q_ph + q_ph**2
     return to_spectral(q_form, 2 * N), to_spectral(q_form * q_ph, N)
@@ -341,20 +335,19 @@ def _moll_bracket(record: CouplingRecord, Q: np.ndarray, eps: np.ndarray):
     return dealiased_product(mollify(Q, eps), qm, out_N=N)
 
 
-def epsilon_scale(record: CouplingRecord, Q: np.ndarray | None = None) -> np.ndarray:
-    """The adaptive mollification time eps(w)(t); nonincreasing in every
-    norm argument and scaling as C^{-2/alpha}."""
+def epsilon_scale(record: CouplingRecord, Q: np.ndarray) -> np.ndarray:
+    """The adaptive mollification time eps(w)(t) for the record's quadratic
+    form Q (``_plain_bracket``); nonincreasing in every norm argument and
+    scaling as C^{-2/alpha}."""
     cfg = record.flow.cfg
     alpha = cfg.alpha
     opts = record.opts
-    if Q is None:
-        Q = _plain_bracket(record)[0]
-    pref_exp, norm_exp = opts.exponents(alpha)
+    norm_exp = opts.norm_exp if opts.norm_exp is not None else 4.0 / alpha
     base = (1.0 + hnorm(record.w) + record.diff0_xnorm
             + xalpha_norm(full_flow(record.flow), alpha, dt_grid=opts.dt_grid,
                           pad=cfg.M_pad)
             + sobolev_norm(Q, alpha, 2.0 / (1.0 - alpha), cfg.M_pad))
-    return np.asarray(opts.C ** (-pref_exp) * base ** (-norm_exp))
+    return np.asarray(opts.C ** (-2.0 / alpha) * np.power(base, -norm_exp))
 
 
 def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
@@ -362,13 +355,10 @@ def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
     return bracket_table(N, s) * b_moll / np.sqrt(2.0)
 
 
-def coupling_step(record: CouplingRecord, incr: NoiseIncrement | None = None, *,
-                  stick: StickState | None = None,
-                  half_stick: StickState | None = None) -> CouplingRecord:
+def coupling_step(record: CouplingRecord, noise: StepNoise | None = None) -> CouplingRecord:
     """One shared-clock step: advance u1 (same noise), w, the h cost and
     the discrete Girsanov density; h is computed before the increment is
-    revealed (predictable).  ``incr``, ``stick`` and ``half_stick`` are
-    handed to ``v_step``."""
+    revealed (predictable).  ``noise`` is handed to ``v_step``."""
     flow = record.flow
     cfg = flow.cfg
     N, delta = cfg.N, cfg.dt
@@ -390,19 +380,19 @@ def coupling_step(record: CouplingRecord, incr: NoiseIncrement | None = None, *,
     h_used = h_live if monitor is None else \
         np.where(record.monitor.stopped[..., None, None], record.h_last, h_live)
 
-    if incr is None:
-        incr = next_increment(flow)
+    if noise is None:
+        noise = step_noise(flow)
 
     hsq = np.sum(np.abs(h_used) ** 2, axis=(-2, -1))
     hcost = record.hcost + delta * hsq
-    pairing = np.sum(h_used * np.conj(incr.coeffs), axis=(-2, -1)).real
+    pairing = np.sum(h_used * np.conj(noise.incr.coeffs), axis=(-2, -1)).real
     log_density = record.log_density - 0.5 * delta * hsq + pairing
 
     tab = propagator_tables(N, delta)
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
     _check_blowup(w_new, cfg, flow.t + delta, "w")
-    flow_new = v_step(flow, incr, x0_phys=p_ph, stick=stick, half_stick=half_stick)
+    flow_new = v_step(flow, noise, x0_phys=p_ph)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 
     return replace(record, flow=flow_new, lin_diff=lin_diff_new, w=w_new,
@@ -446,9 +436,10 @@ def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray
     direct = flow_init(cfg, u2_0, seed=seed)
     worst = 0.0
     for _ in range(steps(T, cfg.dt, "T")):
-        incr = next_increment(rec.flow)
-        rec = coupling_step(rec, incr)
-        direct = v_step(direct, NoiseIncrement(incr.coeffs + cfg.dt * rec.h_last, cfg.dt))
+        noise = step_noise(rec.flow)
+        rec = coupling_step(rec, noise)
+        shifted = NoiseIncrement(noise.incr.coeffs + cfg.dt * rec.h_last, cfg.dt)
+        direct = v_step(direct, step_noise(direct, shifted))
         rhs = full_flow(rec.flow) + rec.lin_diff + rec.w
         worst = max(worst, float(np.max(hnorm(full_flow(direct) - rhs) / hnorm(rhs))))
     return worst, rec

@@ -18,6 +18,9 @@ forcing is exponentially integrated:
                 deterministic paths; the shared-increment noise coupling
                 limits pathwise self-convergence to order 1)
 
+A step's noise is one ``StepNoise`` from ``step_noise``; flows that share
+one stick object (lockstep starts) share it, so the stick advances once.
+
 The nonlinearity is evaluated as one dealiased cube of
 x = pi1 (lin + stick + v); this equals the expanded coefficient form
 v^3 + a v^2 + b v + c identically (see renorm), and P_N is applied once.
@@ -165,66 +168,51 @@ def _check_blowup(field: np.ndarray, cfg: SimConfig, t: float, label: str = "v")
         raise BlowUpError(t, float(np.max(np.where(np.isfinite(n), n, np.inf))), label)
 
 
-def next_increment(state: FlowState) -> NoiseIncrement:
-    """The white-noise increment of the state's next step, drawn from its
-    (seed, step) lineage."""
-    return sample_increment(state.cfg.N, state.cfg.dt, state.stick.seed,
-                            state.stick.step)
+@dataclass(frozen=True)
+class StepNoise:
+    """One step's noise for every flow on one stick: the white-noise
+    increment, the stick it was built from, that stick advanced over dt,
+    and the midpoint predictor's half-step stick (None under Euler or
+    linear_only).  Flows stepped with it share one advance of each."""
+
+    incr: NoiseIncrement
+    before: StickState
+    stick: StickState
+    half: StickState | None
 
 
-def _check_next_stick(state: FlowState, stick: StickState, name: str,
-                      delta: float) -> None:
-    """Refuse a stick that is not the state's own stick advanced over
-    ``delta`` on the same paths: one step ahead on the same batch and
-    seeds, at t + delta; the ValueError names the parameter."""
-    own = state.stick
-    if stick.step != own.step + 1:
-        raise ValueError(f"{name}: at step {stick.step}, the state's next step "
-                         f"is {own.step + 1}")
-    if stick.batch != own.batch:
-        raise ValueError(f"{name}: batch {stick.batch} differs from the state's "
-                         f"{own.batch}")
-    if stick.seed is not own.seed and not np.array_equal(stick.seed, own.seed):
-        raise ValueError(f"{name}: seeds {stick.seed!r} differ from the state's "
-                         f"{own.seed!r}")
-    if stick.t != own.t + delta:
-        raise ValueError(f"{name}: at t = {stick.t!r}, expected {own.t + delta!r}")
+def step_noise(state: FlowState, incr: NoiseIncrement | None = None) -> StepNoise:
+    """The noise of the state's next step: ``incr`` (drawn from the state's
+    (seed, step) lineage when omitted; it must be drawn for cfg.dt) and the
+    state's stick advanced by it."""
+    cfg = state.cfg
+    delta = cfg.dt
+    before = state.stick
+    if incr is None:
+        incr = sample_increment(cfg.N, delta, before.seed, before.step)
+    stick = noise_mod.stick_step_shared(before, delta, incr)
+    half = None
+    if cfg.integrator == "midpoint" and not cfg.linear_only:
+        half = noise_mod.stick_step_shared(
+            before, 0.5 * delta, NoiseIncrement(0.5 * incr.coeffs, 0.5 * delta))
+    return StepNoise(incr, before, stick, half)
 
 
-def _midpoint_stick(stick: StickState, delta: float, incr: NoiseIncrement) -> StickState:
-    """The stick the midpoint predictor reads: advanced over delta/2 by
-    half of the step's increment."""
-    return noise_mod.stick_step_shared(
-        stick, 0.5 * delta, NoiseIncrement(0.5 * incr.coeffs, 0.5 * delta))
-
-
-def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
-           x0_phys: np.ndarray | None = None,
-           stick: StickState | None = None,
-           half_stick: StickState | None = None) -> FlowState:
+def v_step(state: FlowState, noise: StepNoise | None = None, *,
+           x0_phys: np.ndarray | None = None) -> FlowState:
     """Advance stick and remainder by one step of length cfg.dt of the
-    chosen integrator; ``incr`` overrides the lineage draw and must be
-    drawn for that step length.  ``x0_phys`` is pi1 of the state's full
+    chosen integrator on ``noise``, the state's ``step_noise`` when
+    omitted; noise built from another stick object is refused (a
+    ValueError naming ``noise``).  ``x0_phys`` is pi1 of the state's full
     flow on the cube grid, when the caller has sampled it already (see
-    ``nonlinearity_field``).  ``stick`` is the state's stick already
-    advanced by ``incr``, when the caller has stepped it for several
-    states on the same noise; it must be one step ahead on the same
-    seeds (a ValueError naming ``stick`` otherwise).  ``half_stick`` is,
-    in the same way, the midpoint integrator's half-step stick
-    (``_midpoint_stick`` of the state's stick); only that integrator
-    takes it."""
+    ``nonlinearity_field``)."""
+    if noise is None:
+        noise = step_noise(state)
+    elif noise.before is not state.stick:
+        raise ValueError("noise: built from another stick than the state's")
     cfg = state.cfg
     delta = cfg.dt
     N = cfg.N
-    if stick is not None:
-        _check_next_stick(state, stick, "stick", delta)
-    if half_stick is not None:
-        if cfg.integrator != "midpoint":
-            raise ValueError(f"half_stick: the {cfg.integrator} integrator takes "
-                             "no half-step stick")
-        _check_next_stick(state, half_stick, "half_stick", 0.5 * delta)
-    if incr is None:
-        incr = next_increment(state)
     tab = propagator_tables(N, delta)
 
     if cfg.linear_only:
@@ -238,19 +226,15 @@ def v_step(state: FlowState, incr: NoiseIncrement | None = None, *,
         nl0 = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
                                  x0_phys)
         lin_h = apply_tables(half, state.lin)
-        if half_stick is None:
-            half_stick = _midpoint_stick(state.stick, delta, incr)
         v_h = apply_tables(half, state.v) - 0.5 * delta * kick_tables(half, nl0)
-        nl_mid = nonlinearity_field(lin_h, half_stick.value, v_h, cfg.gamma, N)
+        nl_mid = nonlinearity_field(lin_h, noise.half.value, v_h, cfg.gamma, N)
         v_new = apply_tables(tab, state.v) - delta * kick_tables(half, nl_mid)
     else:
         raise ValueError(f"unknown integrator {cfg.integrator!r}")
 
-    if stick is None:
-        stick = noise_mod.stick_step_shared(state.stick, delta, incr)
     lin_new = apply_tables(tab, state.lin)
-    _check_blowup(v_new, cfg, stick.t)
-    return replace(state, lin=lin_new, stick=stick, v=v_new)
+    _check_blowup(v_new, cfg, noise.stick.t)
+    return replace(state, lin=lin_new, stick=noise.stick, v=v_new)
 
 
 def run_steps(state: FlowState, n_steps: int) -> FlowState:

@@ -2,15 +2,16 @@
 convergence experiment.
 
 ``compare_starts`` (behind ``sdnlw ergodic`` and criterion 10) steps its
-two starts in lockstep on the same seeds: one white-noise increment and
-one stochastic convolution per step serve both (synchronous coupling), as
-does, under the midpoint integrator, one half-step stochastic convolution;
-with coupling options a coupling record toward the second start carries
-the first start's flow.  The seeds are split over one spawn process pool
-sized by SDNLW_WORKERS; a path's numbers depend only on its seed and the
-starts and join in seed order, so none depends on the worker count.  A
-script calling it with SDNLW_WORKERS > 1 needs an ``if __name__ ==
-"__main__":`` guard, or the pool fails at once with ``BrokenProcessPool``.
+two starts in lockstep on the same seeds and one stick object: one
+``dynamics.step_noise`` per step, the white-noise increment with the
+stochastic convolution advanced by it (under midpoint its half step too),
+serves both (synchronous coupling); with coupling options a coupling
+record toward the second start carries the first start's flow.  The
+seeds are split over one spawn process pool sized by SDNLW_WORKERS; a
+path's numbers depend only on its seed and the starts and join in seed
+order, so none depends on the worker count.  A script calling it with
+SDNLW_WORKERS > 1 needs an ``if __name__ == "__main__":`` guard, or the
+pool fails at once with ``BrokenProcessPool``.
 
 Birkhoff averages (1/T) int_0^T F(Phi_t) dt are computed by the trapezoid
 rule over the stored sampling times.  Error bars use the integrated
@@ -30,7 +31,7 @@ the computable exponentially weighted sup with p = 16, labelled "Z-proxy".
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +39,7 @@ from . import coupling as coupling_mod
 from . import noise as noise_mod
 from .config import ConfigError, SimConfig, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
-from .dynamics import FlowState, _midpoint_stick, flow_init, full_flow, next_increment, \
-    v_step
+from .dynamics import FlowState, flow_init, full_flow, step_noise, v_step
 from .propagator import weighted_sup_norm
 from .spectral import dealiased_product, hnorm, integral, mean_square, pair_norm
 
@@ -201,25 +201,23 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
         rec = coupling_init(cfg, *starts, opts, seed=seeds, batch=batch)
         states[0] = rec.flow
         dn_times, dn_vals = [0.0], [coupling_distance(rec, dn_n)]
+    # one stick object for every start, so one step_noise serves them all
+    states[1:] = [replace(st, stick=states[0].stick) for st in states[1:]]
     times = [0.0]
     values = [{name: [np.asarray(fn(full_flow(state), cfg))] for name, fn in fns.items()}
               for state in states]
-    midpoint = cfg.integrator == "midpoint" and not cfg.linear_only
     for k in range(n_steps):
-        incr = next_increment(states[0])
-        stick = noise_mod.stick_step_shared(states[0].stick, cfg.dt, incr)
-        half = _midpoint_stick(states[0].stick, cfg.dt, incr) if midpoint else None
+        noise = step_noise(states[0])
         if coupled is None:
-            states = [v_step(state, incr, stick=stick, half_stick=half)
-                      for state in states]
+            states = [v_step(state, noise) for state in states]
         else:
-            rec = coupling_step(rec, incr, stick=stick, half_stick=half)
-            states = [rec.flow, v_step(states[1], incr, stick=stick, half_stick=half)]
+            rec = coupling_step(rec, noise)
+            states = [rec.flow, v_step(states[1], noise)]
             if (k + 1) % dn_every == 0:
-                dn_times.append(stick.t)
+                dn_times.append(noise.stick.t)
                 dn_vals.append(coupling_distance(rec, dn_n))
         if (k + 1) % every == 0:
-            times.append(stick.t)
+            times.append(noise.stick.t)
             for state, vals in zip(states, values):
                 phi = full_flow(state)
                 for name, fn in fns.items():

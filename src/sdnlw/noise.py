@@ -238,19 +238,13 @@ def stick_step_exact(state: StickState, delta: float) -> StickState:
 
 
 def stick_step_shared(state: StickState, delta: float,
-                      incr: NoiseIncrement | None = None) -> StickState:
-    """Advance by delta driven by an explicit white-noise increment: the
-    order-1 kick S(delta) (0, sqrt(2) <grad>^{-s} xihat).
-
-    When ``incr`` is omitted it is drawn from the state's own lineage, so
-    the same realization can later be replayed to other objects; a given
-    ``incr`` must be drawn for this delta.
+                      incr: NoiseIncrement) -> StickState:
+    """Advance by delta driven by an explicit white-noise increment, drawn
+    for this delta: the order-1 kick S(delta) (0, sqrt(2) <grad>^{-s} xihat).
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if incr is None:
-        incr = sample_increment(state.N, delta, state.seed, state.step)
-    elif incr.delta != delta:
+    if incr.delta != delta:
         raise ValueError(f"increment delta {incr.delta} differs from step delta {delta}")
     forcing = _forcing_table(state.N, state.s) * incr.coeffs
     tab = propagator_tables(state.N, float(delta))

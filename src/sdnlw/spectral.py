@@ -36,7 +36,10 @@ preallocated result, so the transient memory of a norm does not grow with
 the batch.  A path's c2r samples and
 their mean over the grid do not depend on the rows beside it, so the
 blocks give the values of one whole-batch evaluation bit for bit, and a
-batch that fits in one block is evaluated whole, as before.
+batch that fits in one block is evaluated whole.  Powers of per-path
+values use np.power and np.square, never ``**``: at batch () that would
+call libm pow on numpy scalars, which can differ in the last bit from the
+array kernel a batch uses, so a lone path gets its row's value.
 
 Pointwise products are always dealiased: factors are zero-padded to a grid
 large enough that no aliased frequency can land back inside the requested
@@ -339,7 +342,7 @@ def lp_norm(coeffs: np.ndarray, p: float, pad: float = 2.0) -> np.ndarray:
     M = quad_grid_size(truncation_of(coeffs), pad)
 
     def norm(phys):
-        return (np.mean(np.abs(phys) ** p, axis=(-2, -1)) ** (1.0 / p),)
+        return (np.power(np.mean(np.abs(phys) ** p, axis=(-2, -1)), 1.0 / p),)
 
     return _quadrature_blocks(coeffs, M, norm)[0]
 
@@ -356,8 +359,8 @@ def pair_norm(pair: np.ndarray, alpha: float, p: float = 2.0,
     a = sobolev_norm(pair[..., 0, :, :], alpha, p, pad)
     b = sobolev_norm(pair[..., 1, :, :], alpha - 1.0, p, pad)
     if p == 2.0:
-        return np.sqrt(a**2 + b**2)
-    return (a**p + b**p) ** (1.0 / p)
+        return np.sqrt(np.square(a) + np.square(b))
+    return np.power(np.power(a, p) + np.power(b, p), 1.0 / p)
 
 
 def hnorm(pair: np.ndarray, alpha: float = 1.0) -> np.ndarray:

@@ -130,7 +130,7 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     st = dynamics.flow_init(zcfg)
     zero_incr = noise.NoiseIncrement(spectral.zero_field(4), zcfg.dt)
     for _ in range(20):
-        st = dynamics.v_step(st, incr=zero_incr)
+        st = dynamics.v_step(st, dynamics.step_noise(st, zero_incr))
     out.append(_leq("dynamics: v = 0 under zero data/noise",
                     float(spectral.hnorm(st.v)), 0.0))
 

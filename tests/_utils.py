@@ -19,7 +19,7 @@ import pytest
 
 from sdnlw import coupling, propagator, spectral
 from sdnlw.config import steps
-from sdnlw.dynamics import flow_init, full_flow, v_step
+from sdnlw.dynamics import flow_init, full_flow, step_noise, v_step
 from sdnlw.ergodics import compare_averages, compare_starts, sample_trajectory, \
     time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
@@ -107,10 +107,11 @@ def zero_increments(N: int, delta: float, n_steps: int) -> list:
 
 
 def run_table(step, state, table: list):
-    """Advance ``state`` by ``step`` (``v_step`` or ``coupling_step``) once
-    per increment of ``table``, in order: a fixed white-noise path."""
+    """Advance ``state`` by ``step`` (``v_step`` on a flow or
+    ``coupling_step`` on a record) once per increment of ``table``, in
+    order: a fixed white-noise path."""
     for incr in table:
-        state = step(state, incr)
+        state = step(state, step_noise(getattr(state, "flow", state), incr))
     return state
 
 
@@ -270,7 +271,7 @@ def two_start_convergence(cfg, u1_0, u2_0, T: float, seeds, coupling_opts=None,
 def shift_h(record) -> np.ndarray:
     """The Girsanov shift h = 2^{-1/2} <grad>^s B_moll at the record's time
     (on paths stopped before the record's last step, the h that step used)."""
-    Q, _ = coupling._plain_bracket(record)
+    Q, _ = coupling._plain_bracket(record, coupling._flow_samples(record))
     b_moll = coupling._moll_bracket(record, Q, record.eps)
     h = coupling._h_from_bracket(b_moll, record.flow.cfg.s)
     if record.monitor is not None:
@@ -301,7 +302,7 @@ def trapezoid_shift_check(cfg, u1_0, u2_0, T: float, opts=None, seed=None,
     rec = coupling.coupling_init(cfg, u1_0, u2_0, opts, seed=seed)
     h_series, rhs = [], []
     for k in range(n):
-        rec = coupling.coupling_step(rec, incr_table[k])
+        rec = coupling.coupling_step(rec, step_noise(rec.flow, incr_table[k]))
         h_series.append(rec.h_last)
         rhs.append(full_flow(rec.flow) + rec.lin_diff + rec.w)
     h_series.append(shift_h(rec))
@@ -310,7 +311,8 @@ def trapezoid_shift_check(cfg, u1_0, u2_0, T: float, opts=None, seed=None,
     times, residuals, rel = [], [], []
     for k in range(n):
         shift = 0.5 * delta * (h_series[k] + h_series[k + 1])
-        direct = v_step(direct, NoiseIncrement(incr_table[k].coeffs + shift, delta))
+        shifted = NoiseIncrement(incr_table[k].coeffs + shift, delta)
+        direct = v_step(direct, step_noise(direct, shifted))
         if (k + 1) % sample_every == 0 or k == n - 1:
             r = float(np.max(hnorm(full_flow(direct) - rhs[k])))
             scale = float(np.max(hnorm(rhs[k])))

@@ -21,8 +21,8 @@ from sdnlw.coupling import (
     shifted_flow_check,
     tv_bound,
 )
-from sdnlw.dynamics import BlowUpError, full_flow, v_step
-from sdnlw.noise import NoiseIncrement, sample_increment, stick_step_shared
+from sdnlw.dynamics import BlowUpError, full_flow, step_noise, v_step
+from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.renorm import quadratic_Q
 from sdnlw.spectral import (
     dealiased_product,
@@ -93,6 +93,11 @@ def make_record(amplitude=0.5, N=4, gamma=0.3, seed=5, steps=0, batch=(),
     return rec
 
 
+def eps_of(rec):
+    """eps of the record now, from its own bracket."""
+    return epsilon_scale(rec, cp._plain_bracket(rec, cp._flow_samples(rec))[0])
+
+
 class TestCouplingInit:
     @pytest.mark.parametrize("u1", ["zero", "one pair", "batched"])
     def test_difference_norm_equals_batch_evaluation(self, u1):
@@ -133,8 +138,7 @@ class TestHeldOnce:
             assert arr.shape == (3,) + pair
 
     def test_rows_equal_lone_runs(self):
-        # a lone run has batch (1,): at batch () numpy's scalar ** can move
-        # the last bit of eps (README, Reproducibility)
+        # a lone run (batch ()) equals its row of the batch in every bit
         u1 = 0.3 * random_pair(4, RNG, decay=2.0)
         u2 = u1 + gaussian_bump_pair(4, 0.5)
         seeds = [5, 6, 7]
@@ -142,14 +146,27 @@ class TestHeldOnce:
                                          batch=(3,), monitor_M=0.8), 6)
         assert 0 < rec.monitor.stopped.sum() < 3 and not np.all(rec.w == 0)
         for i, seed in enumerate(seeds):
-            lone = run_coupling(coupling_init(self.CFG, u1, u2, self.OPTS, seed=[seed],
-                                              batch=(1,), monitor_M=0.8), 6)
+            lone = run_coupling(coupling_init(self.CFG, u1, u2, self.OPTS, seed=seed,
+                                              monitor_M=0.8), 6)
             for name in ("w", "hcost", "log_density", "eps", "h_last", "diff0_xnorm"):
-                assert np.array_equal(getattr(rec, name)[i], getattr(lone, name)[0]), name
-            assert np.array_equal(full_flow(rec.flow)[i], full_flow(lone.flow)[0])
+                assert np.array_equal(getattr(rec, name)[i], getattr(lone, name)), name
+            assert np.array_equal(full_flow(rec.flow)[i], full_flow(lone.flow))
             for name in ("running_max", "stopped", "stop_time"):
                 assert np.array_equal(getattr(rec.monitor, name)[i],
-                                      getattr(lone.monitor, name)[0]), name
+                                      getattr(lone.monitor, name)), name
+
+    def test_lone_eps_equals_its_row(self):
+        # no monitor, eps every second step, u2 = u1 + bump 0.5, 6 steps
+        u1 = 0.3 * random_pair(4, np.random.default_rng(36), decay=2.0)
+        u2 = u1 + gaussian_bump_pair(4, 0.5)
+        seeds = [5, 6, 7]
+        rec = coupling_init(self.CFG, u1, u2, self.OPTS, seed=seeds, batch=(3,))
+        lone = [coupling_init(self.CFG, u1, u2, self.OPTS, seed=seed) for seed in seeds]
+        for _ in range(6):
+            rec, lone = coupling_step(rec), [coupling_step(r) for r in lone]
+            for i, one in enumerate(lone):
+                for name in ("eps", "w", "hcost", "log_density"):
+                    assert np.array_equal(getattr(rec, name)[i], getattr(one, name)), name
 
     def test_caller_data_not_aliased(self):
         # a later write to the caller's arrays changes neither the record
@@ -170,32 +187,31 @@ class TestHeldOnce:
 class TestEpsilonScale:
     def test_trivial_record_gives_one(self):
         rec = make_record(amplitude=0.0, gamma=0.0)
-        assert float(epsilon_scale(rec)) == pytest.approx(1.0, abs=1e-14)
+        assert float(eps_of(rec)) == pytest.approx(1.0, abs=1e-14)
 
     def test_monotone_in_perturbation(self):
-        vals = [float(epsilon_scale(make_record(amplitude=a)))
+        vals = [float(eps_of(make_record(amplitude=a)))
                 for a in (0.0, 0.5, 2.0)]
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_c_scaling_law(self):
         r1 = make_record(amplitude=0.5, C=1.0)
         r2 = make_record(amplitude=0.5, C=2.0)
-        ratio = float(epsilon_scale(r2)) / float(epsilon_scale(r1))
+        ratio = float(eps_of(r2)) / float(eps_of(r1))
         assert ratio == pytest.approx(2.0 ** (-2.0 / 0.25), rel=1e-13)
 
     def test_exponent_overrides(self):
-        r = make_record(amplitude=0.5, norm_exp=3.0, pref_exp=1.0, C=2.0)
-        base = float(epsilon_scale(make_record(amplitude=0.5, norm_exp=1.0,
-                                               pref_exp=0.0)))
-        # base^(-1) with C^0 = the norm sum inverse; cube it and divide by 2
-        assert float(epsilon_scale(r)) == pytest.approx(base**3 / 2.0, rel=1e-10)
+        r = make_record(amplitude=0.5, norm_exp=3.0, C=2.0)
+        base = float(eps_of(make_record(amplitude=0.5, norm_exp=1.0)))
+        # with C = 1, base is the norm sum's inverse; cube it, times 2^(-2/alpha)
+        assert float(eps_of(r)) == pytest.approx(base**3 / 2.0**8, rel=1e-10)
 
 
 class TestBracketConsistency:
     def test_fast_path_matches_reference(self):
         rec = make_record(amplitude=0.5, steps=7, batch=(2,), eps_every=3)
         cfg = rec.flow.cfg
-        q_fast, b_plain = cp._plain_bracket(rec)
+        q_fast, b_plain = cp._plain_bracket(rec, cp._flow_samples(rec))
         q_ref = quadratic_Q(full_flow(rec.flow), rec.w + rec.lin_diff, cfg.gamma)
         b_ref = dealiased_product(q_ref, (rec.w + rec.lin_diff)[..., 0, :, :],
                                   out_N=cfg.N)
@@ -211,7 +227,7 @@ class TestBracketConsistency:
     def test_h_is_bracket_with_bracket_multiplier(self):
         rec = make_record(amplitude=0.5, steps=3)
         cfg = rec.flow.cfg
-        q, _ = cp._plain_bracket(rec)
+        q, _ = cp._plain_bracket(rec, cp._flow_samples(rec))
         b_moll = cp._moll_bracket(rec, q, rec.eps)
         from sdnlw.spectral import bracket_multiplier
         expect = bracket_multiplier(b_moll, cfg.s) / np.sqrt(2.0)
@@ -230,9 +246,9 @@ class TestWSystem:
         rec = coupling_init(cfg, random_pair(4, RNG), gaussian_bump_pair(4, 0.5),
                             seed=[5, 6], batch=(2,))
         rec = run_coupling(rec, 3)
-        incr = sample_increment(4, cfg.dt, [8, 9], rec.step)
-        got = coupling_step(rec, incr).flow
-        want = v_step(rec.flow, incr)
+        noise = step_noise(rec.flow, sample_increment(4, cfg.dt, [8, 9], rec.step))
+        got = coupling_step(rec, noise).flow
+        want = v_step(rec.flow, noise)
         for a, b in ((got.v, want.v), (got.lin, want.lin),
                      (got.stick.value, want.stick.value)):
             assert np.array_equal(a, b)
@@ -320,7 +336,7 @@ class TestWSystem:
     def test_s_zero_multiplier_is_identity(self):
         # with s = 0 the <grad>^s factor in h is the identity
         rec = make_record(amplitude=0.5, steps=2)
-        q, _ = cp._plain_bracket(rec)
+        q, _ = cp._plain_bracket(rec, cp._flow_samples(rec))
         b_moll = cp._moll_bracket(rec, q, rec.eps)
         h0 = cp._h_from_bracket(b_moll, 0.0)
         assert np.max(np.abs(h0 - b_moll / np.sqrt(2.0))) < 1e-15
@@ -339,48 +355,44 @@ def assert_fields_equal(a, b, path="record"):
 
 
 class TestStickHandOff:
-    """``coupling_step(rec, incr, stick=s)`` takes the flow's stick already
-    advanced by a lockstep caller; it must equal the step that advances
-    the stick itself."""
+    """``coupling_step(rec, noise)`` takes the ``step_noise`` of the
+    record's flow from a lockstep caller; it must equal the step that
+    makes its own, and noise built from another stick is refused."""
 
     @staticmethod
-    def record(integrator):
+    def record(integrator, n_steps=3):
         cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05,
                         integrator=integrator)
         u1 = random_pair(4, np.random.default_rng(3))
         rec = coupling_init(cfg, u1, gaussian_bump_pair(4, 0.5),
                             CouplingOptions(eps_every=2), seed=[5, 6], batch=(2,),
                             monitor_M=3.0)
-        return run_coupling(rec, 3)
+        return run_coupling(rec, n_steps)
 
     @pytest.mark.parametrize("integrator", ["euler", "midpoint"])
     def test_equals_own_stick_on_every_field(self, integrator):
         rec = self.record(integrator)
-        incr = sample_increment(4, rec.flow.cfg.dt, [5, 6], rec.step)
-        stick = stick_step_shared(rec.flow.stick, rec.flow.cfg.dt, incr)
-        got = coupling_step(rec, incr, stick=stick)
-        assert got.flow.stick is stick
-        assert_fields_equal(got, coupling_step(rec, incr))
+        noise = step_noise(rec.flow)
+        got = coupling_step(rec, noise)
+        assert got.flow.stick is noise.stick
+        assert_fields_equal(got, coupling_step(rec))
         assert not np.all(got.w == 0) and got.monitor.running_max.any()
 
     def test_stick_not_one_step_ahead_refused(self):
-        rec = self.record("euler")
-        dt = rec.flow.cfg.dt
-        incr = sample_increment(4, dt, [5, 6], rec.step)
-        for stale in (rec.flow.stick,
-                      stick_step_shared(stick_step_shared(rec.flow.stick, dt, incr), dt)):
-            with pytest.raises(ValueError, match="^stick: at step"):
-                coupling_step(rec, incr, stick=stale)
+        # noise of the step before, or of the step after, this record's
+        before = self.record("euler", 2)
+        rec = coupling_step(before)
+        for stale in (step_noise(before.flow), step_noise(coupling_step(rec).flow)):
+            with pytest.raises(ValueError, match="^noise: built from another stick"):
+                coupling_step(rec, stale)
 
     def test_stick_of_other_seeds_refused(self):
         rec = self.record("euler")
-        dt = rec.flow.cfg.dt
-        incr = sample_increment(4, dt, [5, 6], rec.step)
         other = coupling_init(rec.flow.cfg, None, gaussian_bump_pair(4, 0.5),
                               seed=[7, 8], batch=(2,))
         other = run_coupling(other, 3)
-        with pytest.raises(ValueError, match="^stick: seeds"):
-            coupling_step(rec, incr, stick=stick_step_shared(other.flow.stick, dt, incr))
+        with pytest.raises(ValueError, match="^noise: built from another stick"):
+            coupling_step(rec, step_noise(other.flow))
 
 
 class TestCouplingRegime:
@@ -395,7 +407,7 @@ class TestCouplingRegime:
         rec = coupling_init(cfg, None, gaussian_bump_pair(8, 1.0), opts, seed=seeds,
                             batch=(len(seeds),))
         for _ in range(n_steps):
-            Q, b_plain = cp._plain_bracket(rec)
+            Q, b_plain = cp._plain_bracket(rec, cp._flow_samples(rec))
             nxt = coupling_step(rec)  # nxt.eps is the eps this step used
             yield Q, nxt.eps, b_plain, cp._moll_bracket(rec, Q, nxt.eps)
             rec = nxt
@@ -504,7 +516,7 @@ class TestGirsanov:
         incs = [sample_increment(4, cfg.dt, seeds, k) for k in range(12)]
         h_path = []
         for incr in incs:
-            rec = coupling_step(rec, incr)
+            rec = coupling_step(rec, step_noise(rec.flow, incr))
             h_path.append(rec.h_last)
         assert 0 < int(rec.monitor.stopped.sum()) < 16
         assert np.array_equal(rec.log_density,

@@ -10,16 +10,15 @@ from sdnlw.checkpoint import load_checkpoint, save_checkpoint
 from sdnlw.config import SimConfig
 from sdnlw.dynamics import (
     BlowUpError,
-    _midpoint_stick,
     cube_grid_size,
     energy,
     flow_init,
     full_flow,
     modified_energy_F,
-    next_increment,
     nonlinearity_field,
     restart_check,
     run_steps,
+    step_noise,
     v_step,
 )
 from sdnlw.noise import NoiseIncrement, sample_increment, stick_step_shared
@@ -180,7 +179,7 @@ class TestVStep:
         cfg = SimConfig(N=4, dt=0.01)
         incr = sample_increment(4, 0.02, 3, 0)
         with pytest.raises(ValueError, match=r"0\.02.*0\.01"):
-            v_step(flow_init(cfg, seed=3), incr)
+            step_noise(flow_init(cfg, seed=3), incr)
 
     def test_odd_symmetry(self):
         # negating data and noise path negates the solution
@@ -216,7 +215,7 @@ class TestVStep:
             st = flow_init(cfg, u0_full, seed=23)
             vs = []
             for k, c in enumerate(fine):
-                st = v_step(st, incr=NoiseIncrement(spectral.resize(c, N), dt))
+                st = v_step(st, step_noise(st, NoiseIncrement(spectral.resize(c, N), dt)))
                 if (k + 1) % 10 == 0:
                     vs.append(embed(st.v, 16))
             snaps[N] = np.stack(vs)
@@ -247,17 +246,9 @@ class TestOneClock:
         assert np.array_equal(full_flow(v_step(back)), full_flow(v_step(st)))
 
 
-def _advanced(stick, dt, n=1):
-    """The stick n steps further along its own lineage."""
-    for _ in range(n):
-        stick = stick_step_shared(stick, dt,
-                                  sample_increment(stick.N, dt, stick.seed, stick.step))
-    return stick
-
-
 class TestSharedStick:
-    """``v_step(state, incr, stick=...)``: a stick the caller advanced once
-    for several states on the same noise."""
+    """``v_step(state, noise)``: one ``step_noise`` serves every state built
+    on one stick object, and a state refuses noise built from any other."""
 
     cfg = SimConfig(N=2, s=1.0, gamma=0.3, dt=0.05)
 
@@ -265,71 +256,48 @@ class TestSharedStick:
     def test_equals_own_stick(self, integrator):
         cfg = dataclasses.replace(self.cfg, integrator=integrator)
         st = run_steps(flow_init(cfg, random_pair(2, RNG, batch=(2,)), seed=[4, 5]), 2)
-        incr = next_increment(st)
-        got = v_step(st, incr, stick=stick_step_shared(st.stick, cfg.dt, incr))
+        noise = step_noise(st)
+        got = v_step(st, noise)
         want = v_step(st)
         for name in ("lin", "v"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.stick is noise.stick
         assert np.array_equal(got.stick.value, want.stick.value)
         assert (got.t, got.step) == (want.t, want.step)
 
-    @pytest.mark.parametrize("seeds, ahead, message", [
-        ([4, 5], 0, "at step 1, the state's next step is 2"),
-        ([4, 5], 2, "at step 3"),
-        ([4, 5, 6], 1, r"batch \(3,\)"),
-        ([4, 6], 1, r"seeds \[4, 6\]"),
-    ])
-    def test_foreign_stick_refused(self, seeds, ahead, message):
-        st = run_steps(flow_init(self.cfg, seed=[4, 5], batch=(2,)), 1)
-        other = flow_init(self.cfg, seed=seeds, batch=(len(seeds),), step0=1).stick
-        with pytest.raises(ValueError, match=f"^stick: .*{message}"):
-            v_step(st, next_increment(st), stick=_advanced(other, self.cfg.dt, ahead))
+    @pytest.mark.parametrize("seeds, step0", [([4, 5], 0), ([4, 5], 1), ([4, 5, 6], 0),
+                                              ([4, 6], 0)])
+    def test_noise_of_another_stick_refused(self, seeds, step0):
+        st = flow_init(self.cfg, seed=[4, 5], batch=(2,))
+        other = flow_init(self.cfg, seed=seeds, batch=(len(seeds),), step0=step0)
+        if (seeds, step0) == ([4, 5], 0):  # equal values, another object
+            assert np.array_equal(other.stick.value, st.stick.value)
+            assert (other.stick.t, other.stick.step) == (st.t, st.step)
+        with pytest.raises(ValueError, match="^noise: built from another stick"):
+            v_step(st, step_noise(other))
 
 
 class TestHalfStick:
-    """``v_step(state, incr, half_stick=...)``: the midpoint integrator's
-    half-step stick, advanced once by a caller for several states."""
+    """The midpoint integrator's half-step stick rides in ``StepNoise``."""
 
     cfg = SimConfig(N=2, s=1.0, gamma=0.3, dt=0.05, integrator="midpoint")
 
-    def state(self):
-        return run_steps(flow_init(self.cfg, random_pair(2, RNG), seed=[4, 5],
-                                   batch=(2,)), 2)
-
     def test_equals_own_half_stick(self):
-        st = self.state()
-        incr = next_increment(st)
-        got = v_step(st, incr, stick=stick_step_shared(st.stick, self.cfg.dt, incr),
-                     half_stick=_midpoint_stick(st.stick, self.cfg.dt, incr))
-        want = v_step(st, incr)
-        for name in ("lin", "v"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert np.array_equal(got.stick.value, want.stick.value)
+        # the stick advanced over dt/2 by half of the step's increment
+        st = run_steps(flow_init(self.cfg, random_pair(2, RNG), seed=[4, 5],
+                                 batch=(2,)), 2)
+        noise = step_noise(st)
+        half = stick_step_shared(st.stick, 0.5 * self.cfg.dt, NoiseIncrement(
+            0.5 * noise.incr.coeffs, 0.5 * self.cfg.dt))
+        assert np.array_equal(noise.half.value, half.value)
+        assert (noise.half.t, noise.stick.t) == (st.t + 0.025, st.t + 0.05)
 
-    @pytest.mark.parametrize("seeds, ahead, message", [
-        ([4, 5], 0, "at step 1, the state's next step is 2"),
-        ([4, 5, 6], 1, r"batch \(3,\)"),
-        ([4, 6], 1, r"seeds \[4, 6\]"),
-    ])
-    def test_foreign_half_stick_refused(self, seeds, ahead, message):
-        st = run_steps(flow_init(self.cfg, seed=[4, 5], batch=(2,)), 1)
-        other = flow_init(self.cfg, seed=seeds, batch=(len(seeds),), step0=1).stick
-        with pytest.raises(ValueError, match=f"^half_stick: .*{message}"):
-            v_step(st, next_increment(st), half_stick=_advanced(other, self.cfg.dt, ahead))
-
-    def test_full_step_stick_refused(self):
-        st = self.state()
-        incr = next_increment(st)
-        full = stick_step_shared(st.stick, self.cfg.dt, incr)
-        with pytest.raises(ValueError, match=r"^half_stick: at t = 0\.15.*0\.125"):
-            v_step(st, incr, half_stick=full)
-
-    def test_refused_by_euler(self):
-        cfg = dataclasses.replace(self.cfg, integrator="euler")
-        st = flow_init(cfg, seed=[4, 5], batch=(2,))
-        incr = next_increment(st)
-        with pytest.raises(ValueError, match="^half_stick: the euler integrator"):
-            v_step(st, incr, half_stick=_midpoint_stick(st.stick, cfg.dt, incr))
+    @pytest.mark.parametrize("integrator, linear_only", [("euler", False),
+                                                         ("midpoint", True)])
+    def test_none_without_a_predictor(self, integrator, linear_only):
+        cfg = dataclasses.replace(self.cfg, integrator=integrator,
+                                  linear_only=linear_only)
+        assert step_noise(flow_init(cfg, seed=[4, 5], batch=(2,))).half is None
 
 
 class TestHeldOnce:

@@ -583,6 +583,21 @@ class TestPublicSurface:
         assert stale == [], "has a caller in src/sdnlw or perfbench; drop from the list"
         assert set(KEPT_WITHOUT_CALLER) <= defined
 
+    def test_every_keyword_only_parameter_is_passed_by_name(self):
+        # a keyword-only parameter that no code in the package or the
+        # benchmark passes is a hand-off kept only for tests
+        root = Path(__file__).resolve().parents[1]
+        package = sorted((root / "src" / "sdnlw").glob("*.py"))
+        callers = package + sorted((root / "perfbench").glob("*.py"))
+        passed = {kw.arg for path in callers
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) for kw in node.keywords}
+        kwonly = [(f"{path.stem}.{node.name}", arg.arg) for path in package
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef) for arg in node.args.kwonlyargs]
+        assert ("dynamics.v_step", "x0_phys") in kwonly
+        assert [f"{fn}({arg})" for fn, arg in kwonly if arg not in passed] == []
+
     def test_all_is_explicit_and_complete(self):
         import types
         import sdnlw

@@ -168,10 +168,11 @@ class TestStickStepping:
 
     def test_shared_step_reproducible_and_consistent(self):
         st = stick_init(4, 1.0, 21)
-        a = stick_step_shared(st, 0.05)
-        b = stick_step_shared(st, 0.05)
+        own = sample_increment(4, 0.05, 21, 0)
+        a = stick_step_shared(st, 0.05, own)
+        b = stick_step_shared(st, 0.05, sample_increment(4, 0.05, 21, 0))
         assert np.array_equal(a.value, b.value)
-        # explicit increment overrides the lineage
+        # another increment gives another stick
         inc = sample_increment(4, 0.05, 99, 0)
         c = stick_step_shared(st, 0.05, inc)
         assert not np.allclose(a.value, c.value)
@@ -208,8 +209,9 @@ class TestStickStepping:
         # one shared-increment step from zero has covariance
         # M(d) diag(0, 2 <n>^{-2s} d) M(d)^T = Sigma(d) + O(d^2)
         n, delta, s = 40_000, 0.05, 1.0
-        st = stick_init(2, s, [31 + i for i in range(n)], (n,))
-        st = stick_step_shared(st, delta)
+        seeds = [31 + i for i in range(n)]
+        st = stick_init(2, s, seeds, (n,))
+        st = stick_step_shared(st, delta, sample_increment(2, delta, seeds))
         cov = lattice_covariance(2, delta, s)
         ut = st.value[:, 1, 2, 2]
         emp = np.abs(ut) ** 2

@@ -222,6 +222,28 @@ class TestBatchIndependence:
 BUDGETS = [1, spectral.CHUNK_BYTES, 1 << 40]
 
 
+class TestLoneEqualsRow:
+    """A lone field (batch ()) gets the bits of its row in a batch: powers of
+    per-path values go through the array kernels, not numpy's scalar ``**``
+    (libm pow), which differs from them in the last bit on some inputs."""
+
+    ALPHA = 0.25
+    rng = np.random.default_rng(87)
+    FIELDS = random_field(4, rng, batch=(87,))
+    PAIRS = random_pair(4, rng, batch=(87,))
+
+    @pytest.mark.parametrize("norm", ["lp_norm", "sobolev_norm", "pair_norm"])
+    def test_norm(self, norm):
+        for p in (2.0, 8.0, 2.0 / (1.0 - self.ALPHA)):
+            fn, data = {"lp_norm": (lambda x: lp_norm(x, p), self.FIELDS),
+                        "sobolev_norm": (lambda x: sobolev_norm(x, self.ALPHA, p),
+                                         self.FIELDS),
+                        "pair_norm": (lambda x: pair_norm(x, self.ALPHA, p),
+                                      self.PAIRS)}[norm]
+            lone = np.array([fn(x) for x in data])
+            assert np.array_equal(lone, fn(data)), p
+
+
 class TestQuadratureBlocks:
     """``lp_norm`` samples at most CHUNK_BYTES worth of paths at a time; its
     values must equal one whole-batch transform bit for bit."""
