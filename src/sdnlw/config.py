@@ -2,7 +2,10 @@
 
 Constraints enforced here: N >= 0, s > 0, 0 < alpha < min(s, 1/3), dt > 0,
 T >= 0, M_pad >= 1, obs_interval > 0, blowup_threshold > 0, and every float
-key finite except blowup_threshold, which may be +inf.  NaN fails every
+key finite except blowup_threshold, which may be +inf, every observables
+name one a config line can select (``selectable_name``), and output_dir
+free of '#', line breaks and surrounding whitespace, so that a config
+survives dump_config and parse_config unchanged.  NaN fails every
 constraint.  A boolean key reads only 1/0, true/false, yes/no or on/off, in
 any case.  Each violated constraint is reported individually, naming the
 offending key.
@@ -21,6 +24,13 @@ _INTEGRATORS = ("euler", "midpoint")
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names every offending key."""
+
+
+def selectable_name(name) -> bool:
+    """Whether an ``observables`` line can select ``name``: a non-empty str
+    with no whitespace and none of ``,``, ``#`` or ``=``."""
+    return (isinstance(name, str) and name != ""
+            and not any(c.isspace() or c in ",#=" for c in name))
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,14 @@ class SimConfig:
         if not self.blowup_threshold > 0:
             errs.append(f"blowup_threshold: must be > 0 (inf allowed), got "
                         f"{self.blowup_threshold}")
+        bad = [name for name in self.observables if not selectable_name(name)]
+        if bad:
+            errs.append(f"observables: {bad} cannot be selected by a config line "
+                        f"(empty, or holding whitespace, ',', '#' or '=')")
+        out = str(self.output_dir)
+        if "#" in out or len(out.splitlines()) > 1 or out != out.strip():
+            errs.append(f"output_dir: must hold no '#' or line break and no leading "
+                        f"or trailing whitespace, got {self.output_dir!r}")
         return errs
 
     def check(self) -> "SimConfig":

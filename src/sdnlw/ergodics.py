@@ -37,7 +37,7 @@ import numpy as np
 
 from . import coupling as coupling_mod
 from . import noise as noise_mod
-from .config import ConfigError, SimConfig, steps
+from .config import ConfigError, SimConfig, selectable_name, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
 from .dynamics import FlowState, flow_init, full_flow, step_noise, v_step
 from .propagator import weighted_sup_norm
@@ -83,7 +83,21 @@ _REGISTRY = {
 
 def register_observable(name: str, fn) -> None:
     """Add a named functional ``fn(pair, cfg)`` of the full state to the
-    observables a config may list."""
+    observables a config may list.
+
+    ``fn`` must return real values of the paths' batch shape (a scalar for
+    one path); each value is copied into the run's float64 series at its
+    sample, so returning a view of ``pair`` retains nothing.  A value of
+    another shape or a complex value is refused at the t = 0 sample, before
+    any step.  A name must be one a config line can select: non-empty, with
+    no whitespace and none of ``,``, ``#`` or ``=`` (a ValueError naming it
+    otherwise); a non-callable ``fn`` is a TypeError.
+    """
+    if not selectable_name(name):
+        raise ValueError(f"observable name {name!r}: must be non-empty, with no "
+                         f"whitespace, ',', '#' or '='")
+    if not callable(fn):
+        raise TypeError(f"observable {name!r}: fn must be callable, got {type(fn)}")
     _REGISTRY[name] = fn
 
 
@@ -106,7 +120,8 @@ def _observable_fns(names) -> dict:
 
 @dataclass
 class ObservableSeries:
-    """Sampled values of one observable along one trajectory (or batch)."""
+    """Sampled values of one observable along one trajectory (or batch),
+    float64; the series one sampling run returns share one ``times`` array."""
 
     name: str
     times: np.ndarray
@@ -187,6 +202,10 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
     start, as ``sample_trajectory``; with ``coupled = (opts, n, every)`` the
     first run's "coupled_dn" series holds d_n of the coupled pair per path
     every ``every`` steps.
+
+    Each series is one preallocated float64 buffer of shape
+    (n_samples,) + batch that every sample is copied into, so no sampled
+    state outlives its step.
     """
     T = cfg.T if T is None else T
     names = observables if observables is not None else cfg.observables
@@ -200,12 +219,26 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
         opts, dn_n, dn_every = coupled
         rec = coupling_init(cfg, *starts, opts, seed=seeds, batch=batch)
         states[0] = rec.flow
-        dn_times, dn_vals = [0.0], [coupling_distance(rec, dn_n)]
+        dn_times = np.zeros(n_steps // dn_every + 1)
+        dn_vals = np.empty(dn_times.shape + batch)
+        dn_vals[0] = coupling_distance(rec, dn_n)
     # one stick object for every start, so one step_noise serves them all
     states[1:] = [replace(st, stick=states[0].stick) for st in states[1:]]
-    times = [0.0]
-    values = [{name: [np.asarray(fn(full_flow(state), cfg))] for name, fn in fns.items()}
-              for state in states]
+    times = np.zeros(n_steps // every + 1)
+    values = [{name: np.empty(times.shape + batch) for name in fns} for _ in states]
+
+    def sample(i, states):
+        for state, vals in zip(states, values):
+            phi = full_flow(state)
+            for name, fn in fns.items():
+                v = np.asarray(fn(phi, cfg))
+                if v.shape != batch or v.dtype.kind not in "biuf":
+                    raise ValueError(f"observable {name!r}: expected real values of "
+                                     f"the batch shape {batch}, got {v.dtype} of "
+                                     f"shape {v.shape}")
+                vals[name][i] = v
+
+    sample(0, states)
     for k in range(n_steps):
         noise = step_noise(states[0])
         if coupled is None:
@@ -214,21 +247,16 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
             rec = coupling_step(rec, noise)
             states = [rec.flow, v_step(states[1], noise)]
             if (k + 1) % dn_every == 0:
-                dn_times.append(noise.stick.t)
-                dn_vals.append(coupling_distance(rec, dn_n))
+                dn_times[(k + 1) // dn_every] = noise.stick.t
+                dn_vals[(k + 1) // dn_every] = coupling_distance(rec, dn_n)
         if (k + 1) % every == 0:
-            times.append(noise.stick.t)
-            for state, vals in zip(states, values):
-                phi = full_flow(state)
-                for name, fn in fns.items():
-                    vals[name].append(np.asarray(fn(phi, cfg)))
-    runs = [{"series": {name: ObservableSeries(name, np.array(times), np.stack(v))
-                        for name, v in vals.items()},
+            times[(k + 1) // every] = noise.stick.t
+            sample((k + 1) // every, states)
+    runs = [{"series": {name: ObservableSeries(name, times, v) for name, v in vals.items()},
              "state": state}
             for state, vals in zip(states, values)]
     if coupled is not None:
-        runs[0]["coupled_dn"] = ObservableSeries("coupled_dn", np.array(dn_times),
-                                                 np.stack(dn_vals))
+        runs[0]["coupled_dn"] = ObservableSeries("coupled_dn", dn_times, dn_vals)
     return runs
 
 
@@ -286,12 +314,13 @@ def _averages_worker(payload) -> tuple:
 
 def compare_averages(a1, a2) -> dict:
     """Difference of two ensembles' mean time averages against three
-    combined standard errors of the across-seed scatter."""
+    combined standard errors of the across-seed scatter; with zero scatter
+    only equal averages are within."""
     a1, a2 = np.asarray(a1), np.asarray(a2)
     se = float(np.hypot(a1.std(ddof=1), a2.std(ddof=1)) / np.sqrt(len(a1)))
     diff = float(a1.mean() - a2.mean())
     return {"avg1": float(a1.mean()), "avg2": float(a2.mean()), "diff": diff,
-            "combined_se": se, "within_3se": abs(diff) <= 3.0 * se or se == 0.0}
+            "combined_se": se, "within_3se": abs(diff) <= 3.0 * se}
 
 
 def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,

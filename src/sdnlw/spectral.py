@@ -410,9 +410,10 @@ def add_fields(*fields: np.ndarray) -> np.ndarray:
 
 
 def integral(coeffs: np.ndarray) -> np.ndarray:
-    """Integral over T^2 = the zero-mode coefficient."""
+    """Integral over T^2 = the zero-mode coefficient, as an owned real array
+    (a copy, not a view that would keep ``coeffs`` alive)."""
     N = truncation_of(coeffs)
-    return coeffs[..., N, N].real
+    return coeffs[..., N, N].real.copy()
 
 
 def convolution_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:

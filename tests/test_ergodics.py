@@ -1,6 +1,8 @@
 """Observables, Birkhoff averages, error bars, and convergence experiments."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sdnlw.coupling import CouplingOptions, d_n
 from sdnlw.ergodics import (
     ObservableSeries,
     autocorr_time,
+    compare_averages,
     compare_starts,
     get_observable,
     krylov_bogolyubov_diagnostic,
@@ -25,6 +28,14 @@ from sdnlw.spectral import gaussian_bump_pair, random_pair, zero_pair
 from _utils import compare_starts_separately, two_start_convergence
 
 RNG = np.random.default_rng(77)
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """A private copy of the observable registry, so a test's registrations
+    do not outlive it."""
+    monkeypatch.setattr(ergodics, "_REGISTRY", dict(ergodics._REGISTRY))
+    return ergodics._REGISTRY
 
 
 class TestObservables:
@@ -62,9 +73,40 @@ class TestObservables:
         assert got == d_n(pair, zero, 1, 0.25, pad=4.0)
         assert got != d_n(pair, zero, 1, 0.25, pad=2.0)
 
-    def test_user_extension_point(self):
+    def test_user_extension_point(self, registry):
         register_observable("test_zero_obs", lambda pair, cfg: 0.0)
         assert get_observable("test_zero_obs")(zero_pair(2), SimConfig()) == 0.0
+
+    @pytest.mark.parametrize("name", ["", "a, b", "a,b", "a#b", "a=b", "a b",
+                                      "tab\t", "line\n", None])
+    def test_unselectable_name_refused(self, registry, name):
+        # a name a config line cannot select, or one that splits the CSV header
+        before = dict(registry)
+        with pytest.raises(ValueError, match=re.escape(f"observable name {name!r}")):
+            register_observable(name, lambda pair, cfg: 0.0)
+        assert registry == before
+
+    def test_non_callable_refused(self, registry):
+        with pytest.raises(TypeError, match="'const'"):
+            register_observable("const", 0.0)
+        assert "const" not in registry
+
+    @pytest.mark.parametrize("seeds,value", [
+        (None, lambda pair, cfg: np.zeros(1)),
+        ([1, 2, 3], lambda pair, cfg: 0.0),
+        ([1, 2, 3], lambda pair, cfg: np.zeros((3, 1))),
+        ([1, 2, 3], lambda pair, cfg: pair[..., 0, cfg.N, cfg.N]),  # complex
+    ])
+    def test_wrong_value_refused_before_any_step(self, registry, monkeypatch,
+                                                 seeds, value):
+        def no_step(*args):
+            raise AssertionError("stepped before refusing")
+
+        monkeypatch.setattr(ergodics, "step_noise", no_step)
+        register_observable("bad", value)
+        cfg = SimConfig(N=2, T=1.0, observables=("mean_u2", "bad"))
+        with pytest.raises(ValueError, match="^observable 'bad': expected real values"):
+            sample_trajectory(cfg, None, seeds)
 
     def test_stick_mean_u2_matches_stationary_sum(self):
         # mean of u^2 for a (near-)stationary stick sample vs closed form
@@ -157,7 +199,60 @@ class TestEnsembleSummary:
         assert d["n_eff"] < vals.size
 
 
+class TestSamplingMemory:
+    """A run holds its states and its float series, and no sampled state:
+    the traced peak grows with the samples by the series' own bytes."""
+
+    SLACK = 256 * 1024
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def assert_flat(self, run, series_bytes):
+        """``run(T)`` samples T / 0.01 + 1 times; the peak at 400 samples
+        exceeds the one at 20 by at most the 380 extra rows."""
+        run(0.19)  # plans and tables cached first
+        low = self.traced_peak(lambda: run(0.19))
+        high = self.traced_peak(lambda: run(3.99))
+        assert high - low <= 380 * series_bytes + self.SLACK
+
+    @staticmethod
+    def config(**kw):  # the default observables unless overridden
+        return SimConfig(N=16, dt=0.01, obs_interval=0.01, **kw)
+
+    def test_sample_trajectory(self):
+        cfg = self.config()
+        self.assert_flat(lambda T: sample_trajectory(cfg, None, 7, T),
+                         8 * (len(cfg.observables) + 1))
+
+    def test_compare_starts(self, monkeypatch):
+        monkeypatch.delenv("SDNLW_WORKERS", raising=False)
+        cfg, seeds = self.config(), [7, 8, 9]
+        u2 = gaussian_bump_pair(cfg.N, 1.0)
+        self.assert_flat(lambda T: compare_starts(cfg, None, u2, T, seeds),
+                         8 * (2 * len(cfg.observables) * len(seeds) + 1))
+
+    def test_observable_returning_a_view(self, registry):
+        register_observable("view_u", lambda pair, cfg: pair[..., 0, cfg.N, cfg.N].real)
+        cfg = self.config(observables=("view_u",))
+        self.assert_flat(lambda T: sample_trajectory(cfg, None, 7, T), 8 * 2)
+
+
 class TestExperiments:
+    def test_zero_scatter_compares_the_averages(self):
+        same = compare_averages([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        assert same["combined_se"] == 0.0 and same["within_3se"]
+        differ = compare_averages([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+        assert differ["combined_se"] == 0.0 and differ["diff"] == -1.0
+        assert not differ["within_3se"]
+
     def test_linear_moment_oracle(self):
         rep = linear_moment_report(N=4, s=1.0, T=250.0, dt_sample=0.25,
                                    seed=5, n_paths=4)

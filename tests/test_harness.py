@@ -105,6 +105,27 @@ class TestConfig:
         p.write_text(dump_config(cfg))
         assert load_config(p) == cfg
 
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(),
+        SimConfig(N=6, s=0.7, gamma=-0.3, alpha=0.2, dt=0.02, T=3.0, seed=11,
+                  integrator="midpoint", M_pad=3.5, observables=("mean_u", "dn_to_ref"),
+                  output_dir="runs/a b-1", obs_interval=0.1, linear_only=True,
+                  blowup_threshold=np.inf),
+        SimConfig(observables=(), output_dir="", blowup_threshold=1e-300, T=0.0),
+    ])
+    def test_parse_inverts_dump(self, cfg):
+        assert parse_config(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("out", ["runs#1", "a\nb", "a\rb", " runs", "runs\t"])
+    def test_output_dir_that_cannot_round_trip_refused(self, out):
+        with pytest.raises(ConfigError, match="^output_dir: "):
+            SimConfig(output_dir=out).check()
+
+    @pytest.mark.parametrize("name", ["a b", "a=b", ""])
+    def test_unselectable_observable_name_refused(self, name):
+        with pytest.raises(ConfigError, match="^observables: "):
+            SimConfig(observables=("mean_u", name)).check()
+
     def test_digest_stable(self):
         a, b = SimConfig(seed=1), SimConfig(seed=1)
         assert a.digest() == b.digest()

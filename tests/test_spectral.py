@@ -13,6 +13,7 @@ from sdnlw.spectral import (
     convolution_oracle,
     dealiased_product,
     hermitize,
+    integral,
     l2_inner,
     lp_norm,
     pair_norm,
@@ -339,6 +340,14 @@ class TestDealiasedProduct:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_integral_owns_its_values(self, batch):
+        # a sampled mean must not keep the whole field alive
+        f = random_field(4, RNG, batch=batch)
+        got = integral(f)
+        assert not np.shares_memory(got, f)
+        assert np.array_equal(got, f[..., 4, 4].real)
+
     def test_constant_field_all_alpha_p(self):
         f = constant_field(4, -1.7)
         for alpha in (-1.0, 0.0, 0.6):
