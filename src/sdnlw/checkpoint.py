@@ -9,16 +9,18 @@ Layout (little-endian), version 1:
     f64          s, gamma, alpha, dt
     i64          seed, step
     f64          t
-    u8           integrator (0 = euler, 1 = midpoint)
-    u8           linear_only
+    u8           integrator (0 = euler, the one scheme)
+    u8           linear_only (0 or 1)
     f64          M_pad, blowup_threshold, obs_interval
     4 arrays     complex128 C-order, each (2, K, K): u0, S(t)u0, stick, v
 
-Restoring validates the magic and version, refuses truncated payloads, and
-refuses configs whose physical keys (N, s, gamma, alpha, dt, integrator)
-disagree with the stored ones -- in particular cross-dt resume.  The noise
-lineage is (seed, step) and the full state (including the incrementally
-evolved linear part) is stored verbatim, so a restored run continues
+Restoring validates the magic and version and refuses truncated
+payloads, an integrator byte other than 0, a linear_only byte other than
+0 or 1, a stored config that fails ``SimConfig.check``, and configs whose
+physical keys (N, s, gamma, alpha, dt, integrator) disagree with the
+stored ones -- in particular cross-dt resume.  The noise lineage is
+(seed, step) and the full state (including the incrementally evolved
+linear part) is stored verbatim, so a restored run continues
 bit-identically to the uninterrupted one.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import _INTEGRATORS, SimConfig
+from .config import _INTEGRATORS, ConfigError, SimConfig
 from .dynamics import FlowState, flow_init
 
 MAGIC = b"SDNLW1"
@@ -76,16 +78,25 @@ def load_checkpoint(blob: bytes, cfg: SimConfig | None = None) -> FlowState:
     except struct.error as exc:
         raise CheckpointError("truncated checkpoint header") from exc
     off += _HEADER.size
+    if integ >= len(_INTEGRATORS):
+        raise CheckpointError(f"integrator: byte {integ} names no integrator "
+                              f"(0 = euler)")
+    if linear_only > 1:
+        raise CheckpointError(f"linear_only: byte {linear_only} is neither 0 nor 1")
+    stored = SimConfig(N=N, s=s, gamma=gamma, alpha=alpha, dt=dt, seed=seed,
+                       integrator=_INTEGRATORS[integ],
+                       linear_only=bool(linear_only), M_pad=m_pad,
+                       blowup_threshold=blowup, obs_interval=obs_int)
+    try:
+        stored.check()
+    except ConfigError as exc:
+        raise CheckpointError(f"stored config refused: {exc}") from exc
     K = 2 * N + 1
     nbytes = 2 * K * K * 16
     if len(blob) != off + 4 * nbytes:
         raise CheckpointError(
             f"truncated checkpoint payload (expected {off + 4*nbytes} bytes, "
             f"got {len(blob)})")
-    stored = SimConfig(N=N, s=s, gamma=gamma, alpha=alpha, dt=dt, seed=seed,
-                       integrator=_INTEGRATORS[integ],
-                       linear_only=bool(linear_only), M_pad=m_pad,
-                       blowup_threshold=blowup, obs_interval=obs_int)
     if cfg is not None:
         for key in ("N", "s", "gamma", "alpha", "dt", "integrator"):
             have, want = getattr(cfg, key), getattr(stored, key)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 DEFAULT_OBSERVABLES = ("mean_u", "mean_u2", "clipped_halpha")
 
-_INTEGRATORS = ("euler", "midpoint")
+_INTEGRATORS = ("euler",)
 
 
 class ConfigError(ValueError):

@@ -16,8 +16,8 @@ where Q_w = Q(u1(t), w + S(t) udiff) is the quadratic form from renorm,
 rho_eps is the heat kernel at time eps (Fourier multiplier
 exp(-eps |2 pi n|^2)), and the adaptive scale is
 
-    eps = C^{-2/alpha} (1 + |w|_{H1} + |udiff|_{X^alpha} + |u1(t)|_{X^alpha}
-                          + |Q_w|_{W^{alpha, 2/(1-alpha)}})^{-4/alpha}.
+    eps = (1 + |w|_{H1} + |udiff|_{X^alpha} + |u1(t)|_{X^alpha}
+           + |Q_w|_{W^{alpha, 2/(1-alpha)}})^{-4/alpha}.
 
 The Girsanov shift is h = 2^{-1/2} <grad>^s B_moll, so that
 sqrt(2) <grad>^{-s} h is exactly the mollified bracket; with this shared
@@ -30,10 +30,9 @@ remainder equation; the continuum display corresponds to N = infinity).
 ``shifted_flow_check`` verifies the identity by simulating the left side
 directly, in lockstep with the coupling: step k adds dt h_k, the shift
 coupling step k used, to that step's white-noise increment.  Then
-sqrt(2) <grad>^{-s} dt h_k is the step's mollified bracket, so under the
-Euler integrator the identity holds for the discrete schemes themselves
-and the gap is round-off.  w is always integrated by Euler, so under the
-midpoint integrator the gap is the O(dt) difference of the two schemes.
+sqrt(2) <grad>^{-s} dt h_k is the step's mollified bracket.  The flows
+and w are stepped by the one exponential Euler scheme, so the identity
+holds for the discrete schemes themselves and the gap is round-off.
 
 The stopped process h_M freezes h at its value at the first time any of
 |stick|_{W^{alpha,4/alpha} pair}, |wick2|_{L^4}, |wick3|_{L^2} exceeds M;
@@ -239,7 +238,6 @@ class TauMMonitor:
 
 @dataclass(frozen=True)
 class CouplingOptions:
-    C: float = 1.0                 # the universal constant in eps (config override)
     norm_exp: float | None = None  # exponent on the norm sum, default 4/alpha
     eps_every: int = 1             # re-evaluate eps every this many steps
     dt_grid: float = 0.25          # X^alpha sup grid step
@@ -337,8 +335,7 @@ def _moll_bracket(record: CouplingRecord, Q: np.ndarray, eps: np.ndarray):
 
 def epsilon_scale(record: CouplingRecord, Q: np.ndarray) -> np.ndarray:
     """The adaptive mollification time eps(w)(t) for the record's quadratic
-    form Q (``_plain_bracket``); nonincreasing in every norm argument and
-    scaling as C^{-2/alpha}."""
+    form Q (``_plain_bracket``); nonincreasing in every norm argument."""
     cfg = record.flow.cfg
     alpha = cfg.alpha
     opts = record.opts
@@ -347,7 +344,7 @@ def epsilon_scale(record: CouplingRecord, Q: np.ndarray) -> np.ndarray:
             + xalpha_norm(full_flow(record.flow), alpha, dt_grid=opts.dt_grid,
                           pad=cfg.M_pad)
             + sobolev_norm(Q, alpha, 2.0 / (1.0 - alpha), cfg.M_pad))
-    return np.asarray(opts.C ** (-2.0 / alpha) * np.power(base, -norm_exp))
+    return np.asarray(np.power(base, -norm_exp))
 
 
 def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
@@ -428,8 +425,7 @@ def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray
 
     One lockstep pass: each step's increment is drawn once, drives the
     coupling step, and then, shifted by dt times the h that step used,
-    drives the plain simulator from u2^0.  The gap is round-off under the
-    Euler integrator and O(dt) under midpoint.
+    drives the plain simulator from u2^0.  The gap is round-off.
     """
     seed = cfg.seed if seed is None else seed
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seed)

@@ -10,13 +10,10 @@ where v solves the Duhamel remainder equation
 
 with N_gamma(x) = x^3 - 3 gamma x.  The linear part S(t) u0 is evolved
 incrementally (lin <- S(dt) lin), which is exact per mode, and the cubic
-forcing is exponentially integrated:
+forcing is integrated by exponential Euler (``integrator = euler``, the
+one scheme; the coupling shift w uses it too):
 
-* ``euler``:    v <- S(dt) v - dt * S(dt) (0, NL(t))          (order 1)
-* ``midpoint``: Euler half-step predictor, then
-                v <- S(dt) v - dt * S(dt/2) (0, NL(t+dt/2))   (order 2 on
-                deterministic paths; the shared-increment noise coupling
-                limits pathwise self-convergence to order 1)
+    v <- S(dt) v - dt * S(dt) (0, NL(t))          (order 1)
 
 A step's noise is one ``StepNoise`` from ``step_noise``; flows that share
 one stick object (lockstep starts) share it, so the stick advances once.
@@ -113,6 +110,14 @@ def _check_fits_paths(name: str, data: np.ndarray, paths: tuple) -> None:
                          f"to the paths' batch {paths}")
 
 
+def _check_integrator(cfg: SimConfig) -> None:
+    """Refuse an integrator other than ``euler`` in a config that skipped
+    ``check``, rather than running it as Euler."""
+    if cfg.integrator != "euler":
+        raise ValueError(f"integrator: only 'euler' is implemented, got "
+                         f"{cfg.integrator!r}")
+
+
 def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
               batch: tuple = (), step0: int = 0) -> FlowState:
     """Fresh flow state; ``step0`` offsets the noise lineage (restarts).
@@ -120,7 +125,9 @@ def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
     The paths' batch is ``batch``, or the data's when ``batch`` is ().  The
     state keeps its own copy of ``u0`` at the data's batch shape (class
     docstring), so a later write to the caller's array changes nothing.
+    A config whose integrator is not ``euler`` is refused.
     """
+    _check_integrator(cfg)
     N = cfg.N
     if u0 is None:
         u0 = zero_pair(N)
@@ -171,14 +178,12 @@ def _check_blowup(field: np.ndarray, cfg: SimConfig, t: float, label: str = "v")
 @dataclass(frozen=True)
 class StepNoise:
     """One step's noise for every flow on one stick: the white-noise
-    increment, the stick it was built from, that stick advanced over dt,
-    and the midpoint predictor's half-step stick (None under Euler or
-    linear_only).  Flows stepped with it share one advance of each."""
+    increment, the stick it was built from, and that stick advanced over
+    dt.  Flows stepped with it share one advance."""
 
     incr: NoiseIncrement
     before: StickState
     stick: StickState
-    half: StickState | None
 
 
 def step_noise(state: FlowState, incr: NoiseIncrement | None = None) -> StepNoise:
@@ -190,47 +195,33 @@ def step_noise(state: FlowState, incr: NoiseIncrement | None = None) -> StepNois
     before = state.stick
     if incr is None:
         incr = sample_increment(cfg.N, delta, before.seed, before.step)
-    stick = noise_mod.stick_step_shared(before, delta, incr)
-    half = None
-    if cfg.integrator == "midpoint" and not cfg.linear_only:
-        half = noise_mod.stick_step_shared(
-            before, 0.5 * delta, NoiseIncrement(0.5 * incr.coeffs, 0.5 * delta))
-    return StepNoise(incr, before, stick, half)
+    return StepNoise(incr, before, noise_mod.stick_step_shared(before, delta, incr))
 
 
 def v_step(state: FlowState, noise: StepNoise | None = None, *,
            x0_phys: np.ndarray | None = None) -> FlowState:
-    """Advance stick and remainder by one step of length cfg.dt of the
-    chosen integrator on ``noise``, the state's ``step_noise`` when
-    omitted; noise built from another stick object is refused (a
-    ValueError naming ``noise``).  ``x0_phys`` is pi1 of the state's full
-    flow on the cube grid, when the caller has sampled it already (see
-    ``nonlinearity_field``)."""
+    """Advance stick and remainder by one exponential Euler step of length
+    cfg.dt on ``noise``, the state's ``step_noise`` when omitted; noise
+    built from another stick object is refused (a ValueError naming
+    ``noise``), and so is a config whose integrator is not ``euler``.
+    ``x0_phys`` is pi1 of the state's full flow on the cube grid, when the
+    caller has sampled it already (see ``nonlinearity_field``)."""
     if noise is None:
         noise = step_noise(state)
     elif noise.before is not state.stick:
         raise ValueError("noise: built from another stick than the state's")
     cfg = state.cfg
+    _check_integrator(cfg)
     delta = cfg.dt
     N = cfg.N
     tab = propagator_tables(N, delta)
 
     if cfg.linear_only:
         v_new = apply_tables(tab, state.v)
-    elif cfg.integrator == "euler":
+    else:
         nl = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
                                 x0_phys)
         v_new = apply_tables(tab, state.v) - delta * kick_tables(tab, nl)
-    elif cfg.integrator == "midpoint":
-        half = propagator_tables(N, 0.5 * delta)
-        nl0 = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
-                                 x0_phys)
-        lin_h = apply_tables(half, state.lin)
-        v_h = apply_tables(half, state.v) - 0.5 * delta * kick_tables(half, nl0)
-        nl_mid = nonlinearity_field(lin_h, noise.half.value, v_h, cfg.gamma, N)
-        v_new = apply_tables(tab, state.v) - delta * kick_tables(half, nl_mid)
-    else:
-        raise ValueError(f"unknown integrator {cfg.integrator!r}")
 
     lin_new = apply_tables(tab, state.lin)
     _check_blowup(v_new, cfg, noise.stick.t)
@@ -277,7 +268,7 @@ def restart_check(cfg: SimConfig, u0: np.ndarray | None, t: float, h: float,
     The restarted run reuses the same noise lineage (step offset t/dt), so
     the residual measures only the integrator's consistency with the
     restart identity; it vanishes to round-off for the linear flow and
-    decreases at the integrator's order otherwise.
+    decreases at order one otherwise.
     """
     n_t = steps(t, cfg.dt, "t")
     n_h = steps(h, cfg.dt, "h")

@@ -4,8 +4,8 @@ convergence experiment.
 ``compare_starts`` (behind ``sdnlw ergodic`` and criterion 10) steps its
 two starts in lockstep on the same seeds and one stick object: one
 ``dynamics.step_noise`` per step, the white-noise increment with the
-stochastic convolution advanced by it (under midpoint its half step too),
-serves both (synchronous coupling); with coupling options a coupling
+stochastic convolution advanced by it, serves both (synchronous
+coupling); with coupling options a coupling
 record toward the second start carries the first start's flow.  The
 seeds are split over one spawn process pool sized by SDNLW_WORKERS; a
 path's numbers depend only on its seed and the starts and join in seed

@@ -159,9 +159,8 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     out.append(_leq("girsanov: E(0) = 1 exactly",
                     abs(float(np.exp(rec.log_density)) - 1.0), 0.0))
 
-    # Phi(u2, xi + h) = Phi(u1, xi) + S(t) udiff + w for the Euler scheme
-    ccfg = replace(cfg, N=4, dt=0.05, integrator="euler", linear_only=False,
-                   seed=5).check()
+    # Phi(u2, xi + h) = Phi(u1, xi) + S(t) udiff + w for the one scheme
+    ccfg = replace(cfg, N=4, dt=0.05, linear_only=False, seed=5).check()
     gap, _ = coupling.shifted_flow_check(ccfg, None, spectral.gaussian_bump_pair(4), 0.5)
     out.append(_leq("coupling: exact shifted-flow identity (rel)", gap, 1e-12))
 

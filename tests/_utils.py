@@ -289,8 +289,8 @@ def trapezoid_shift_check(cfg, u1_0, u2_0, T: float, opts=None, seed=None,
     the plain simulator from u2^0 with the shift injected into the noise
     increments by the trapezoid rule.  Its node at t_k (k < n) is the h that
     step k used, with that step's eps; its node at T is ``shift_h`` of the
-    final record.  The residual converges to zero at the integrator's order
-    and is round-off whenever h vanishes.  An explicit ``incr_table`` fixes
+    final record.  The residual converges to zero at order one in dt and
+    is round-off whenever h vanishes.  An explicit ``incr_table`` fixes
     the white-noise path (step-size studies coarsen one fine path so all
     runs see the same realization).
     """

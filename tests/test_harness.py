@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnlw.checkpoint import (
+    _HEADER,
     CheckpointError,
     load_checkpoint,
     read_checkpoint,
@@ -99,6 +100,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^linear_only: "):
             parse_config(f"linear_only = {text}\n")
 
+    @pytest.mark.parametrize("name", ["midpoint", "rk4"])
+    def test_unknown_integrator_refused(self, name):
+        with pytest.raises(ConfigError, match="^integrator: "):
+            parse_config(f"integrator = {name}\n")
+
     def test_round_trip_via_dump(self, tmp_path):
         cfg = SimConfig(N=6, s=0.7, alpha=0.2, dt=0.02, seed=11)
         p = tmp_path / "run.cfg"
@@ -108,7 +114,7 @@ class TestConfig:
     @pytest.mark.parametrize("cfg", [
         SimConfig(),
         SimConfig(N=6, s=0.7, gamma=-0.3, alpha=0.2, dt=0.02, T=3.0, seed=11,
-                  integrator="midpoint", M_pad=3.5, observables=("mean_u", "dn_to_ref"),
+                  integrator="euler", M_pad=3.5, observables=("mean_u", "dn_to_ref"),
                   output_dir="runs/a b-1", obs_interval=0.1, linear_only=True,
                   blowup_threshold=np.inf),
         SimConfig(observables=(), output_dir="", blowup_threshold=1e-300, T=0.0),
@@ -161,6 +167,10 @@ class TestConfig:
 
 
 class TestCheckpoint:
+    # the header fields after magic, version and kind, in ``_HEADER``'s order
+    HEADER_FIELDS = ("N", "s", "gamma", "alpha", "dt", "seed", "step", "t", "integrator",
+                     "linear_only", "M_pad", "blowup_threshold", "obs_interval")
+
     def make_state(self, steps=7):
         cfg = SimConfig(N=4, s=1.0, gamma=0.2, dt=0.05, seed=13)
         st = flow_init(cfg, random_pair(4, np.random.default_rng(0)))
@@ -204,6 +214,35 @@ class TestCheckpoint:
         back = read_checkpoint(p, st.cfg)
         assert np.array_equal(back.v, st.v)
         assert back.t == st.t and back.step == st.step
+
+    def resume_patched(self, tmp_path, capsys, field, value):
+        """Exit code and stderr of ``sdnlw resume`` (no --config) on a
+        checkpoint whose header ``field`` reads ``value``."""
+        blob = bytearray(save_checkpoint(self.make_state()))
+        head = list(_HEADER.unpack_from(blob, 9))
+        head[self.HEADER_FIELDS.index(field)] = value
+        _HEADER.pack_into(blob, 9, *head)
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(bytes(blob))
+        code = cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("byte", [1, 2, 255])
+    def test_integrator_byte_refused(self, tmp_path, capsys, byte):
+        # 1 was midpoint, whose checkpoints no longer load
+        code, err = self.resume_patched(tmp_path, capsys, "integrator", byte)
+        assert code == 1
+        assert "integrator:" in err and "Traceback" not in err
+
+    def test_linear_only_byte_refused(self, tmp_path, capsys):
+        code, err = self.resume_patched(tmp_path, capsys, "linear_only", 7)
+        assert code == 1
+        assert "linear_only:" in err and "Traceback" not in err
+
+    def test_stored_config_checked(self, tmp_path, capsys):
+        code, err = self.resume_patched(tmp_path, capsys, "alpha", float("nan"))
+        assert code == 1
+        assert "alpha:" in err and "Traceback" not in err
 
 
 class TestRunner:
@@ -306,6 +345,13 @@ class TestCli:
         assert self.run_cli("simulate", "--config", str(bad)) == 1
         err = capsys.readouterr().err
         assert "s:" in err and "Traceback" not in err
+
+    def test_midpoint_config_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("integrator = midpoint\n")
+        assert self.run_cli("simulate", "--config", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert "integrator:" in err and "Traceback" not in err
 
     def test_bad_bool_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
