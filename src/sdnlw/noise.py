@@ -59,9 +59,12 @@ BLOCK_EXACT_B = 2
 
 # One reusable Philox whose (key, counter) is reset per draw: bit-identical
 # to constructing a fresh generator, at half the call overhead.  Processes
-# own their trajectories (no threads share this).  The state dict is read
-# once: a draw rewrites its counter and key in place and assigns it back;
-# buffer_pos = 4 marks the output buffer empty, so its contents are unused.
+# own their trajectories, and within a process only the thread that calls
+# ``dynamics.step_noise`` draws: a coupling step split into row blocks
+# draws its noise before the split, so no two threads touch this.  The
+# state dict is read once: a draw rewrites its counter and key in place
+# and assigns it back; buffer_pos = 4 marks the output buffer empty, so
+# its contents are unused.
 _PHILOX = np.random.Philox(key=0)
 _PHILOX_GEN = np.random.Generator(_PHILOX)
 _PHILOX_STATE = _PHILOX.state
@@ -214,7 +217,10 @@ class StickState:
 def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
     """The stochastic convolution starts from the zero pair.  Each path
     needs its own stream: a scalar seed takes batch (), a 1-d sequence of
-    seeds batch (len(seed),)."""
+    seeds batch (len(seed),).  A seed is a signed 64-bit integer, the
+    stream's key and a checkpoint's i64; one outside [-2**63, 2**63) is
+    refused, as a key reduced mod 2**64 would repeat another seed's
+    stream."""
     batch = tuple(batch)
     if np.isscalar(seed):
         ok = batch == ()
@@ -224,6 +230,9 @@ def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
         raise ValueError(f"seed of shape {np.shape(seed)} does not match batch "
                          f"{batch}: a scalar seed needs batch (), a 1-d "
                          "sequence of n seeds batch (n,)")
+    for one in (seed,) if batch == () else seed:
+        if not -2**63 <= int(one) < 2**63:
+            raise ValueError(f"seed {int(one)} lies outside [-2**63, 2**63)")
     return StickState(N, s, zero_pair(N, batch), 0.0, 0, seed)
 
 

@@ -8,7 +8,7 @@ start, the coupled two-start comparison with a second record loop, the
 two-pass trapezoid shifted-flow check), and small diagnostics only the
 tests use (the single-mode propagator matrix, the wave-equation
 finite-difference residual, the Hermitian defect, the Wick-ordering preset
-gamma_*)."""
+gamma_*, the field-by-field record comparison)."""
 
 import dataclasses
 import importlib
@@ -27,6 +27,18 @@ from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
 from sdnlw.spectral import bracket_multiplier, dealiased_product, grad2_table, hnorm, \
     l2_norm, lattice_size, mode_range, pair_norm, project_leq, quad_grid_size, reflect, \
     resize, to_physical, truncation_of, zero_field, zero_pair
+
+
+def assert_fields_equal(a, b, path="record"):
+    """Every dataclass field of a and b equal, arrays bit for bit."""
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_fields_equal(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert np.array_equal(a, b), path
+    else:
+        assert type(a) is type(b) and a == b, path
 
 
 def constant_field(N: int, value: float, batch: tuple = ()) -> np.ndarray:

@@ -38,8 +38,9 @@ from sdnlw.spectral import (
     zero_pair,
 )
 from sdnlw.propagator import xalpha_norm
-from _utils import coarsen, constant_field, fine_increments, girsanov_log_density, \
-    run_table, shift_h, tau_m_norms, tau_m_update, trapezoid_shift_check
+from _utils import assert_fields_equal, coarsen, constant_field, fine_increments, \
+    girsanov_log_density, run_table, shift_h, tau_m_norms, tau_m_update, \
+    trapezoid_shift_check
 
 RNG = np.random.default_rng(31)
 
@@ -333,18 +334,6 @@ class TestWSystem:
         b_moll = cp._moll_bracket(rec, q, rec.eps)
         h0 = cp._h_from_bracket(b_moll, 0.0)
         assert np.max(np.abs(h0 - b_moll / np.sqrt(2.0))) < 1e-15
-
-
-def assert_fields_equal(a, b, path="record"):
-    """Every dataclass field of a and b equal, arrays bit for bit."""
-    if dataclasses.is_dataclass(a) and not isinstance(a, type):
-        assert type(a) is type(b), path
-        for f in dataclasses.fields(a):
-            assert_fields_equal(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
-    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        assert np.array_equal(a, b), path
-    else:
-        assert type(a) is type(b) and a == b, path
 
 
 class TestStickHandOff:

@@ -453,6 +453,20 @@ class TestCli:
         st = read_checkpoint(out / "resumed.ckpt")
         assert st.t == pytest.approx(1.0)
 
+    def test_seed_outside_64_bits_exit_one(self, tmp_path, capsys):
+        # refused before any step: no traceback and no final.ckpt
+        out = tmp_path / "run"
+        assert self.run_cli("simulate", "--seed", str(2**63), "--t", "0.25",
+                            "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (out / "final.ckpt").exists()
+
+    def test_batched_seeds_outside_64_bits_refused(self):
+        cfg = SimConfig(N=2, s=1.0, dt=0.05)
+        with pytest.raises(ValueError, match=r"^seed 18446744073709551616 lies outside"):
+            flow_init(cfg, seed=[0, 1, 2**64], batch=(3,))
+
     def test_missing_checkpoint_exit_one(self, capsys):
         assert self.run_cli("resume", "--checkpoint", "/nonexistent.ckpt") == 1
 

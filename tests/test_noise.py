@@ -200,9 +200,18 @@ class TestStickStepping:
         with pytest.raises(ValueError, match=r"seed of shape \(2, 2\)"):
             draw(np.arange(4).reshape(2, 2))
 
+    @pytest.mark.parametrize("seed, batch", [(2**63, ()), (-2**63 - 1, ()), (2**64, ()),
+                                             ([0, 2**64, 1], (3,)),
+                                             (np.array([2**64 - 1], dtype=np.uint64), (1,))])
+    def test_init_refuses_seed_outside_64_bits(self, seed, batch):
+        # a key reduced mod 2**64 would repeat a stream: 2**64 drew seed 0's
+        with pytest.raises(ValueError, match=r"^seed -?\d+ lies outside \[-2\*\*63, 2\*\*63\)"):
+            stick_init(2, 1.0, seed, batch)
+
     def test_init_accepts_one_seed_per_path(self):
         assert stick_init(2, 1.0, 3).batch == ()
         assert stick_init(2, 1.0, [4, 5, 6], (3,)).batch == (3,)
+        assert stick_init(2, 1.0, [-2**63, 2**63 - 1, -1], (3,)).batch == (3,)
         assert stick_init(2, 1.0, np.arange(2), (2,)).batch == (2,)
 
     def test_shared_step_covariance_first_order(self):
