@@ -2,10 +2,10 @@
 
 Subcommands: simulate, stick-stats, couple, ergodic, verify, resume.
 Exit codes: 0 success; 1 an input was refused before the run (bad usage,
-config, horizon or checkpoint); 2 blow-up signal; 3 the run finished but
-its check failed (an ergodic observable DIFFERS, stick-stats flagged
-modes, a verify FAIL line).  Refused inputs print a message naming the
-offending key, never a traceback.
+config, horizon, checkpoint or an unreadable path); 2 blow-up signal; 3
+the run finished but its check failed (an ergodic observable DIFFERS,
+stick-stats flagged modes, a verify FAIL line).  Refused inputs print a
+message naming the offending key or path, never a traceback.
 """
 
 from __future__ import annotations
@@ -152,6 +152,7 @@ def cmd_resume(args) -> int:
     if n < 0:
         raise ConfigError(f"T: checkpoint is already past T={T}")
     state = run_steps(state, n)
+    state = replace(state, cfg=replace(cfg, T=T))  # the horizon it reached
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "resumed.ckpt"
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BlowUpError as exc:

@@ -282,13 +282,13 @@ def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
                   opts: CouplingOptions | None = None, seed=None,
                   batch: tuple = (), monitor_M: float | None = None) -> CouplingRecord:
     """A fresh record.  ``lin_diff`` carries no noise: like the flow's
-    ``u0`` and ``lin`` it keeps the batch shape of the data and broadcasts
+    ``lin`` it keeps the batch shape of the data and broadcasts
     against the paths, and X^alpha of the difference, which does not
     depend on the batch, is evaluated once at that shape."""
     opts = opts or CouplingOptions()
     flow = flow_init(cfg, u1_0, seed=seed, batch=batch)
     b = flow.batch
-    diff0 = resize(u2_0, cfg.N) - flow.u0  # a new array, not the caller's
+    diff0 = resize(u2_0, cfg.N) - flow.lin  # a new array, not the caller's
     _check_fits_paths("u2_0", diff0, b)
     xnorm = xalpha_norm(diff0, cfg.alpha, dt_grid=opts.dt_grid, pad=cfg.M_pad)
     monitor = None
@@ -454,8 +454,7 @@ def _rows_of(record: CouplingRecord, noise: StepNoise, sl: slice) -> tuple:
                           stop_time=monitor.stop_time[sl],
                           running_max=monitor.running_max[sl])
     part = replace(
-        record, flow=replace(flow, u0=data(flow.u0), lin=data(flow.lin),
-                             stick=before, v=flow.v[sl]),
+        record, flow=replace(flow, lin=data(flow.lin), stick=before, v=flow.v[sl]),
         lin_diff=data(record.lin_diff), w=record.w[sl], hcost=record.hcost[sl],
         log_density=record.log_density[sl], diff0_xnorm=record.diff0_xnorm[sl],
         eps=record.eps[sl], h_last=record.h_last[sl], monitor=monitor)

@@ -74,14 +74,13 @@ class FlowState:
     """One trajectory (or a batch) of the truncated flow.
 
     Only the stick and v differ between paths and carry the batch.  The
-    initial data and its evolution S(t) u0 carry no noise: they keep the
-    batch shape of the data, one (2, K, K) pair for a single datum, and
-    broadcast against the paths wherever the flow is assembled, so a step
-    applies S(dt) to one pair, not to one per path.
+    linear part S(t) u0 carries no noise: it keeps the batch shape of the
+    data, one (2, K, K) pair for a single datum, and broadcasts against the
+    paths wherever the flow is assembled, so a step applies S(dt) to one
+    pair, not to one per path.  At t = 0 it is the initial data itself.
     """
 
     cfg: SimConfig
-    u0: np.ndarray       # (..., 2, K, K) initial data, the data's batch shape
     lin: np.ndarray      # S(t) u0, evolved incrementally, the data's batch shape
     stick: StickState
     v: np.ndarray        # remainder pair, zero at t = 0, one per path
@@ -123,8 +122,8 @@ def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
     """Fresh flow state; ``step0`` offsets the noise lineage (restarts).
 
     The paths' batch is ``batch``, or the data's when ``batch`` is ().  The
-    state keeps its own copy of ``u0`` at the data's batch shape (class
-    docstring), so a later write to the caller's array changes nothing.
+    state keeps its own copy of ``u0`` as ``lin`` at the data's batch shape
+    (class docstring), so a later write to the caller's array changes nothing.
     A config whose integrator is not ``euler`` is refused.
     """
     _check_integrator(cfg)
@@ -139,7 +138,7 @@ def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
         seed = cfg.seed
     st = noise_mod.stick_init(N, cfg.s, seed, paths)
     st = replace(st, step=step0)
-    return FlowState(cfg, u0, u0.copy(), st, zero_pair(N, st.batch))
+    return FlowState(cfg, u0, st, zero_pair(N, st.batch))
 
 
 def cube_grid_size(N: int) -> int:

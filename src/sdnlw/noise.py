@@ -78,21 +78,32 @@ def _reset_stream(seed, step: int, block: int) -> None:
     _PHILOX.state = _PHILOX_STATE
 
 
-def normal_block(seed: int, step: int, block: int, shape: tuple) -> np.ndarray:
-    """Standard normals from the counter-based stream (seed, step, block)."""
-    _reset_stream(seed, step, block)
-    return _PHILOX_GEN.standard_normal(shape)
+def _check_seeds(seed) -> None:
+    """Refuse a seed outside [-2**63, 2**63): the stream's key is the seed
+    mod 2**64, so such a seed would repeat another seed's stream.  Seeds
+    that numpy holds as signed integers fit by their dtype and are not
+    walked one by one."""
+    seeds = np.asarray(seed)
+    if seeds.dtype.kind == "i":
+        return
+    for one in seeds.ravel():
+        if not -2**63 <= int(one) < 2**63:
+            raise ValueError(f"seed {int(one)} lies outside [-2**63, 2**63)")
 
 
 def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
-    """Each seed's block drawn into its row of one array; a scalar seed
-    gives an unbatched array, a 1-d sequence of n seeds a batch (n,)."""
+    """Standard normals from the counter-based stream (seed, step, block),
+    each seed's drawn into its row of one array; a scalar seed gives an
+    unbatched array, a 1-d sequence of n seeds a batch (n,)."""
     if np.isscalar(seed):
-        return normal_block(seed, step, block, shape)
+        _check_seeds(seed)
+        _reset_stream(seed, step, block)
+        return _PHILOX_GEN.standard_normal(shape)
     if np.ndim(seed) > 1:
         raise ValueError(f"seed of shape {np.shape(seed)}: a draw takes a scalar "
                          "seed or a 1-d sequence of seeds")
     seeds = np.asarray(seed).ravel()
+    _check_seeds(seeds)
     out = np.empty((seeds.size,) + tuple(shape))
     for s, row in zip(seeds, out):
         _reset_stream(s, step, block)
@@ -218,9 +229,8 @@ def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
     """The stochastic convolution starts from the zero pair.  Each path
     needs its own stream: a scalar seed takes batch (), a 1-d sequence of
     seeds batch (len(seed),).  A seed is a signed 64-bit integer, the
-    stream's key and a checkpoint's i64; one outside [-2**63, 2**63) is
-    refused, as a key reduced mod 2**64 would repeat another seed's
-    stream."""
+    stream's key; one outside [-2**63, 2**63) is refused here and on every
+    draw (``_check_seeds``)."""
     batch = tuple(batch)
     if np.isscalar(seed):
         ok = batch == ()
@@ -230,9 +240,7 @@ def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
         raise ValueError(f"seed of shape {np.shape(seed)} does not match batch "
                          f"{batch}: a scalar seed needs batch (), a 1-d "
                          "sequence of n seeds batch (n,)")
-    for one in (seed,) if batch == () else seed:
-        if not -2**63 <= int(one) < 2**63:
-            raise ValueError(f"seed {int(one)} lies outside [-2**63, 2**63)")
+    _check_seeds(seed)
     return StickState(N, s, zero_pair(N, batch), 0.0, 0, seed)
 
 

@@ -112,7 +112,7 @@ class TestCouplingInit:
         u2_0 = gaussian_bump_pair(6, 0.5)  # cropped to N = 4
         opts = cp.CouplingOptions(dt_grid=1.0)
         rec = coupling_init(cfg, u1_0, u2_0, opts, seed=list(range(6)), batch=batch)
-        diff = resize(u2_0, 4) - rec.flow.u0
+        diff = resize(u2_0, 4) - rec.flow.lin  # lin is u0 at t = 0
         assert np.array_equal(rec.lin_diff, diff)
         rows = np.broadcast_to(diff, batch + diff.shape[-3:])
         assert np.array_equal(rec.diff0_xnorm,
@@ -120,7 +120,7 @@ class TestCouplingInit:
 
 
 class TestHeldOnce:
-    """The noise-free parts, u0, S(t) u0 and S(t) udiff, keep the data's
+    """The noise-free parts, S(t) u0 and S(t) udiff, keep the data's
     batch shape and broadcast against the paths."""
 
     CFG = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
@@ -133,7 +133,7 @@ class TestHeldOnce:
                             seed=[5, 6, 7], batch=(3,), monitor_M=3.0)
         rec = run_coupling(rec, 3)
         pair = (2, 9, 9)
-        for arr in (rec.flow.u0, rec.flow.lin, rec.lin_diff):
+        for arr in (rec.flow.lin, rec.lin_diff):
             assert arr.shape == data_batch + pair
         for arr in (rec.flow.v, rec.flow.stick.value, rec.w):
             assert arr.shape == (3,) + pair

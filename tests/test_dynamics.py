@@ -276,15 +276,15 @@ class TestSharedStick:
 
 
 class TestHeldOnce:
-    """u0 and S(t) u0 carry no noise: they keep the data's batch shape, and
-    the state keeps its own copy of the caller's data."""
+    """S(t) u0 carries no noise: it keeps the data's batch shape, and the
+    state keeps its own copy of the caller's data."""
 
     @pytest.mark.parametrize("data_batch", [(), (3,)])
     def test_parts_keep_the_data_batch(self, data_batch):
         cfg = SimConfig(N=2, s=1.0, gamma=0.3, dt=0.05)
         st = run_steps(flow_init(cfg, random_pair(2, RNG, batch=data_batch),
                                  seed=[4, 5, 6], batch=(3,)), 2)
-        assert st.u0.shape == st.lin.shape == data_batch + (2, 5, 5)
+        assert st.lin.shape == data_batch + (2, 5, 5)
         assert st.v.shape == st.stick.value.shape == full_flow(st).shape == (3, 2, 5, 5)
 
     def test_rows_equal_lone_runs(self):
@@ -307,7 +307,7 @@ class TestHeldOnce:
         u[0, 4, 4] = 99.0
         assert save_checkpoint(st) == blob
         after = v_step(st)
-        for name in ("u0", "lin", "v"):
+        for name in ("lin", "v"):
             assert np.array_equal(getattr(after, name), getattr(nxt, name))
 
     def test_data_not_fitting_the_paths_refused(self):

@@ -3,10 +3,11 @@
 import ast
 import json
 import os
+import struct
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnlw.checkpoint import (
-    _HEADER,
     CheckpointError,
     load_checkpoint,
     read_checkpoint,
@@ -166,11 +166,16 @@ class TestConfig:
             steps(span, dt, "T")
 
 
-class TestCheckpoint:
-    # the header fields after magic, version and kind, in ``_HEADER``'s order
-    HEADER_FIELDS = ("N", "s", "gamma", "alpha", "dt", "seed", "step", "t", "integrator",
-                     "linear_only", "M_pad", "blowup_threshold", "obs_interval")
+def with_config_text(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with its stored config text replaced by
+    ``edit(text)``: the u32 length sits after magic, version, kind, step
+    and t, at byte 25, and the text follows it."""
+    (n,) = struct.unpack_from("<I", blob, 25)
+    text = edit(blob[29:29 + n].decode("utf-8")).encode("utf-8")
+    return blob[:25] + struct.pack("<I", len(text)) + text + blob[29 + n:]
 
+
+class TestCheckpoint:
     def make_state(self, steps=7):
         cfg = SimConfig(N=4, s=1.0, gamma=0.2, dt=0.05, seed=13)
         st = flow_init(cfg, random_pair(4, np.random.default_rng(0)))
@@ -215,26 +220,29 @@ class TestCheckpoint:
         assert np.array_equal(back.v, st.v)
         assert back.t == st.t and back.step == st.step
 
-    def resume_patched(self, tmp_path, capsys, field, value):
+    def resume_patched(self, tmp_path, capsys, key, value):
         """Exit code and stderr of ``sdnlw resume`` (no --config) on a
-        checkpoint whose header ``field`` reads ``value``."""
-        blob = bytearray(save_checkpoint(self.make_state()))
-        head = list(_HEADER.unpack_from(blob, 9))
-        head[self.HEADER_FIELDS.index(field)] = value
-        _HEADER.pack_into(blob, 9, *head)
+        checkpoint whose stored config text sets ``key = value``."""
+        st = self.make_state()
+        line = f"{key} = {getattr(st.cfg, key)}\n"
+
+        def edit(text):
+            assert line in text
+            return text.replace(line, f"{key} = {value}\n")
+
         p = tmp_path / "bad.ckpt"
-        p.write_bytes(bytes(blob))
+        p.write_bytes(with_config_text(save_checkpoint(st), edit))
         code = cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path / "o")])
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("byte", [1, 2, 255])
-    def test_integrator_byte_refused(self, tmp_path, capsys, byte):
-        # 1 was midpoint, whose checkpoints no longer load
-        code, err = self.resume_patched(tmp_path, capsys, "integrator", byte)
+    @pytest.mark.parametrize("name", ["midpoint", "rk4", "255"])
+    def test_stored_integrator_refused(self, tmp_path, capsys, name):
+        # midpoint was deleted; its checkpoints no longer load
+        code, err = self.resume_patched(tmp_path, capsys, "integrator", name)
         assert code == 1
         assert "integrator:" in err and "Traceback" not in err
 
-    def test_linear_only_byte_refused(self, tmp_path, capsys):
+    def test_stored_linear_only_refused(self, tmp_path, capsys):
         code, err = self.resume_patched(tmp_path, capsys, "linear_only", 7)
         assert code == 1
         assert "linear_only:" in err and "Traceback" not in err
@@ -243,6 +251,48 @@ class TestCheckpoint:
         code, err = self.resume_patched(tmp_path, capsys, "alpha", float("nan"))
         assert code == 1
         assert "alpha:" in err and "Traceback" not in err
+
+    def test_stored_text_not_utf8_refused(self):
+        blob = save_checkpoint(self.make_state())
+        with pytest.raises(CheckpointError, match="^stored config refused: .*utf-8"):
+            load_checkpoint(blob[:29] + b"\xff" + blob[30:])  # the text's first byte
+
+    def test_version_1_refused(self, tmp_path, capsys):
+        # a v1 header held only some config keys; the rest would be invented
+        blob = save_checkpoint(self.make_state())
+        v1 = blob[:6] + struct.pack("<H", 1) + blob[8:]
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1$"):
+            load_checkpoint(v1)
+        p = tmp_path / "v1.ckpt"
+        p.write_bytes(v1)
+        assert cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "version 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("keep", [20, 40], ids=["header", "config text"])
+    def test_cut_before_arrays_rejected(self, keep):
+        blob = save_checkpoint(self.make_state())
+        with pytest.raises(CheckpointError, match="^truncated"):
+            load_checkpoint(blob[:keep])
+
+    def test_every_key_round_trips(self):
+        # a key the format dropped would come back at its default
+        cfg = SimConfig(N=3, s=0.9, gamma=0.1 + 0.2, alpha=0.2, dt=0.02, T=0.5,
+                        seed=-2**63, M_pad=1.5, observables=("mean_u2", "mean_u"),
+                        output_dir="runs/a b", obs_interval=0.1, linear_only=True,
+                        blowup_threshold=np.inf)
+        moved = {f.name for f in fields(cfg) if getattr(cfg, f.name) != f.default}
+        # euler is the one integrator, so that key cannot move
+        assert moved == {f.name for f in fields(cfg)} - {"integrator"}
+        st = run_steps(flow_init(cfg, random_pair(3, np.random.default_rng(1))), 2)
+        assert load_checkpoint(save_checkpoint(st)).cfg == st.cfg
+
+    def test_refused_state_writes_no_file(self, tmp_path):
+        st = flow_init(SimConfig(N=2), seed=[1, 2], batch=(2,))
+        p = tmp_path / "b.ckpt"
+        with pytest.raises(CheckpointError, match="batch"):
+            write_checkpoint(st, p)
+        assert not p.exists()
 
 
 class TestRunner:
@@ -469,6 +519,52 @@ class TestCli:
 
     def test_missing_checkpoint_exit_one(self, capsys):
         assert self.run_cli("resume", "--checkpoint", "/nonexistent.ckpt") == 1
+
+    @pytest.mark.parametrize("argv", [["simulate", "--config"], ["resume", "--checkpoint"]],
+                             ids=["config", "checkpoint"])
+    def test_directory_path_exit_one(self, tmp_path, capsys, argv):
+        assert self.run_cli(*argv, str(tmp_path), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_stick_stats_seed_outside_64_bits_exit_one(self, capsys):
+        # the 100 seeds step by 1000 from 2**63 - 1, past the signed range
+        assert self.run_cli("stick-stats", "--seed", str(2**63 - 1),
+                            "--samples", "100") == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
+    def test_resume_uses_stored_config(self, tmp_path, capsys):
+        # with no --config and no --t the stored T is reached already, and
+        # the stored output_dir takes the resumed checkpoint
+        stored = tmp_path / "stored"
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"N = 2\nT = 0.5\ndt = 0.05\nseed = 3\n"
+                            f"output_dir = {stored}\n")
+        out = tmp_path / "run"
+        assert self.run_cli("simulate", "--config", str(cfg_file),
+                            "--out", str(out)) == 0
+        capsys.readouterr()
+        assert self.run_cli("resume", "--checkpoint", str(out / "final.ckpt")) == 0
+        assert "resumed to t=0.5 (step 10)" in capsys.readouterr().out
+        assert (stored / "resumed.ckpt").read_bytes() == (out / "final.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("with_config", [True, False], ids=["config", "no config"])
+    def test_split_resume_equals_whole(self, tmp_path, with_config):
+        # resume writes the horizon it reached into the stored T
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\nobservables = mean_u2\n")
+        config = ["--config", str(cfg_file)]
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        assert self.run_cli("simulate", *config, "--seed", "4", "--t", "0.5",
+                            "--out", str(split)) == 0
+        assert self.run_cli("resume", *(config if with_config else []),
+                            "--checkpoint", str(split / "final.ckpt"),
+                            "--t", "1", "--out", str(split)) == 0
+        assert self.run_cli("simulate", *config, "--seed", "4", "--t", "1",
+                            "--out", str(whole)) == 0
+        assert (split / "resumed.ckpt").read_bytes() == \
+            (whole / "final.ckpt").read_bytes()
 
     def test_resume_off_grid_horizon_exit_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -67,7 +67,7 @@ class TestIncrements:
         with pytest.raises(ValueError):
             sample_increment(4, 0.0, 1, 0)
 
-    @pytest.mark.parametrize("N, seed", [(0, 5), (4, 3), (8, -2), (4, [3, 4, 2**63]),
+    @pytest.mark.parametrize("N, seed", [(0, 5), (4, 3), (8, -2), (4, [3, -2**63, 2**63 - 1]),
                                          (3, np.arange(20)), (1, [7])])
     def test_unit_hermitian_equals_fft2_route(self, N, seed):
         # the stream and the transform bit for bit, under either FFT backend
@@ -190,15 +190,26 @@ class TestStickStepping:
         with pytest.raises(ValueError, match=r"seed of shape .* batch"):
             stick_init(2, 1.0, seed, batch)
 
-    @pytest.mark.parametrize("draw", [
+    DRAWS = pytest.mark.parametrize("draw", [
         lambda seed: sample_increment(2, 0.1, seed),
         lambda seed: noise.unit_hermitian(2, seed, 0, 0),
         lambda seed: noise.sample_stick_at(2, 1.0, 0.5, seed),
     ], ids=["sample_increment", "unit_hermitian", "sample_stick_at"])
+
+    @DRAWS
     def test_draws_refuse_multi_dimensional_seed(self, draw):
         # a (2, 2) seed array would silently become a batch of 4
         with pytest.raises(ValueError, match=r"seed of shape \(2, 2\)"):
             draw(np.arange(4).reshape(2, 2))
+
+    @DRAWS
+    @pytest.mark.parametrize("seed", [2**64 + 5, -2**63 - 1, [1, 2**64 + 5],
+                                      np.array([2**63], dtype=np.uint64)],
+                             ids=["scalar", "negative", "list", "uint64"])
+    def test_draws_refuse_seed_outside_64_bits(self, draw, seed):
+        # reduced mod 2**64, the key 2**64 + 5 drew seed 5's stream
+        with pytest.raises(ValueError, match=r"^seed -?\d+ lies outside \[-2\*\*63, 2\*\*63\)"):
+            draw(seed)
 
     @pytest.mark.parametrize("seed, batch", [(2**63, ()), (-2**63 - 1, ()), (2**64, ()),
                                              ([0, 2**64, 1], (3,)),
