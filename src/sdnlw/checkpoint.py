@@ -1,18 +1,18 @@
 """Versioned binary checkpoints for single-trajectory flow states.
 
-Layout (little-endian), version 2:
+Layout (little-endian), version 3:
 
     bytes 0..5   magic  b"SDNLW1"
-    u16          format version (= 2)
+    u16          format version (= 3)
     u8           state kind (= 1, flow state)
-    i64          step
-    f64          t
+    i64          step (the clock: t = step * dt)
     u32 + text   dump_config of the state's config (seed = the stick's), UTF-8
     3 arrays     complex128 C-order, each (2, K, K): S(t)u0, stick, v
 
 The text is read back with ``parse_config``, so every config key is
 restored.  Refused: a truncated payload, another version (version 1
-stored only some keys), a stored config ``parse_config`` refuses, and a
+stored only some keys; version 2 also stored a float t, which drifted
+from step * dt), a stored config ``parse_config`` refuses, and a
 caller's config whose physical keys (N, s, gamma, alpha, dt, integrator)
 differ from the stored ones -- in particular cross-dt resume.  The noise
 lineage is (seed, step) and the state is stored verbatim, so a restored
@@ -30,10 +30,10 @@ from .config import ConfigError, SimConfig, dump_config, parse_config
 from .dynamics import FlowState, flow_init
 
 MAGIC = b"SDNLW1"
-VERSION = 2
+VERSION = 3
 KIND_FLOW = 1
 
-_PREFIX = struct.Struct("<HBqdI")  # version, kind, step, t, config text length
+_PREFIX = struct.Struct("<HBqI")  # version, kind, step, config text length
 
 
 class CheckpointError(ValueError):
@@ -44,7 +44,7 @@ def save_checkpoint(state: FlowState) -> bytes:
     if state.batch != ():
         raise CheckpointError("checkpoints hold a single trajectory, not a batch")
     text = dump_config(replace(state.cfg, seed=int(state.stick.seed))).encode("utf-8")
-    head = MAGIC + _PREFIX.pack(VERSION, KIND_FLOW, state.step, state.t, len(text))
+    head = MAGIC + _PREFIX.pack(VERSION, KIND_FLOW, state.step, len(text))
     arrays = b"".join(
         np.ascontiguousarray(a, dtype=np.complex128).tobytes()
         for a in (state.lin, state.stick.value, state.v))
@@ -55,7 +55,7 @@ def load_checkpoint(blob: bytes, cfg: SimConfig | None = None) -> FlowState:
     if blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError("bad magic; not an SDNLW checkpoint")
     try:
-        version, kind, step, t, n_text = _PREFIX.unpack_from(blob, len(MAGIC))
+        version, kind, step, n_text = _PREFIX.unpack_from(blob, len(MAGIC))
     except struct.error as exc:
         raise CheckpointError("truncated checkpoint header") from exc
     if version != VERSION:
@@ -90,8 +90,8 @@ def load_checkpoint(blob: bytes, cfg: SimConfig | None = None) -> FlowState:
         return np.frombuffer(raw, dtype=np.complex128).reshape(2, K, K).copy()
 
     state = flow_init(stored, seed=stored.seed, step0=step)
-    stick = replace(state.stick, value=read_pair(1), t=t)
-    return replace(state, lin=read_pair(0), stick=stick, v=read_pair(2))
+    return replace(state, lin=read_pair(0), v=read_pair(2),
+                   stick=replace(state.stick, value=read_pair(1)))
 
 
 def write_checkpoint(state: FlowState, path) -> None:

@@ -387,7 +387,7 @@ def _step_rows(record: CouplingRecord, noise: StepNoise) -> CouplingRecord:
     tab = propagator_tables(N, delta)
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
-    _check_blowup(w_new, cfg, flow.t + delta, "w")
+    _check_blowup(w_new, cfg, (flow.step + 1) * delta, "w")
     flow_new = v_step(flow, noise, x0_phys=p_ph)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 

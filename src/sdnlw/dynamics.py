@@ -87,7 +87,7 @@ class FlowState:
 
     @property
     def t(self) -> float:
-        return self.stick.t
+        return self.step * self.cfg.dt
 
     @property
     def step(self) -> int:
@@ -223,7 +223,7 @@ def v_step(state: FlowState, noise: StepNoise | None = None, *,
         v_new = apply_tables(tab, state.v) - delta * kick_tables(tab, nl)
 
     lin_new = apply_tables(tab, state.lin)
-    _check_blowup(v_new, cfg, noise.stick.t)
+    _check_blowup(v_new, cfg, noise.stick.step * delta)
     return replace(state, lin=lin_new, stick=noise.stick, v=v_new)
 
 
@@ -264,20 +264,12 @@ def restart_check(cfg: SimConfig, u0: np.ndarray | None, t: float, h: float,
                   seed=None) -> float:
     """Markov restart residual |Phi_{t+h} - [S(h) Phi_t + fresh stick + fresh v]|_H1.
 
-    The restarted run reuses the same noise lineage (step offset t/dt), so
-    the residual measures only the integrator's consistency with the
-    restart identity; it vanishes to round-off for the linear flow and
+    The restarted run reuses the same noise lineage and clock (step offset
+    t/dt), so the residual measures only the integrator's consistency with
+    the restart identity; it vanishes to round-off for the linear flow and
     decreases at order one otherwise.
     """
-    n_t = steps(t, cfg.dt, "t")
     n_h = steps(h, cfg.dt, "h")
-    a = flow_init(cfg, u0, seed=seed)
-    a = run_steps(a, n_t)
-    phi_t = full_flow(a)
-    a = run_steps(a, n_h)
-    phi_end = full_flow(a)
-    b = flow_init(cfg, phi_t, seed=seed if seed is not None else cfg.seed,
-                  step0=n_t)
-    b = run_steps(b, n_h)
-    res = hnorm(phi_end - full_flow(b))
-    return float(np.max(res))
+    a = run_steps(flow_init(cfg, u0, seed=seed), steps(t, cfg.dt, "t"))
+    b = run_steps(flow_init(cfg, full_flow(a), seed=seed, step0=a.step), n_h)
+    return float(np.max(hnorm(full_flow(run_steps(a, n_h)) - full_flow(b))))

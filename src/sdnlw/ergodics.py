@@ -205,7 +205,8 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
 
     Each series is one preallocated float64 buffer of shape
     (n_samples,) + batch that every sample is copied into, so no sampled
-    state outlives its step.
+    state outlives its step.  A sample's time is its step x dt, the
+    sampled state's ``t`` bit for bit.
     """
     T = cfg.T if T is None else T
     names = observables if observables is not None else cfg.observables
@@ -219,12 +220,12 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
         opts, dn_n, dn_every = coupled
         rec = coupling_init(cfg, *starts, opts, seed=seeds, batch=batch)
         states[0] = rec.flow
-        dn_times = np.zeros(n_steps // dn_every + 1)
+        dn_times = np.arange(0, n_steps + 1, dn_every) * cfg.dt
         dn_vals = np.empty(dn_times.shape + batch)
         dn_vals[0] = coupling_distance(rec, dn_n)
     # one stick object for every start, so one step_noise serves them all
     states[1:] = [replace(st, stick=states[0].stick) for st in states[1:]]
-    times = np.zeros(n_steps // every + 1)
+    times = np.arange(0, n_steps + 1, every) * cfg.dt
     values = [{name: np.empty(times.shape + batch) for name in fns} for _ in states]
 
     def sample(i, states):
@@ -247,10 +248,8 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
             rec = coupling_step(rec, noise)
             states = [rec.flow, v_step(states[1], noise)]
             if (k + 1) % dn_every == 0:
-                dn_times[(k + 1) // dn_every] = noise.stick.t
                 dn_vals[(k + 1) // dn_every] = coupling_distance(rec, dn_n)
         if (k + 1) % every == 0:
-            times[(k + 1) // every] = noise.stick.t
             sample((k + 1) // every, states)
     runs = [{"series": {name: ObservableSeries(name, times, v) for name, v in vals.items()},
              "state": state}
@@ -283,6 +282,13 @@ def time_averages(series: dict, burn: float, T: float) -> dict:
         v = s.values[mask]
         out[name] = np.trapezoid(v, t, axis=0) / (t[-1] - t[0])
     return out
+
+
+def _check_window(cfg: SimConfig, T: float) -> None:
+    """Refuse a horizon whose averaging window [T/4, T] holds under two samples."""
+    if steps(T, cfg.obs_interval, "T") < 2:
+        raise ConfigError(f"T: the averaging window [T/4, T] of T = {T} holds fewer "
+                          f"than two samples at obs_interval {cfg.obs_interval}")
 
 
 def worker_count() -> int:
@@ -331,7 +337,8 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
     per-trajectory time averages over [T/4, T] against their combined
     standard error.  With ``coupling_opts``, "coupled_dn" holds the seed
     mean of d_n of the coupled pair every ``dn_every``, which must be > 0
-    and divide T (a ConfigError before any step otherwise).
+    and divide T; the window must hold two samples (a ConfigError before
+    any step otherwise).
     """
     seeds = list(seeds)
     if len(seeds) < 2:  # the across-seed standard error needs two
@@ -344,6 +351,7 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
             raise ConfigError(f"dn_every: must be > 0, got {dn_every}")
         steps(T, dn_every, "dn_every")
         coupled = (coupling_opts, dn_n, steps(dn_every, cfg.dt, "dn_every"))
+    _check_window(cfg, T)
     workers = worker_count()
     payloads = [(cfg, (u1_0, u2_0), T, chunk, coupled)
                 for chunk in _chunk(seeds, workers)]

@@ -216,7 +216,6 @@ class StickState:
     N: int
     s: float
     value: np.ndarray   # (..., 2, K, K)
-    t: float
     step: int
     seed: object
 
@@ -241,7 +240,7 @@ def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
                          f"{batch}: a scalar seed needs batch (), a 1-d "
                          "sequence of n seeds batch (n,)")
     _check_seeds(seed)
-    return StickState(N, s, zero_pair(N, batch), 0.0, 0, seed)
+    return StickState(N, s, zero_pair(N, batch), 0, seed)
 
 
 def stick_step_exact(state: StickState, delta: float) -> StickState:
@@ -251,7 +250,7 @@ def stick_step_exact(state: StickState, delta: float) -> StickState:
     tab = propagator_tables(state.N, float(delta))
     value = apply_tables(tab, state.value) \
         + sample_stick_at(state.N, state.s, delta, state.seed, state.step)
-    return replace(state, value=value, t=state.t + delta, step=state.step + 1)
+    return replace(state, value=value, step=state.step + 1)
 
 
 def stick_step_shared(state: StickState, delta: float,
@@ -266,7 +265,7 @@ def stick_step_shared(state: StickState, delta: float,
     forcing = _forcing_table(state.N, state.s) * incr.coeffs
     tab = propagator_tables(state.N, float(delta))
     value = apply_tables(tab, state.value) + kick_tables(tab, forcing)
-    return replace(state, value=value, t=state.t + delta, step=state.step + 1)
+    return replace(state, value=value, step=state.step + 1)
 
 
 def sample_stick_at(N: int, s: float, t: float, seed, step: int = 0) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, spectral
 from .checkpoint import write_checkpoint
 from .config import SimConfig, dump_config
-from .ergodics import ensemble_summary, sample_trajectory, time_averages
+from .ergodics import _check_window, ensemble_summary, sample_trajectory, time_averages
 from .noise import RNG_STREAM
 from .spectral import gaussian_bump_pair
 
@@ -124,6 +124,7 @@ def simulate_run(cfg: SimConfig, out_dir=None, u0_kind: str = "zero",
                  amplitude: float = 1.0) -> dict:
     """One trajectory: observable series CSV, summary JSON, final checkpoint,
     manifest.  Deterministic in (config, seed)."""
+    _check_window(cfg, cfg.T)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     manifest = RunManifest.begin(cfg, [cfg.seed])
     run = sample_trajectory(cfg, initial_data(u0_kind, cfg, amplitude),

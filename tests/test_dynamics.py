@@ -223,6 +223,8 @@ class TestVStep:
 
 
 class TestOneClock:
+    """The stick's step is the one clock; a state's time is step * dt."""
+
     def test_stepping_twice_from_one_state_agrees(self):
         cfg = SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, seed=8)
         st = run_steps(flow_init(cfg, random_pair(4, RNG)), 3)
@@ -230,18 +232,31 @@ class TestOneClock:
         for name in ("lin", "v"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.array_equal(a.stick.value, b.stick.value)
-        assert (a.t, a.step) == (b.t, b.step) == (st.stick.t + cfg.dt, 4)
+        assert (a.t, a.step) == (b.t, b.step) == (4 * cfg.dt, 4)
 
     def test_clock_is_the_sticks(self):
         cfg = SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, seed=8)
         st = flow_init(cfg, step0=6)
-        assert (st.t, st.step) == (st.stick.t, st.stick.step) == (0.0, 6)
+        assert not hasattr(st.stick, "t")
+        assert (st.t, st.step) == (6 * cfg.dt, st.stick.step) == (6 * cfg.dt, 6)
         st = run_steps(st, 7)
-        assert (st.t, st.step) == (st.stick.t, st.stick.step)
+        assert (st.t, st.step) == (13 * cfg.dt, st.stick.step) == (13 * cfg.dt, 13)
         back = load_checkpoint(save_checkpoint(st))
-        assert (back.t, back.step) == (back.stick.t, back.stick.step) \
-            == (st.t, st.step)
+        assert (back.t, back.step) == (st.t, st.step)
         assert np.array_equal(full_flow(v_step(back)), full_flow(v_step(st)))
+
+    @pytest.mark.parametrize("dt, n", [(0.05, 2000), (0.01, 5000), (0.025, 8000)])
+    def test_time_is_step_times_dt(self, dt, n):
+        # the old float clock summed dt n times: 99.99999999999646 at dt 0.05
+        cfg = SimConfig(N=1, s=1.0, gamma=0.0, dt=dt)
+        for step0 in (0, 1, 7, n):
+            assert flow_init(cfg, step0=step0).t == step0 * dt
+
+    def test_restart_reads_the_uninterrupted_clock(self):
+        cfg = SimConfig(N=2, s=1.0, gamma=0.3, dt=0.05, seed=8)
+        a = run_steps(flow_init(cfg), 23)
+        b = run_steps(flow_init(cfg, full_flow(a), step0=a.step), 17)
+        assert b.t == run_steps(a, 17).t == 40 * cfg.dt
 
 
 class TestSharedStick:
@@ -270,7 +285,7 @@ class TestSharedStick:
         other = flow_init(self.cfg, seed=seeds, batch=(len(seeds),), step0=step0)
         if (seeds, step0) == ([4, 5], 0):  # equal values, another object
             assert np.array_equal(other.stick.value, st.stick.value)
-            assert (other.stick.t, other.stick.step) == (st.t, st.step)
+            assert (other.t, other.stick.step) == (st.t, st.step)
         with pytest.raises(ValueError, match="^noise: built from another stick"):
             v_step(st, step_noise(other))
 

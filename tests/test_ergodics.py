@@ -311,6 +311,28 @@ class TestExperiments:
         assert s.times[0] == 0.0 and s.times[-1] == pytest.approx(1.0)
         assert len(s.times) == 5
 
+    def test_sample_times_are_the_states_clock(self):
+        cfg = SimConfig(N=2, s=1.0, dt=0.05, obs_interval=0.25, T=3.0,
+                        observables=("mean_u2",))
+        run = sample_trajectory(cfg, None, seeds=5)
+        st = dynamics.flow_init(cfg, seed=5)
+        clock = [st.t]
+        for _ in range(12):
+            st = dynamics.run_steps(st, 5)
+            clock.append(st.t)
+        assert np.array_equal(run["series"]["mean_u2"].times, clock)
+        assert run["state"].t == clock[-1]
+
+    def test_burn_in_sample_kept_at_dt_0025(self):
+        # the summed clock read 49.99999999999823 at step 2000 and the
+        # window [50, 200] began at 50.25; F(t) = t averages to 125 over it
+        cfg = SimConfig(N=1, s=1.0, dt=0.025, obs_interval=0.25, T=200.0,
+                        linear_only=True, observables=("mean_u2",))
+        s = sample_trajectory(cfg, None, seeds=1)["series"]["mean_u2"]
+        assert s.times[200] == 50.0 and s.times[-1] == 200.0
+        ramp = {"t": ObservableSeries("t", s.times, s.times.copy())}
+        assert time_averages(ramp, 50.0, 200.0)["t"] == pytest.approx(125.0, abs=1e-9)
+
 
 class TestLockstep:
     """``compare_starts`` steps both starts on one draw and one stick per

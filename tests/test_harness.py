@@ -21,7 +21,8 @@ from sdnlw.checkpoint import (
     save_checkpoint,
     write_checkpoint,
 )
-from sdnlw import cli, coupling
+import sdnlw
+from sdnlw import cli, coupling, ergodics
 from sdnlw.cli import main as cli_main
 from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse_config, \
     steps
@@ -168,11 +169,11 @@ class TestConfig:
 
 def with_config_text(blob: bytes, edit) -> bytes:
     """The checkpoint ``blob`` with its stored config text replaced by
-    ``edit(text)``: the u32 length sits after magic, version, kind, step
-    and t, at byte 25, and the text follows it."""
-    (n,) = struct.unpack_from("<I", blob, 25)
-    text = edit(blob[29:29 + n].decode("utf-8")).encode("utf-8")
-    return blob[:25] + struct.pack("<I", len(text)) + text + blob[29 + n:]
+    ``edit(text)``: the u32 length sits after magic, version, kind and
+    step, at byte 17, and the text follows it."""
+    (n,) = struct.unpack_from("<I", blob, 17)
+    text = edit(blob[21:21 + n].decode("utf-8")).encode("utf-8")
+    return blob[:17] + struct.pack("<I", len(text)) + text + blob[21 + n:]
 
 
 class TestCheckpoint:
@@ -255,7 +256,7 @@ class TestCheckpoint:
     def test_stored_text_not_utf8_refused(self):
         blob = save_checkpoint(self.make_state())
         with pytest.raises(CheckpointError, match="^stored config refused: .*utf-8"):
-            load_checkpoint(blob[:29] + b"\xff" + blob[30:])  # the text's first byte
+            load_checkpoint(blob[:21] + b"\xff" + blob[22:])  # the text's first byte
 
     def test_version_1_refused(self, tmp_path, capsys):
         # a v1 header held only some config keys; the rest would be invented
@@ -268,6 +269,26 @@ class TestCheckpoint:
         assert cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "version 1" in err and "Traceback" not in err
+
+    def test_version_2_refused(self, tmp_path, capsys):
+        # a v2 header also held an f64 t, which drifted from step * dt
+        st = self.make_state()
+        blob = save_checkpoint(st)
+        v2 = blob[:6] + struct.pack("<HBqd", 2, 1, st.step, st.t) + blob[17:]
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2$"):
+            load_checkpoint(v2)
+        p = tmp_path / "v2.ckpt"
+        p.write_bytes(v2)
+        assert cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "version 2" in err and "Traceback" not in err
+
+    def test_header_holds_no_time(self):
+        st = self.make_state()
+        text = dump_config(replace(st.cfg, seed=13)).encode("utf-8")
+        head = b"SDNLW1" + struct.pack("<HBqI", 3, 1, st.step, len(text)) + text
+        assert save_checkpoint(st)[:len(head)] == head
+        assert load_checkpoint(save_checkpoint(st)).t == st.step * st.cfg.dt
 
     @pytest.mark.parametrize("keep", [20, 40], ids=["header", "config text"])
     def test_cut_before_arrays_rejected(self, keep):
@@ -506,7 +527,7 @@ class TestCli:
     def test_seed_outside_64_bits_exit_one(self, tmp_path, capsys):
         # refused before any step: no traceback and no final.ckpt
         out = tmp_path / "run"
-        assert self.run_cli("simulate", "--seed", str(2**63), "--t", "0.25",
+        assert self.run_cli("simulate", "--seed", str(2**63), "--t", "0.5",
                             "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
@@ -612,6 +633,33 @@ class TestCli:
                             "--t", "1.1", "--out", str(tmp_path)) == 1
         assert "T: 1.1" in capsys.readouterr().err
         assert not (tmp_path / "ergodic.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ergodic"])
+    @pytest.mark.parametrize("T", ["0", "0.25"])
+    def test_window_under_two_samples_exit_one(self, tmp_path, capsys, monkeypatch,
+                                               command, T):
+        # [T/4, T] at obs_interval 0.25 holds one sample; the averages read nan
+        def no_step(*args, **kw):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(ergodics, "step_noise", no_step)
+        out = tmp_path / "r"
+        assert self.run_cli(command, "--t", T, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"T: the averaging window [T/4, T] of T = {float(T)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_simulate_to_50_at_dt_001(self, tmp_path, capsys):
+        # the summed clock read 49.99999999999862 here and T = 50 was refused
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.01\n")
+        out = tmp_path / "r"
+        assert self.run_cli("simulate", "--config", str(cfg_file), "--t", "50",
+                            "--out", str(out)) == 0
+        last = (out / "series.csv").read_text().splitlines()[-1]
+        assert last.startswith("50,")
+        assert json.loads((out / "summary.json").read_text())["burn_in"] == 12.5
 
     def test_ergodic_differs_exit_three(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"
@@ -774,6 +822,12 @@ class TestPublicSurface:
                   if isinstance(node, ast.FunctionDef) for arg in node.args.kwonlyargs]
         assert ("dynamics.v_step", "x0_phys") in kwonly
         assert [f"{fn}({arg})" for fn, arg in kwonly if arg not in passed] == []
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == sdnlw.__version__
 
     def test_all_is_explicit_and_complete(self):
         import types

@@ -127,7 +127,7 @@ class TestStepCovariance:
 class TestStickStepping:
     def test_starts_at_zero(self):
         st = stick_init(4, 1.0, 0)
-        assert np.all(st.value == 0) and st.t == 0.0
+        assert np.all(st.value == 0) and st.step == 0
 
     def test_zero_mean(self):
         n = 4000
