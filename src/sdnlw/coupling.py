@@ -46,9 +46,11 @@ A ``CouplingRecord`` carries the reference ``FlowState`` and reads its clock
 from it; ``coupling_step`` runs on one ``StepNoise`` of that flow (its own
 ``step_noise`` unless given), checks w with the flow's blow-up check and
 advances u1 with ``v_step`` on the same noise; a large batch is stepped in
-row blocks on threads, bit for bit as whole (``coupling_step``).  Records
-and their tau_M monitor are frozen: a step returns a new record with a new
-monitor, so continuing twice from one record gives the same result.
+row blocks on threads, bit for bit as whole (``coupling_step``).  The
+blocks are cut and joined by walking the one place that records the path
+axis, the states' field declarations (``noise.map_rows``).  Records, their
+monitor and their arrays are frozen: a step returns a new record with a
+new monitor, so continuing twice from one record gives the same result.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import numpy as np
 from .config import SimConfig, steps
 from .dynamics import BlowUpError, FlowState, StepNoise, _check_blowup, \
     _check_fits_paths, cube_grid_size, flow_init, full_flow, step_noise, v_step
-from .noise import NoiseIncrement
+from .noise import PER_DATUM, PER_PATH, NoiseIncrement, OwnArrays, map_rows
 from .propagator import _half_spectrum_weights, apply_tables, kick_tables, \
     mode_sum_bound, propagator_tables, xalpha_norm
 from .spectral import (
@@ -138,7 +140,7 @@ def _wick_norms(psi: np.ndarray, gamma: float):
 
 
 @dataclass(frozen=True, eq=False)
-class TauMMonitor:
+class TauMMonitor(OwnArrays):
     """Running maxima of the three stick norms and the first-exceedance time.
 
     Norms tracked: |stick|_{W^{alpha,4/alpha} pair}, |wick2|_{L^4},
@@ -187,9 +189,9 @@ class TauMMonitor:
     gamma: float
     pad: float = 2.0
     batch: InitVar[tuple] = ()
-    stopped: np.ndarray | None = None
-    stop_time: np.ndarray | None = None
-    running_max: np.ndarray | None = None
+    stopped: np.ndarray | None = field(default=None, metadata=PER_PATH)
+    stop_time: np.ndarray | None = field(default=None, metadata=PER_PATH)
+    running_max: np.ndarray | None = field(default=None, metadata=PER_PATH)
 
     def __post_init__(self, batch):
         if not self.M >= 0:
@@ -198,6 +200,7 @@ class TauMMonitor:
             object.__setattr__(self, "stopped", np.zeros(batch, dtype=bool))
             object.__setattr__(self, "stop_time", np.full(batch, np.inf))
             object.__setattr__(self, "running_max", np.zeros(batch))
+        super().__post_init__()
 
     def _skips(self, bound: np.ndarray, p: float, M_quad: int) -> np.ndarray:
         """Where a norm of L^p quadrature type with this upper bound can
@@ -254,18 +257,18 @@ class CouplingOptions:
 
 
 @dataclass(frozen=True)
-class CouplingRecord:
+class CouplingRecord(OwnArrays):
     """Joint state of the reference flow, the shift pair w, the accumulated
     Girsanov cost, and the tau_M flags (shared noise, shared clock)."""
 
-    flow: FlowState          # reference flow Phi_t(u1^0, xi)
-    lin_diff: np.ndarray     # S(t) (u2^0 - u1^0), evolved per step; data batch shape
-    w: np.ndarray
-    hcost: np.ndarray        # int_0^t |h|_{L2}^2 dr
-    log_density: np.ndarray  # running log E(h)
-    diff0_xnorm: np.ndarray  # |u2^0 - u1^0|_{X^alpha}, fixed at t = 0
-    eps: np.ndarray          # current mollifier scale
-    h_last: np.ndarray       # h used on the most recent step; h(tau_M) where stopped
+    flow: FlowState                                     # reference flow Phi_t(u1^0, xi)
+    lin_diff: np.ndarray = field(metadata=PER_DATUM)    # S(t) (u2^0 - u1^0), per step
+    w: np.ndarray = field(metadata=PER_PATH)
+    hcost: np.ndarray = field(metadata=PER_PATH)        # int_0^t |h|_{L2}^2 dr
+    log_density: np.ndarray = field(metadata=PER_PATH)  # running log E(h)
+    diff0_xnorm: np.ndarray = field(metadata=PER_PATH)  # |u2^0 - u1^0|_{X^alpha} at t = 0
+    eps: np.ndarray = field(metadata=PER_PATH)          # current mollifier scale
+    h_last: np.ndarray = field(metadata=PER_PATH)       # last step's h; h(tau_M) if stopped
     opts: CouplingOptions = field(default_factory=CouplingOptions)
     monitor: TauMMonitor | None = None
 
@@ -277,14 +280,17 @@ class CouplingRecord:
     def step(self) -> int:
         return self.flow.step
 
+    @property
+    def batch(self) -> tuple:
+        return self.flow.batch
+
 
 def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
                   opts: CouplingOptions | None = None, seed=None,
                   batch: tuple = (), monitor_M: float | None = None) -> CouplingRecord:
-    """A fresh record.  ``lin_diff`` carries no noise: like the flow's
-    ``lin`` it keeps the batch shape of the data and broadcasts
-    against the paths, and X^alpha of the difference, which does not
-    depend on the batch, is evaluated once at that shape."""
+    """A fresh record.  ``lin_diff`` is per datum like the flow's ``lin``,
+    and X^alpha of the difference, which does not depend on the batch, is
+    evaluated once at the data's batch shape."""
     opts = opts or CouplingOptions()
     flow = flow_init(cfg, u1_0, seed=seed, batch=batch)
     b = flow.batch
@@ -320,8 +326,7 @@ def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray | None):
     cfg = record.flow.cfg
     N = cfg.N
     if cfg.linear_only:
-        b = record.flow.batch
-        return zero_field(2 * N, b), zero_field(N, b)
+        return zero_field(2 * N, record.batch), zero_field(N, record.batch)
     q_ph = to_physical((record.w + record.lin_diff)[..., 0, :, :], cube_grid_size(N))
     q_form = 3.0 * (p_ph**2 - cfg.gamma) + 3.0 * p_ph * q_ph + q_ph**2
     return to_spectral(q_form, 2 * N), to_spectral(q_form * q_ph, N)
@@ -332,7 +337,7 @@ def _moll_bracket(record: CouplingRecord, Q: np.ndarray, eps: np.ndarray):
     cfg = record.flow.cfg
     N = cfg.N
     if cfg.linear_only:
-        return zero_field(N, record.flow.batch)
+        return zero_field(N, record.batch)
     qm = record.w[..., 0, :, :] + mollify(record.lin_diff[..., 0, :, :], eps)
     return dealiased_product(mollify(Q, eps), qm, out_N=N)
 
@@ -418,10 +423,9 @@ def _thread_count() -> int:
 def _row_blocks(record: CouplingRecord) -> list:
     """Contiguous row slices of about two blocks per thread, each of at
     least _MIN_BLOCK_SAMPLES; [] when the step runs whole."""
-    batch = record.flow.batch
-    if len(batch) != 1:
+    if len(record.batch) != 1:
         return []
-    rows = batch[0]
+    rows = record.batch[0]
     n = rows * cube_grid_size(record.flow.cfg.N) ** 2 // _MIN_BLOCK_SAMPLES
     if n < 2:
         return []
@@ -434,57 +438,17 @@ def _row_blocks(record: CouplingRecord) -> list:
 
 
 def _rows_of(record: CouplingRecord, noise: StepNoise, sl: slice) -> tuple:
-    """The record and noise of the rows ``sl``; the data-shaped fields are
-    cut only when they carry the path axis."""
-    flow = record.flow
-    batch = flow.batch
-
-    def data(arr):
-        return arr[sl] if arr.shape[:-3] == batch else arr
-
-    def stick(st):  # a 1-d batch has one seed per row
-        return replace(st, value=st.value[sl], seed=st.seed[sl])
-
-    before = stick(flow.stick)
-    part_noise = StepNoise(NoiseIncrement(noise.incr.coeffs[sl], noise.incr.delta),
-                           before, stick(noise.stick))
-    monitor = record.monitor
-    if monitor is not None:
-        monitor = replace(monitor, stopped=monitor.stopped[sl],
-                          stop_time=monitor.stop_time[sl],
-                          running_max=monitor.running_max[sl])
-    part = replace(
-        record, flow=replace(flow, lin=data(flow.lin), stick=before, v=flow.v[sl]),
-        lin_diff=data(record.lin_diff), w=record.w[sl], hcost=record.hcost[sl],
-        log_density=record.log_density[sl], diff0_xnorm=record.diff0_xnorm[sl],
-        eps=record.eps[sl], h_last=record.h_last[sl], monitor=monitor)
-    return part, part_noise
+    """The record and noise of the rows ``sl``, one stick for both."""
+    memo = {}
+    return tuple(map_rows(lambda arr: arr[sl], record.batch, state, memo=memo)
+                 for state in (record, noise))
 
 
 def _joined(record: CouplingRecord, noise: StepNoise, parts: list) -> CouplingRecord:
     """The stepped record from its stepped row blocks, in row order, on the
     caller's ``noise.stick``."""
-    batch = record.flow.batch
-
-    def cat(get):
-        return np.concatenate([get(p) for p in parts])
-
-    def data(arr, get):  # one shared datum is the same in every block
-        return cat(get) if arr.shape[:-3] == batch else get(parts[0])
-
-    flow = replace(record.flow, stick=noise.stick, v=cat(lambda p: p.flow.v),
-                   lin=data(record.flow.lin, lambda p: p.flow.lin))
-    monitor = record.monitor
-    if monitor is not None:
-        monitor = replace(monitor, stopped=cat(lambda p: p.monitor.stopped),
-                          stop_time=cat(lambda p: p.monitor.stop_time),
-                          running_max=cat(lambda p: p.monitor.running_max))
-    return replace(record, flow=flow,
-                   lin_diff=data(record.lin_diff, lambda p: p.lin_diff),
-                   w=cat(lambda p: p.w), hcost=cat(lambda p: p.hcost),
-                   log_density=cat(lambda p: p.log_density),
-                   eps=cat(lambda p: p.eps), h_last=cat(lambda p: p.h_last),
-                   monitor=monitor)
+    return map_rows(lambda _, *rows: np.concatenate(rows), record.batch, record,
+                    *parts, memo={id(noise.before): noise.stick})
 
 
 def coupling_step(record: CouplingRecord, noise: StepNoise | None = None) -> CouplingRecord:

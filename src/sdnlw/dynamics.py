@@ -33,14 +33,14 @@ F = E - 1/8 int (w_t)^2 + 1/3 int a w^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import noise as noise_mod
 from . import spectral
 from .config import SimConfig, steps
-from .noise import NoiseIncrement, StickState, sample_increment
+from .noise import PER_DATUM, PER_PATH, NoiseIncrement, StickState, sample_increment
 from .propagator import apply_tables, kick_tables, propagator_tables
 from .renorm import CubicCoefficients
 from .spectral import (
@@ -70,20 +70,19 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FlowState:
+class FlowState(noise_mod.OwnArrays):
     """One trajectory (or a batch) of the truncated flow.
 
-    Only the stick and v differ between paths and carry the batch.  The
-    linear part S(t) u0 carries no noise: it keeps the batch shape of the
-    data, one (2, K, K) pair for a single datum, and broadcasts against the
-    paths wherever the flow is assembled, so a step applies S(dt) to one
-    pair, not to one per path.  At t = 0 it is the initial data itself.
+    Only the stick and v differ between paths.  The linear part S(t) u0
+    carries no noise and keeps the data's batch (PER_DATUM), so a step
+    applies S(dt) to one pair, not to one per path.  At t = 0 it is the
+    initial data itself.
     """
 
     cfg: SimConfig
-    lin: np.ndarray      # S(t) u0, evolved incrementally, the data's batch shape
+    lin: np.ndarray = field(metadata=PER_DATUM)  # S(t) u0, evolved incrementally
     stick: StickState
-    v: np.ndarray        # remainder pair, zero at t = 0, one per path
+    v: np.ndarray = field(metadata=PER_PATH)     # remainder pair, zero at t = 0
 
     @property
     def t(self) -> float:
@@ -134,8 +133,7 @@ def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
         u0 = spectral.resize(u0, N).copy()  # cropping is the sharp projection
     paths = tuple(batch) or u0.shape[:-3]
     _check_fits_paths("u0", u0, paths)
-    if seed is None:
-        seed = cfg.seed
+    seed = cfg.seed if seed is None else seed
     st = noise_mod.stick_init(N, cfg.s, seed, paths)
     st = replace(st, step=step0)
     return FlowState(cfg, u0, st, zero_pair(N, st.batch))
@@ -211,8 +209,7 @@ def v_step(state: FlowState, noise: StepNoise | None = None, *,
         raise ValueError("noise: built from another stick than the state's")
     cfg = state.cfg
     _check_integrator(cfg)
-    delta = cfg.dt
-    N = cfg.N
+    N, delta = cfg.N, cfg.dt
     tab = propagator_tables(N, delta)
 
     if cfg.linear_only:

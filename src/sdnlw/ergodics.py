@@ -165,14 +165,21 @@ def mean_with_error(x: np.ndarray) -> tuple[float, float, float]:
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n_eff)), float(tau)
 
 
+def _window(s: ObservableSeries, burn: float, T: float) -> tuple:
+    """Times and values of ``s`` in [burn, T], which must hold two samples."""
+    mask = (s.times >= burn - 1e-12) & (s.times <= T + 1e-12)
+    if np.count_nonzero(mask) < 2:
+        raise ValueError(f"{s.name}: the window [{burn}, {T}] holds under two samples")
+    return s.times[mask], s.values[mask]
+
+
 def ensemble_summary(series: dict, burn: float) -> dict:
     """Pooled mean/variance/autocorrelation time/standard error per
     observable; the standard error uses the effective sample size from the
     windowed autocorrelation estimate."""
     out = {}
     for name, s in series.items():
-        mask = s.times >= burn - 1e-12
-        vals = s.values[mask]
+        _, vals = _window(s, burn, s.times[-1])
         if vals.ndim == 1:
             vals = vals[:, None]
         per = [mean_with_error(vals[:, j]) for j in range(vals.shape[1])]
@@ -213,7 +220,8 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
     fns = _observable_fns(names)
     n_steps = steps(T, cfg.dt, "T")
     every = steps(cfg.obs_interval, cfg.dt, "obs_interval")
-    steps(T, cfg.obs_interval, "T")
+    if fns:  # the samples must land on T
+        steps(T, cfg.obs_interval, "T")
     batch = () if seeds is None or np.isscalar(seeds) else (len(seeds),)
     states = [flow_init(cfg, u0, seed=seeds, batch=batch) for u0 in starts]
     if coupled is not None:
@@ -263,8 +271,8 @@ def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = Non
                       observables: tuple | None = None) -> dict:
     """Run one (batched) trajectory and sample observables on the cadence.
 
-    T and obs_interval must be multiples of dt, and T of obs_interval (a
-    ConfigError before any step otherwise).  Returns
+    T and obs_interval must be multiples of dt, and T of obs_interval when
+    observables are sampled (a ConfigError before any step otherwise).  Returns
     {"series": {name: ObservableSeries}, "state": final FlowState}.
     """
     return _sample_starts(cfg, (u0,), seeds, T, observables)[0]
@@ -277,9 +285,7 @@ def time_averages(series: dict, burn: float, T: float) -> dict:
     for name, s in series.items():
         if T > s.times[-1] + 1e-12:
             raise ValueError(f"T = {T} lies beyond the stored horizon {s.times[-1]}")
-        mask = (s.times >= burn - 1e-12) & (s.times <= T + 1e-12)
-        t = s.times[mask]
-        v = s.values[mask]
+        t, v = _window(s, burn, T)
         out[name] = np.trapezoid(v, t, axis=0) / (t[-1] - t[0])
     return out
 

@@ -37,7 +37,7 @@ are independent of scheduling; each step consumes disjoint blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -95,15 +95,14 @@ def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
     """Standard normals from the counter-based stream (seed, step, block),
     each seed's drawn into its row of one array; a scalar seed gives an
     unbatched array, a 1-d sequence of n seeds a batch (n,)."""
+    _check_seeds(seed)
     if np.isscalar(seed):
-        _check_seeds(seed)
         _reset_stream(seed, step, block)
         return _PHILOX_GEN.standard_normal(shape)
     if np.ndim(seed) > 1:
         raise ValueError(f"seed of shape {np.shape(seed)}: a draw takes a scalar "
                          "seed or a 1-d sequence of seeds")
     seeds = np.asarray(seed).ravel()
-    _check_seeds(seeds)
     out = np.empty((seeds.size,) + tuple(shape))
     for s, row in zip(seeds, out):
         _reset_stream(s, step, block)
@@ -127,11 +126,46 @@ def unit_hermitian(N: int, seed, step: int, block: int) -> np.ndarray:
     return np.fft.fftshift(z, axes=(-2, -1))
 
 
+# The path axis of a state's array field, declared on the field and nowhere else
+PER_PATH = {"rows": "path"}    # one row per path, path axis first
+PER_DATUM = {"rows": "datum"}  # the data's batch, the paths' only for one datum a path
+
+
+def map_rows(fn, batch: tuple, state, *parts, memo: dict | None = None):
+    """``state`` with ``fn`` of each declared array field that carries the
+    path axis of ``batch``, through its nested states.  With ``parts`` laid
+    out like ``state``, ``fn`` also takes their fields and the first part is
+    rebuilt.  A sub-state is mapped once (``memo``, by id, may preset one)."""
+    memo = {} if memo is None else memo
+    if id(state) not in memo:
+        new = {}
+        for f in fields(state):
+            val, got = getattr(state, f.name), [getattr(p, f.name) for p in parts]
+            rows = f.metadata.get("rows")
+            if is_dataclass(val):
+                new[f.name] = map_rows(fn, batch, val, *got, memo=memo)
+            elif rows == "path" or rows == "datum" and val.shape[:-3] == batch:
+                new[f.name] = fn(val, *got)
+        base = parts[0] if parts else state
+        memo[id(state)] = replace(base, **new) if new else base
+    return memo[id(state)]
+
+
+class OwnArrays:
+    """Base of the states, which own their arrays (constructors copy the
+    caller's): the declared ndarray fields are read-only once built."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if "rows" in f.metadata and isinstance(val := getattr(self, f.name), np.ndarray):
+                read_only(val)
+
+
 @dataclass(frozen=True)
 class NoiseIncrement:
     """One step's worth of per-mode Wiener increments, E|xihat(n)|^2 = delta."""
 
-    coeffs: np.ndarray
+    coeffs: np.ndarray = field(metadata=PER_PATH)
     delta: float
 
 
@@ -206,18 +240,18 @@ def cholesky2(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class StickState:
+class StickState(OwnArrays):
     """Value of the stochastic convolution together with its RNG lineage.
 
-    ``seed`` is an int for a single path or a 1-d sequence for a batch of
-    independent paths (leading axis of ``value``).
+    ``seed`` is an int for a single path or a 1-d int64 array for a batch
+    of independent paths (leading axis of ``value``).
     """
 
     N: int
     s: float
-    value: np.ndarray   # (..., 2, K, K)
+    value: np.ndarray = field(metadata=PER_PATH)  # (..., 2, K, K)
     step: int
-    seed: object
+    seed: object = field(metadata=PER_PATH)
 
     @property
     def batch(self) -> tuple:
@@ -231,15 +265,12 @@ def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
     stream's key; one outside [-2**63, 2**63) is refused here and on every
     draw (``_check_seeds``)."""
     batch = tuple(batch)
-    if np.isscalar(seed):
-        ok = batch == ()
-    else:
-        ok = np.ndim(seed) == 1 and batch == (len(seed),)
-    if not ok:
+    if np.shape(seed) != batch or np.ndim(seed) != (0 if np.isscalar(seed) else 1):
         raise ValueError(f"seed of shape {np.shape(seed)} does not match batch "
                          f"{batch}: a scalar seed needs batch (), a 1-d "
                          "sequence of n seeds batch (n,)")
     _check_seeds(seed)
+    seed = np.array(seed, dtype=np.int64) if batch else seed  # not the caller's
     return StickState(N, s, zero_pair(N, batch), 0, seed)
 
 

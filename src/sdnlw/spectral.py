@@ -84,7 +84,8 @@ def lattice_size(N: int) -> int:
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
-    """Mark a cached table immutable; every caller shares the one array."""
+    """Mark an array immutable: a cached table that every caller shares,
+    or an array a state owns."""
     arr.setflags(write=False)
     return arr
 

@@ -10,6 +10,7 @@ from sdnlw import spectral, verify
 from sdnlw.config import SimConfig
 from sdnlw.coupling import (
     CouplingOptions,
+    CouplingRecord,
     TauMMonitor,
     coupling_distance,
     coupling_init,
@@ -21,8 +22,9 @@ from sdnlw.coupling import (
     shifted_flow_check,
     tv_bound,
 )
-from sdnlw.dynamics import BlowUpError, full_flow, step_noise, v_step
-from sdnlw.noise import NoiseIncrement, sample_increment
+from sdnlw.dynamics import BlowUpError, FlowState, StepNoise, flow_init, full_flow, \
+    step_noise, v_step
+from sdnlw.noise import NoiseIncrement, StickState, map_rows, sample_increment
 from sdnlw.renorm import quadratic_Q
 from sdnlw.spectral import (
     dealiased_product,
@@ -838,6 +840,99 @@ class TestReplay:
             assert np.array_equal(getattr(a.monitor, name), getattr(b.monitor, name))
         for k, v in before.items():
             assert np.array_equal(getattr(mon, k), v)
+
+
+def batch_record(data_batched=True, monitor_M=0.8):
+    """u2 = u1 + bump 0.5 on 7 paths, stepped twice; u1 one datum per path
+    or one for all."""
+    cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+    u1 = 0.3 * random_pair(4, np.random.default_rng(36), decay=2.0,
+                           batch=(7,) if data_batched else ())
+    rec = coupling_init(cfg, u1, u1 + gaussian_bump_pair(4, 0.5),
+                        CouplingOptions(eps_every=2, dt_grid=1.0),
+                        seed=list(range(5, 12)), batch=(7,), monitor_M=monitor_M)
+    return run_coupling(rec, 2)
+
+
+def declared_arrays(rec, noise):
+    """(class.field, kind, array) of every ndarray field of the record, its
+    flow, stick and monitor and of the step's noise."""
+    states = (rec, rec.flow, rec.flow.stick, rec.monitor, noise.incr)
+    assert {type(st) for st in states} == \
+        {CouplingRecord, FlowState, StickState, TauMMonitor, NoiseIncrement}
+    return [(f"{type(st).__name__}.{f.name}", f.metadata.get("rows"), val)
+            for st in states for f in dataclasses.fields(st)
+            if isinstance(val := getattr(st, f.name), np.ndarray)]
+
+
+class TestPathLayout:
+    """Which fields carry the path axis is declared on the fields; the row
+    split and the join of a coupling step walk that declaration."""
+
+    def test_every_array_field_is_declared(self):
+        rec = batch_record()
+        found = declared_arrays(rec, step_noise(rec.flow))
+        assert [name for name, rows, _ in found if rows not in ("path", "datum")] == []
+        for name, _, arr in found:
+            assert arr.shape[0] == 7, name  # one datum per path here
+
+    @pytest.mark.parametrize("data_batched", [True, False], ids=["u1 per path", "one u1"])
+    @pytest.mark.parametrize("monitor_M", [0.8, None], ids=["monitor", "no monitor"])
+    def test_join_of_a_partition_gives_back_the_record(self, data_batched, monitor_M):
+        rec = batch_record(data_batched, monitor_M)
+        noise = step_noise(rec.flow)
+        blocks = [slice(0, 3), slice(3, 4), slice(4, 7)]
+        parts = [cp._rows_of(rec, noise, sl) for sl in blocks]
+        for (part, part_noise), sl in zip(parts, blocks):
+            rows = sl.stop - sl.start
+            assert part_noise.before is part.flow.stick
+            assert part.flow.v.shape[0] == part.hcost.shape[0] == rows
+            assert part.flow.lin.shape[:-3] == ((rows,) if data_batched else ())
+        # handing back the record's own stick makes the join the identity
+        back = cp._joined(rec, StepNoise(noise.incr, rec.flow.stick, rec.flow.stick),
+                          [part for part, _ in parts])
+        assert back.flow.stick is rec.flow.stick
+        assert_fields_equal(back, rec)
+        joined_noise = map_rows(lambda _, *rows: np.concatenate(rows), rec.batch,
+                                noise, *[part_noise for _, part_noise in parts])
+        assert_fields_equal(joined_noise, noise, "noise")
+
+
+class TestOwnArrays:
+    """A state owns its arrays: it copies what the caller passes, including
+    the seeds, and its arrays are read-only."""
+
+    def test_a_write_into_a_state_array_raises(self):
+        rec = batch_record()
+        for name, _, arr in declared_arrays(rec, step_noise(rec.flow)):
+            if name.startswith("NoiseIncrement"):
+                continue  # an increment may be the caller's own array
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
+        assert_fields_equal(coupling_step(rec), coupling_step(rec))
+        assert_fields_equal(v_step(rec.flow), v_step(rec.flow), "flow")
+
+    def test_a_write_into_the_callers_arrays_changes_nothing(self):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+        seeds = np.arange(3)
+        u1 = 0.3 * random_pair(4, np.random.default_rng(2), batch=(3,))
+        u2 = u1 + gaussian_bump_pair(4, 0.5)
+        flow = flow_init(cfg, u1, seed=seeds)
+        rec = coupling_init(cfg, u1, u2, seed=seeds, monitor_M=0.8)
+        kept = [arr.copy() for arr in (u1, u2, seeds)]
+        for arr in (u1, u2, seeds):
+            arr[...] = 99
+        u1, u2, seeds = kept
+        assert_fields_equal(v_step(flow), v_step(flow_init(cfg, u1, seed=seeds)), "flow")
+        assert_fields_equal(run_coupling(rec, 2),
+                            run_coupling(coupling_init(cfg, u1, u2, seed=seeds,
+                                                       monitor_M=0.8), 2))
+
+    def test_a_scalar_seed_is_kept_as_given(self):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1)
+        assert type(flow_init(cfg, seed=5).stick.seed) is int
+        seed = flow_init(cfg, seed=[5, 6], batch=(2,)).stick.seed
+        assert seed.dtype == np.int64 and seed.tolist() == [5, 6]
 
 
 class TestCouplingBlowUp:

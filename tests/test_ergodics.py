@@ -159,6 +159,10 @@ class TestBirkhoff:
         with pytest.raises(ValueError, match="horizon"):
             _average(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 2.0)
 
+    def test_one_sample_window_is_refused(self):
+        with pytest.raises(ValueError, match=r"window \[1\.0, 1\.0\] holds under two"):
+            _average(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 1.0, burn=1.0)
+
 
 class TestErrorBars:
     def test_iid_tau_one(self):
@@ -196,6 +200,12 @@ class TestEnsembleSummary:
         assert d["act"] > 3.0          # strong correlation detected
         assert d["stderr"] > naive     # and reflected in the error bar
         assert d["n_eff"] < vals.size
+
+    def test_one_sample_window_is_refused(self):
+        from sdnlw.ergodics import ensemble_summary
+        series = {"obs": ObservableSeries("obs", np.array([0.0, 1.0]), np.array([1.0, 2.0]))}
+        with pytest.raises(ValueError, match=r"window \[1\.0, 1\.0\] holds under two"):
+            ensemble_summary(series, 1.0)
 
 
 class TestSamplingMemory:
@@ -279,6 +289,11 @@ class TestExperiments:
         # nonincreasing after the initial transient
         tail = dn[2:]
         assert np.all(np.diff(tail) <= 1e-12)
+
+    def test_krylov_bogolyubov_samples_no_observable(self):
+        # T = 0.3 is no multiple of obs_interval 0.25, but nothing is sampled
+        rep = krylov_bogolyubov_diagnostic(SimConfig(N=2, dt=0.05), [1, 2], 4, 0.3)
+        assert rep["sizes"].shape == (4,)
 
     def test_krylov_bogolyubov_shape(self):
         cfg = SimConfig(N=8, s=1.0, gamma=0.0, dt=0.05)

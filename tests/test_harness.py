@@ -1,6 +1,7 @@
 """Configuration parsing, checkpoints, emission formats, CLI, determinism."""
 
 import ast
+import importlib
 import json
 import os
 import struct
@@ -822,6 +823,27 @@ class TestPublicSurface:
                   if isinstance(node, ast.FunctionDef) for arg in node.args.kwonlyargs]
         assert ("dynamics.v_step", "x0_phys") in kwonly
         assert [f"{fn}({arg})" for fn, arg in kwonly if arg not in passed] == []
+
+    def test_every_traced_name_resolves(self):
+        # perfbench/spans.py names the functions it traces by string; a
+        # rename in the package fails here, not only as a missing span.
+        # The file is parsed, not imported.
+        root = Path(__file__).resolve().parents[1]
+        tree = ast.parse((root / "perfbench" / "spans.py").read_text())
+        traced, = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+        assert "TauMMonitor.update" in traced["coupling"]
+        missing = []
+        for mod_name, names in traced.items():
+            mod = importlib.import_module("sdnlw." + mod_name)
+            for name in names:
+                obj = mod
+                for part in name.split("."):
+                    obj = getattr(obj, part, None)
+                if not callable(obj):
+                    missing.append(f"{mod_name}.{name}")
+        assert missing == []
 
     def test_version_matches_pyproject(self):
         tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
