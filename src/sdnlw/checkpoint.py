@@ -1,9 +1,9 @@
 """Versioned binary checkpoints for single-trajectory flow states.
 
-Layout (little-endian), version 3:
+Layout (little-endian), version 4:
 
     bytes 0..5   magic  b"SDNLW1"
-    u16          format version (= 3)
+    u16          format version (= 4)
     u8           state kind (= 1, flow state)
     i64          step (the clock: t = step * dt)
     u32 + text   dump_config of the state's config (seed = the stick's), UTF-8
@@ -12,9 +12,10 @@ Layout (little-endian), version 3:
 The text is read back with ``parse_config``, so every config key is
 restored.  Refused: a truncated payload, another version (version 1
 stored only some keys; version 2 also stored a float t, which drifted
-from step * dt), a stored config ``parse_config`` refuses, and a
-caller's config whose physical keys (N, s, gamma, alpha, dt, integrator)
-differ from the stored ones -- in particular cross-dt resume.  The noise
+from step * dt; version 3 text named a key since deleted), a stored
+config ``parse_config`` refuses, and a caller's config whose
+``config._RESUME_KEYS`` (N, s, gamma, alpha, dt, linear_only) differ
+from the stored ones -- in particular cross-dt resume.  The noise
 lineage is (seed, step) and the state is stored verbatim, so a restored
 run continues bit-identically to the uninterrupted one.
 """
@@ -26,11 +27,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, SimConfig, dump_config, parse_config
+from .config import _RESUME_KEYS, ConfigError, SimConfig, dump_config, parse_config
 from .dynamics import FlowState, flow_init
 
 MAGIC = b"SDNLW1"
-VERSION = 3
+VERSION = 4
 KIND_FLOW = 1
 
 _PREFIX = struct.Struct("<HBqI")  # version, kind, step, config text length
@@ -77,7 +78,7 @@ def load_checkpoint(blob: bytes, cfg: SimConfig | None = None) -> FlowState:
             f"truncated checkpoint payload (expected {off + 3*nbytes} bytes, "
             f"got {len(blob)})")
     if cfg is not None:
-        for key in ("N", "s", "gamma", "alpha", "dt", "integrator"):
+        for key in _RESUME_KEYS:
             have, want = getattr(cfg, key), getattr(stored, key)
             if have != want:
                 raise CheckpointError(

@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields, replace
 
 DEFAULT_OBSERVABLES = ("mean_u", "mean_u2", "clipped_halpha")
 
-_INTEGRATORS = ("euler",)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names every offending key."""
@@ -42,7 +40,6 @@ class SimConfig:
     dt: float = 0.01
     T: float = 10.0
     seed: int = 0
-    integrator: str = "euler"
     M_pad: float = 2.0                 # quadrature zero-padding factor
     observables: tuple = DEFAULT_OBSERVABLES
     output_dir: str = "."
@@ -67,9 +64,6 @@ class SimConfig:
             errs.append(f"dt: must be finite and > 0, got {self.dt}")
         if not 0 <= self.T < math.inf:
             errs.append(f"T: must be finite and >= 0, got {self.T}")
-        if self.integrator not in _INTEGRATORS:
-            errs.append(f"integrator: must be one of {_INTEGRATORS}, got "
-                        f"{self.integrator!r}")
         if not 1.0 <= self.M_pad < math.inf:
             errs.append(f"M_pad: must be finite and >= 1, got {self.M_pad}")
         if not 0 < self.obs_interval < math.inf:
@@ -102,6 +96,10 @@ class SimConfig:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["observables"] = list(self.observables)
         return d
+
+
+# the keys a resumed run must share with its checkpoint; the rest may change
+_RESUME_KEYS = ("N", "s", "gamma", "alpha", "dt", "linear_only")
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,

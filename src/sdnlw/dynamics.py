@@ -10,8 +10,8 @@ where v solves the Duhamel remainder equation
 
 with N_gamma(x) = x^3 - 3 gamma x.  The linear part S(t) u0 is evolved
 incrementally (lin <- S(dt) lin), which is exact per mode, and the cubic
-forcing is integrated by exponential Euler (``integrator = euler``, the
-one scheme; the coupling shift w uses it too):
+forcing is integrated by exponential Euler (the one scheme; the coupling
+shift w uses it too):
 
     v <- S(dt) v - dt * S(dt) (0, NL(t))          (order 1)
 
@@ -108,14 +108,6 @@ def _check_fits_paths(name: str, data: np.ndarray, paths: tuple) -> None:
                          f"to the paths' batch {paths}")
 
 
-def _check_integrator(cfg: SimConfig) -> None:
-    """Refuse an integrator other than ``euler`` in a config that skipped
-    ``check``, rather than running it as Euler."""
-    if cfg.integrator != "euler":
-        raise ValueError(f"integrator: only 'euler' is implemented, got "
-                         f"{cfg.integrator!r}")
-
-
 def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
               batch: tuple = (), step0: int = 0) -> FlowState:
     """Fresh flow state; ``step0`` offsets the noise lineage (restarts).
@@ -123,9 +115,7 @@ def flow_init(cfg: SimConfig, u0: np.ndarray | None = None, seed=None,
     The paths' batch is ``batch``, or the data's when ``batch`` is ().  The
     state keeps its own copy of ``u0`` as ``lin`` at the data's batch shape
     (class docstring), so a later write to the caller's array changes nothing.
-    A config whose integrator is not ``euler`` is refused.
     """
-    _check_integrator(cfg)
     N = cfg.N
     if u0 is None:
         u0 = zero_pair(N)
@@ -200,7 +190,7 @@ def v_step(state: FlowState, noise: StepNoise | None = None, *,
     """Advance stick and remainder by one exponential Euler step of length
     cfg.dt on ``noise``, the state's ``step_noise`` when omitted; noise
     built from another stick object is refused (a ValueError naming
-    ``noise``), and so is a config whose integrator is not ``euler``.
+    ``noise``).
     ``x0_phys`` is pi1 of the state's full flow on the cube grid, when the
     caller has sampled it already (see ``nonlinearity_field``)."""
     if noise is None:
@@ -208,7 +198,6 @@ def v_step(state: FlowState, noise: StepNoise | None = None, *,
     elif noise.before is not state.stick:
         raise ValueError("noise: built from another stick than the state's")
     cfg = state.cfg
-    _check_integrator(cfg)
     N, delta = cfg.N, cfg.dt
     tab = propagator_tables(N, delta)
 
@@ -262,9 +251,9 @@ def restart_check(cfg: SimConfig, u0: np.ndarray | None, t: float, h: float,
     """Markov restart residual |Phi_{t+h} - [S(h) Phi_t + fresh stick + fresh v]|_H1.
 
     The restarted run reuses the same noise lineage and clock (step offset
-    t/dt), so the residual measures only the integrator's consistency with
-    the restart identity; it vanishes to round-off for the linear flow and
-    decreases at order one otherwise.
+    t/dt), and an exponential Euler step maps the sum lin + stick + v to
+    the next one however the sum is split, so the residual is round-off
+    for the linear and the nonlinear flow alike.
     """
     n_h = steps(h, cfg.dt, "h")
     a = run_steps(flow_init(cfg, u0, seed=seed), steps(t, cfg.dt, "t"))

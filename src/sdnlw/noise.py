@@ -79,14 +79,16 @@ def _reset_stream(seed, step: int, block: int) -> None:
 
 
 def _check_seeds(seed) -> None:
-    """Refuse a seed outside [-2**63, 2**63): the stream's key is the seed
-    mod 2**64, so such a seed would repeat another seed's stream.  Seeds
-    that numpy holds as signed integers fit by their dtype and are not
-    walked one by one."""
-    seeds = np.asarray(seed)
-    if seeds.dtype.kind == "i":
+    """Refuse a seed that is not an integer (a bool, a float or a str is
+    not), or one outside [-2**63, 2**63): the stream's key is the seed mod
+    2**64, so such a seed would repeat another seed's stream.  An array of
+    signed integers fits by its dtype and is not walked one by one; any
+    other input is walked as Python objects, so numpy cannot round it."""
+    if isinstance(seed, np.ndarray) and seed.dtype.kind == "i":
         return
-    for one in seeds.ravel():
+    for one in np.asarray(seed, dtype=object).ravel():
+        if isinstance(one, bool) or not isinstance(one, (int, np.integer)):
+            raise ValueError(f"seed {one!r} is not an integer")
         if not -2**63 <= int(one) < 2**63:
             raise ValueError(f"seed {int(one)} lies outside [-2**63, 2**63)")
 

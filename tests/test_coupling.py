@@ -232,13 +232,12 @@ class TestBracketConsistency:
 
 
 class TestWSystem:
-    @pytest.mark.parametrize("integrator, linear_only", [("euler", False),
-                                                         ("euler", True)])
-    def test_flow_step_equals_v_step(self, integrator, linear_only):
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_flow_step_equals_v_step(self, linear_only):
         # the coupling hands its bracket samples of u1 to the flow step: the
         # flow it advances is bit for bit the plain v_step of the same flow
         cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05,
-                        integrator=integrator, linear_only=linear_only)
+                        linear_only=linear_only)
         rec = coupling_init(cfg, random_pair(4, RNG), gaussian_bump_pair(4, 0.5),
                             seed=[5, 6], batch=(2,))
         rec = run_coupling(rec, 3)
@@ -344,18 +343,16 @@ class TestStickHandOff:
     makes its own, and noise built from another stick is refused."""
 
     @staticmethod
-    def record(integrator, n_steps=3):
-        cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05,
-                        integrator=integrator)
+    def record(n_steps=3):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05)
         u1 = random_pair(4, np.random.default_rng(3))
         rec = coupling_init(cfg, u1, gaussian_bump_pair(4, 0.5),
                             CouplingOptions(eps_every=2), seed=[5, 6], batch=(2,),
                             monitor_M=3.0)
         return run_coupling(rec, n_steps)
 
-    @pytest.mark.parametrize("integrator", ["euler"])
-    def test_equals_own_stick_on_every_field(self, integrator):
-        rec = self.record(integrator)
+    def test_equals_own_stick_on_every_field(self):
+        rec = self.record()
         noise = step_noise(rec.flow)
         got = coupling_step(rec, noise)
         assert got.flow.stick is noise.stick
@@ -364,14 +361,14 @@ class TestStickHandOff:
 
     def test_stick_not_one_step_ahead_refused(self):
         # noise of the step before, or of the step after, this record's
-        before = self.record("euler", 2)
+        before = self.record(2)
         rec = coupling_step(before)
         for stale in (step_noise(before.flow), step_noise(coupling_step(rec).flow)):
             with pytest.raises(ValueError, match="^noise: built from another stick"):
                 coupling_step(rec, stale)
 
     def test_stick_of_other_seeds_refused(self):
-        rec = self.record("euler")
+        rec = self.record()
         other = coupling_init(rec.flow.cfg, None, gaussian_bump_pair(4, 0.5),
                               seed=[7, 8], batch=(2,))
         other = run_coupling(other, 3)

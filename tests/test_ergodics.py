@@ -354,17 +354,15 @@ class TestLockstep:
     step; each start's numbers must equal its own run's."""
 
     @staticmethod
-    def config(integrator="euler"):
+    def config():
         return SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, obs_interval=0.25,
-                         integrator=integrator,
                          observables=("mean_u2", "mean_u4", "clipped_halpha"))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("integrator", ["euler"])
-    def test_equals_one_run_per_start(self, monkeypatch, integrator, workers):
+    def test_equals_one_run_per_start(self, monkeypatch, workers):
         # uneven chunks at two workers (5 seeds: 3 + 2), a nonzero first start
         monkeypatch.setenv("SDNLW_WORKERS", workers)
-        cfg = self.config(integrator)
+        cfg = self.config()
         u1 = 0.3 * random_pair(4, np.random.default_rng(5), decay=2.0)
         u2 = gaussian_bump_pair(4, 1.0)
         seeds = [21, 22, 23, 24, 25]

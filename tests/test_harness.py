@@ -25,8 +25,8 @@ from sdnlw.checkpoint import (
 import sdnlw
 from sdnlw import cli, coupling, ergodics
 from sdnlw.cli import main as cli_main
-from sdnlw.config import ConfigError, SimConfig, dump_config, load_config, parse_config, \
-    steps
+from sdnlw.config import _RESUME_KEYS, ConfigError, SimConfig, dump_config, load_config, \
+    parse_config, steps
 from sdnlw.coupling import CouplingOptions, coupling_distance, coupling_init, \
     run_coupling, shifted_flow_check
 from sdnlw.dynamics import flow_init, full_flow, run_steps
@@ -102,10 +102,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^linear_only: "):
             parse_config(f"linear_only = {text}\n")
 
-    @pytest.mark.parametrize("name", ["midpoint", "rk4"])
+    @pytest.mark.parametrize("name", ["euler", "midpoint", "rk4"])
     def test_unknown_integrator_refused(self, name):
-        with pytest.raises(ConfigError, match="^integrator: "):
+        # exponential Euler is the one scheme, and no key names it
+        with pytest.raises(ConfigError, match="^integrator: unknown configuration key$"):
             parse_config(f"integrator = {name}\n")
+
+    def test_readme_sample_shows_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = readme.split("Configuration is a flat `key = value` file", 1)[1]
+        block = after.split("```\n", 2)[1]
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines()}
+        assert keys == {f.name for f in fields(SimConfig)}
+        assert parse_config(block) == SimConfig()
 
     def test_round_trip_via_dump(self, tmp_path):
         cfg = SimConfig(N=6, s=0.7, alpha=0.2, dt=0.02, seed=11)
@@ -116,7 +125,7 @@ class TestConfig:
     @pytest.mark.parametrize("cfg", [
         SimConfig(),
         SimConfig(N=6, s=0.7, gamma=-0.3, alpha=0.2, dt=0.02, T=3.0, seed=11,
-                  integrator="euler", M_pad=3.5, observables=("mean_u", "dn_to_ref"),
+                  M_pad=3.5, observables=("mean_u", "dn_to_ref"),
                   output_dir="runs/a b-1", obs_interval=0.1, linear_only=True,
                   blowup_threshold=np.inf),
         SimConfig(observables=(), output_dir="", blowup_threshold=1e-300, T=0.0),
@@ -178,6 +187,13 @@ def with_config_text(blob: bytes, edit) -> bytes:
 
 
 class TestCheckpoint:
+    # the keys a resume may change; every other key is in _RESUME_KEYS
+    MAY_CHANGE = {"T": 2.5, "seed": 99, "observables": ("mean_u4",),
+                  "output_dir": "elsewhere", "obs_interval": 0.1, "M_pad": 3.0,
+                  "blowup_threshold": np.inf}
+    MUST_MATCH = {"N": 5, "s": 0.9, "gamma": 0.3, "alpha": 0.2, "dt": 0.01,
+                  "linear_only": True}
+
     def make_state(self, steps=7):
         cfg = SimConfig(N=4, s=1.0, gamma=0.2, dt=0.05, seed=13)
         st = flow_init(cfg, random_pair(4, np.random.default_rng(0)))
@@ -214,6 +230,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="dt"):
             load_checkpoint(blob, other)
 
+    def test_every_key_is_matched_or_may_change(self):
+        # a new SimConfig key must be placed on one side of the resume rule
+        assert set(_RESUME_KEYS) == set(self.MUST_MATCH)
+        assert set(_RESUME_KEYS).isdisjoint(self.MAY_CHANGE)
+        assert set(_RESUME_KEYS) | set(self.MAY_CHANGE) == \
+            {f.name for f in fields(SimConfig)}
+
+    @pytest.mark.parametrize("key", _RESUME_KEYS)
+    def test_changed_resume_key_refused(self, key):
+        st = self.make_state()
+        other = replace(st.cfg, **{key: self.MUST_MATCH[key]}).check()
+        with pytest.raises(CheckpointError, match=f"^{key}: checkpoint has "):
+            load_checkpoint(save_checkpoint(st), other)
+
+    def test_other_keys_may_change(self):
+        st = self.make_state()
+        other = replace(st.cfg, **self.MAY_CHANGE).check()
+        back = load_checkpoint(save_checkpoint(st), other)
+        assert back.cfg == replace(other, seed=st.cfg.seed)
+        assert np.array_equal(back.v, st.v) and back.step == st.step
+
     def test_file_round_trip(self, tmp_path):
         st = self.make_state()
         p = tmp_path / "state.ckpt"
@@ -222,27 +259,32 @@ class TestCheckpoint:
         assert np.array_equal(back.v, st.v)
         assert back.t == st.t and back.step == st.step
 
-    def resume_patched(self, tmp_path, capsys, key, value):
+    def resume_edited(self, tmp_path, capsys, edit):
         """Exit code and stderr of ``sdnlw resume`` (no --config) on a
-        checkpoint whose stored config text sets ``key = value``."""
-        st = self.make_state()
-        line = f"{key} = {getattr(st.cfg, key)}\n"
+        checkpoint whose stored config text is ``edit(text)``."""
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(with_config_text(save_checkpoint(self.make_state()), edit))
+        code = cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    def resume_patched(self, tmp_path, capsys, key, value):
+        """``resume_edited`` with the stored line of ``key`` set to ``value``."""
+        line = f"{key} = {getattr(self.make_state().cfg, key)}\n"
 
         def edit(text):
             assert line in text
             return text.replace(line, f"{key} = {value}\n")
 
-        p = tmp_path / "bad.ckpt"
-        p.write_bytes(with_config_text(save_checkpoint(st), edit))
-        code = cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path / "o")])
-        return code, capsys.readouterr().err
+        return self.resume_edited(tmp_path, capsys, edit)
 
-    @pytest.mark.parametrize("name", ["midpoint", "rk4", "255"])
+    @pytest.mark.parametrize("name", ["euler", "midpoint", "rk4", "255"])
     def test_stored_integrator_refused(self, tmp_path, capsys, name):
-        # midpoint was deleted; its checkpoints no longer load
-        code, err = self.resume_patched(tmp_path, capsys, "integrator", name)
+        # the integrator key was deleted; a text naming it no longer loads
+        code, err = self.resume_edited(tmp_path, capsys,
+                                       lambda text: text + f"integrator = {name}\n")
         assert code == 1
-        assert "integrator:" in err and "Traceback" not in err
+        assert "integrator: unknown configuration key" in err
+        assert "Traceback" not in err
 
     def test_stored_linear_only_refused(self, tmp_path, capsys):
         code, err = self.resume_patched(tmp_path, capsys, "linear_only", 7)
@@ -284,10 +326,24 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert "version 2" in err and "Traceback" not in err
 
+    def test_version_3_refused(self, tmp_path, capsys):
+        # v3 text held the deleted integrator key
+        st = self.make_state()
+        v3 = with_config_text(save_checkpoint(st),
+                              lambda text: text.replace("M_pad", "integrator = euler\nM_pad"))
+        v3 = v3[:6] + struct.pack("<H", 3) + v3[8:]
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 3$"):
+            load_checkpoint(v3)
+        p = tmp_path / "v3.ckpt"
+        p.write_bytes(v3)
+        assert cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 3" in err and "Traceback" not in err
+
     def test_header_holds_no_time(self):
         st = self.make_state()
         text = dump_config(replace(st.cfg, seed=13)).encode("utf-8")
-        head = b"SDNLW1" + struct.pack("<HBqI", 3, 1, st.step, len(text)) + text
+        head = b"SDNLW1" + struct.pack("<HBqI", 4, 1, st.step, len(text)) + text
         assert save_checkpoint(st)[:len(head)] == head
         assert load_checkpoint(save_checkpoint(st)).t == st.step * st.cfg.dt
 
@@ -304,8 +360,7 @@ class TestCheckpoint:
                         output_dir="runs/a b", obs_interval=0.1, linear_only=True,
                         blowup_threshold=np.inf)
         moved = {f.name for f in fields(cfg) if getattr(cfg, f.name) != f.default}
-        # euler is the one integrator, so that key cannot move
-        assert moved == {f.name for f in fields(cfg)} - {"integrator"}
+        assert moved == {f.name for f in fields(cfg)}
         st = run_steps(flow_init(cfg, random_pair(3, np.random.default_rng(1))), 2)
         assert load_checkpoint(save_checkpoint(st)).cfg == st.cfg
 
@@ -419,11 +474,14 @@ class TestCli:
         assert "s:" in err and "Traceback" not in err
 
     def test_midpoint_config_exit_one(self, tmp_path, capsys):
+        # no key chooses the scheme: integrator is unknown, even as euler
         bad = tmp_path / "bad.cfg"
-        bad.write_text("integrator = midpoint\n")
-        assert self.run_cli("simulate", "--config", str(bad)) == 1
-        err = capsys.readouterr().err
-        assert "integrator:" in err and "Traceback" not in err
+        for name in ("midpoint", "euler"):
+            bad.write_text(f"integrator = {name}\n")
+            assert self.run_cli("simulate", "--config", str(bad)) == 1
+            err = capsys.readouterr().err
+            assert "integrator: unknown configuration key" in err
+            assert "Traceback" not in err
 
     def test_bad_bool_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """White-noise increments and the stochastic convolution's exact law."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -204,8 +206,8 @@ class TestStickStepping:
 
     @DRAWS
     @pytest.mark.parametrize("seed", [2**64 + 5, -2**63 - 1, [1, 2**64 + 5],
-                                      np.array([2**63], dtype=np.uint64)],
-                             ids=["scalar", "negative", "list", "uint64"])
+                                      np.array([2**63], dtype=np.uint64), [1, 2**63]],
+                             ids=["scalar", "negative", "list", "uint64", "float64 list"])
     def test_draws_refuse_seed_outside_64_bits(self, draw, seed):
         # reduced mod 2**64, the key 2**64 + 5 drew seed 5's stream
         with pytest.raises(ValueError, match=r"^seed -?\d+ lies outside \[-2\*\*63, 2\*\*63\)"):
@@ -213,11 +215,39 @@ class TestStickStepping:
 
     @pytest.mark.parametrize("seed, batch", [(2**63, ()), (-2**63 - 1, ()), (2**64, ()),
                                              ([0, 2**64, 1], (3,)),
-                                             (np.array([2**64 - 1], dtype=np.uint64), (1,))])
+                                             (np.array([2**64 - 1], dtype=np.uint64), (1,)),
+                                             ([1, 2**63], (2,))])
     def test_init_refuses_seed_outside_64_bits(self, seed, batch):
         # a key reduced mod 2**64 would repeat a stream: 2**64 drew seed 0's
         with pytest.raises(ValueError, match=r"^seed -?\d+ lies outside \[-2\*\*63, 2\*\*63\)"):
             stick_init(2, 1.0, seed, batch)
+
+    # (seed, batch, the refused seed's repr): numpy would round or cast each
+    NOT_INTEGERS = pytest.mark.parametrize("seed, batch, shown", [
+        (1.5, (), "1.5"), (True, (), "True"), ("3", (), "'3'"),
+        ([1.5, 2.0], (2,), "1.5"), ([1, True], (2,), "True"),
+        (np.array([1.0, 2.0]), (2,), "1.0"), (np.array(["3"]), (1,), "'3'"),
+    ], ids=["float", "bool", "str", "float list", "bool in list", "float array",
+            "str array"])
+
+    @DRAWS
+    @NOT_INTEGERS
+    def test_draws_refuse_seed_not_an_integer(self, draw, seed, batch, shown):
+        with pytest.raises(ValueError, match=rf"^seed {re.escape(shown)} is not an integer$"):
+            draw(seed)
+
+    @NOT_INTEGERS
+    def test_init_refuses_seed_not_an_integer(self, seed, batch, shown):
+        # seed=1.5 drew seed 1's stream, and [1.5, 2.0] stepped like [1, 2]
+        with pytest.raises(ValueError, match=rf"^seed {re.escape(shown)} is not an integer$"):
+            stick_init(2, 1.0, seed, batch)
+
+    def test_uint64_seeds_in_range_accepted(self):
+        seeds = np.array([0, 2**63 - 1], dtype=np.uint64)
+        assert stick_init(2, 1.0, seeds, (2,)).seed.dtype == np.int64
+        assert stick_init(2, 1.0, np.uint64(7)).batch == ()
+        assert np.array_equal(sample_increment(2, 0.1, seeds).coeffs,
+                              sample_increment(2, 0.1, [0, 2**63 - 1]).coeffs)
 
     def test_init_accepts_one_seed_per_path(self):
         assert stick_init(2, 1.0, 3).batch == ()
