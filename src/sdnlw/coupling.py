@@ -12,7 +12,12 @@ second-component forcing
     B_plain = P_N [ Q_w * (pi1 w + pi1 S(t) udiff) ],
     B_moll  = P_N [ (Q_w conv rho_eps) * (pi1 w + pi1 S(t) udiff conv rho_eps) ],
 
-where Q_w = Q(u1(t), w + S(t) udiff) is the quadratic form from renorm,
+where Q_w = Q(u1(t), w + S(t) udiff) is the quadratic form
+
+    Q(u, v) = 3 ((pi1 u)^2 - gamma) + 3 pi1 u pi1 v + (pi1 v)^2,
+
+so that N_gamma(p + q) - N_gamma(p) = Q q for the cubic
+N_gamma(x) = x^3 - 3 gamma x, with p = pi1 u and q = pi1 v;
 rho_eps is the heat kernel at time eps (Fourier multiplier
 exp(-eps |2 pi n|^2)), and the adaptive scale is
 
@@ -106,11 +111,12 @@ def mollify(coeffs: np.ndarray, eps) -> np.ndarray:
 def tv_bound(moment_p: float, e_abs_logx_p: float, L: float) -> float:
     """Upper bound 2(1 - e^{-L} + e^{-L} L^{-p} E|X|^p) on E|e^X - 1|
     for E e^X = 1, clipped at the trivial bound 2."""
-    if moment_p < 1:
+    # written so that NaN fails each check
+    if not moment_p >= 1:
         raise ValueError("moment order must be >= 1")
-    if L <= 0:
+    if not L > 0:
         raise ValueError("L must be > 0")
-    if e_abs_logx_p < 0:
+    if not e_abs_logx_p >= 0:
         raise ValueError("moment value must be >= 0")
     val = 2.0 * (1.0 - np.exp(-L) + np.exp(-L) * L ** (-moment_p) * e_abs_logx_p)
     return float(min(2.0, val))
@@ -250,10 +256,13 @@ class CouplingOptions:
     dt_grid: float = 0.25          # X^alpha sup grid step
 
     def __post_init__(self):
-        if not (self.eps_every >= 1 and self.eps_every == int(self.eps_every)):
+        if self.norm_exp is not None and not 0.0 < self.norm_exp < np.inf:
+            raise ValueError(f"norm_exp must be finite and > 0, got {self.norm_exp}")
+        if isinstance(self.eps_every, bool) \
+                or not (self.eps_every >= 1 and self.eps_every == int(self.eps_every)):
             raise ValueError(f"eps_every must be an integer >= 1, got {self.eps_every}")
-        if not self.dt_grid > 0.0:
-            raise ValueError(f"dt_grid must be > 0, got {self.dt_grid}")
+        if not 0.0 < self.dt_grid < np.inf:
+            raise ValueError(f"dt_grid must be finite and > 0, got {self.dt_grid}")
 
 
 @dataclass(frozen=True)
@@ -317,9 +326,10 @@ def _flow_samples(record: CouplingRecord) -> np.ndarray:
 def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray | None):
     """(Q, B_plain) at the current time on one shared dealiased grid.
 
-    Q has exact degree 2N; B_plain = P_N [Q (pi1 w + pi1 S(t) udiff)].
-    Algebraically identical to composing renorm.quadratic_Q with
-    dealiased_product; assembled pointwise on a single grid for speed.
+    Q has exact degree 2N; B_plain = P_N [Q (pi1 w + pi1 S(t) udiff)], which
+    is P_N [N_gamma(p + q) - N_gamma(p)] with p = pi1 u1(t) and
+    q = pi1 (w + S(t) udiff) (module docstring).  Both are assembled
+    pointwise on the cube grid, which dealiases Q q to P_N.
     ``p_ph`` are the ``_flow_samples`` of the record (None under
     linear_only, which has no bracket).
     """

@@ -19,8 +19,15 @@ A step's noise is one ``StepNoise`` from ``step_noise``; flows that share
 one stick object (lockstep starts) share it, so the stick advances once.
 
 The nonlinearity is evaluated as one dealiased cube of
-x = pi1 (lin + stick + v); this equals the expanded coefficient form
-v^3 + a v^2 + b v + c identically (see renorm), and P_N is applied once.
+x = pi1 (lin + stick + v), and P_N is applied once.  With u0N = pi1 P_N S(t) u0,
+psi = pi1 stick, wick2 = psi^2 - gamma and wick3 = psi^3 - 3 gamma psi, it
+equals the expanded form v^3 + a v^2 + b v + c identically, where
+
+    a = 3 (u0N + psi),
+    b = 3 (u0N^2 + 2 u0N psi + wick2),
+    c = u0N^3 + 3 u0N^2 psi + 3 u0N wick2 + wick3;
+
+the tests keep that form, at exact degree, as the oracle for the cube.
 
 The energy of the remainder (w = P_N v) is
 
@@ -28,7 +35,7 @@ The energy of the remainder (w = P_N v) is
          + 1/4 int w^4 + 1/8 int (w + w_t)^2,
 
 and the modified functional used for the drift bound is
-F = E - 1/8 int (w_t)^2 + 1/3 int a w^3.
+F = E - 1/8 int (w_t)^2 + 1/3 int a w^3, with a = 3 (u0N + psi) as above.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from . import spectral
 from .config import SimConfig, steps
 from .noise import PER_DATUM, PER_PATH, NoiseIncrement, StickState, sample_increment
 from .propagator import apply_tables, kick_tables, propagator_tables
-from .renorm import CubicCoefficients
 from .spectral import (
     dealiased_product,
     embed,
@@ -237,13 +243,13 @@ def energy(v: np.ndarray, N: int) -> np.ndarray:
     return quad + 0.25 * mean_square(w2)
 
 
-def modified_energy_F(v: np.ndarray, coeffs: CubicCoefficients, N: int) -> np.ndarray:
-    """F = E - 1/8 int (w_t)^2 + 1/3 int a w^3."""
+def modified_energy_F(v: np.ndarray, a: np.ndarray, N: int) -> np.ndarray:
+    """F = E - 1/8 int (w_t)^2 + 1/3 int a w^3 for the field a = 3 (u0N + psi)."""
     w = project_leq(v[..., 0, :, :], N)
     wt = project_leq(v[..., 1, :, :], N)
     w3 = dealiased_product(w, w, w)
     return energy(v, N) - 0.125 * mean_square(wt) \
-        + (1.0 / 3.0) * l2_inner(embed(coeffs.a, truncation_of(w3)), w3)
+        + (1.0 / 3.0) * l2_inner(embed(a, truncation_of(w3)), w3)
 
 
 def restart_check(cfg: SimConfig, u0: np.ndarray | None, t: float, h: float,

@@ -161,8 +161,6 @@ def grid_tables(N: int, t_star: float, dt_grid: float):
     """The time grid and its S(t) tables stacked to shape (G, K, K); each
     slice is the cached ``propagator_tables(N, t)`` of that grid time."""
     grid = read_only(default_time_grid(t_star, dt_grid))
-    if grid.size == 0:
-        raise ValueError(f"empty time grid (t_star = {t_star})")
     per_t = [propagator_tables(N, float(t)) for t in grid]
     return grid, PropagatorTables(*(read_only(np.stack(m)) for m in zip(*per_t)))
 
@@ -205,8 +203,12 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
         raise ValueError("weighted sup norm needs 0 < alpha < 1")
     if not p >= 2.0:
         raise ValueError(f"weighted sup norm needs p >= 2, got {p}")
-    if not dt_grid > 0.0:
-        raise ValueError(f"dt_grid must be > 0, got {dt_grid}")
+    if not 0.0 < dt_grid < np.inf:
+        raise ValueError(f"dt_grid must be finite and > 0, got {dt_grid}")
+    if not np.isfinite(t_star):
+        raise ValueError(f"t_star must be finite, got {t_star}")
+    if t_star < 0.0:
+        raise ValueError(f"t_star must be >= 0, got {t_star}: empty time grid [0, t_star]")
     N = truncation_of(pair)
     K = lattice_size(N)
     grid, tables = grid_tables(N, float(t_star), float(dt_grid))

@@ -401,35 +401,11 @@ def resize(coeffs: np.ndarray, N_out: int) -> np.ndarray:
     return np.ascontiguousarray(coeffs[..., sl, sl])
 
 
-def add_fields(*fields: np.ndarray) -> np.ndarray:
-    """Sum fields of possibly different truncations on the common lattice."""
-    N = max(truncation_of(f) for f in fields)
-    out = zero_field(N, np.broadcast_shapes(*[f.shape[:-2] for f in fields]))
-    for f in fields:
-        out = out + embed(f, N)
-    return out
-
-
 def integral(coeffs: np.ndarray) -> np.ndarray:
     """Integral over T^2 = the zero-mode coefficient, as an owned real array
     (a copy, not a view that would keep ``coeffs`` alive)."""
     N = truncation_of(coeffs)
     return coeffs[..., N, N].real.copy()
-
-
-def convolution_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """O(K^4) direct convolution sum; the independent oracle against which
-    dealiased_product is checked.  Unbatched 2-d inputs only."""
-    Nf, Ng = truncation_of(f), truncation_of(g)
-    No = Nf + Ng
-    out = zero_field(No)
-    for a in range(2 * Nf + 1):
-        for b in range(2 * Nf + 1):
-            c = f[a, b]
-            if c == 0:
-                continue
-            out[a + 0: a + 2 * Ng + 1, b + 0: b + 2 * Ng + 1] += c * g
-    return out
 
 
 def mean_square(coeffs: np.ndarray) -> np.ndarray:

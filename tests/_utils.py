@@ -2,13 +2,14 @@
 FFT backend switch, and the oracles the package's fast routes are checked
 against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
 route, the whole-batch quadrature, the one-time-per-pass sup norm, the
-expanded-coefficient nonlinearity, the tau_M norms on every path, the
-standalone Girsanov density, the two-start comparison with one run per
-start, the coupled two-start comparison with a second record loop, the
-two-pass trapezoid shifted-flow check), and small diagnostics only the
-tests use (the single-mode propagator matrix, the wave-equation
-finite-difference residual, the Hermitian defect, the Wick-ordering preset
-gamma_*, the field-by-field record comparison)."""
+O(K^4) direct convolution, the spectral Wick powers, the expanded-coefficient
+cubic and nonlinearity, the quadratic form Q as dealiased products, the
+tau_M norms on every path, the standalone Girsanov density, the two-start
+comparison with one run per start, the coupled two-start comparison with a
+second record loop, the two-pass trapezoid shifted-flow check), and small
+diagnostics only the tests use (the single-mode propagator matrix, the
+wave-equation finite-difference residual, the Hermitian defect, the
+Wick-ordering preset gamma_*, the field-by-field record comparison)."""
 
 import dataclasses
 import importlib
@@ -24,9 +25,9 @@ from sdnlw.ergodics import compare_averages, compare_starts, sample_trajectory, 
     time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
-from sdnlw.spectral import bracket_multiplier, dealiased_product, grad2_table, hnorm, \
-    l2_norm, lattice_size, mode_range, pair_norm, project_leq, quad_grid_size, reflect, \
-    resize, to_physical, truncation_of, zero_field, zero_pair
+from sdnlw.spectral import bracket_multiplier, dealiased_product, embed, grad2_table, \
+    hnorm, l2_norm, lattice_size, mode_range, pair_norm, project_leq, quad_grid_size, \
+    reflect, resize, to_physical, truncation_of, zero_field, zero_pair
 
 
 def assert_fields_equal(a, b, path="record"):
@@ -139,6 +140,125 @@ def weighted_sup_norm_loop(pair, alpha, p, t_star=40.0, dt_grid=0.25, pad=2.0):
     end = apply_S(pair, float(t_star))
     tail = DECAY_CONST * lattice_size(N) * np.exp(t_star / 8.0) * hnorm(end, alpha)
     return np.maximum(best, tail), best, tail
+
+
+def add_fields(*fields: np.ndarray) -> np.ndarray:
+    """Sum fields of possibly different truncations on the common lattice."""
+    N = max(truncation_of(f) for f in fields)
+    out = zero_field(N, np.broadcast_shapes(*[f.shape[:-2] for f in fields]))
+    for f in fields:
+        out = out + embed(f, N)
+    return out
+
+
+def convolution_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """O(K^4) direct convolution sum; the independent oracle against which
+    dealiased_product is checked.  Unbatched 2-d inputs only."""
+    Nf, Ng = truncation_of(f), truncation_of(g)
+    No = Nf + Ng
+    out = zero_field(No)
+    for a in range(2 * Nf + 1):
+        for b in range(2 * Nf + 1):
+            c = f[a, b]
+            if c == 0:
+                continue
+            out[a + 0: a + 2 * Ng + 1, b + 0: b + 2 * Ng + 1] += c * g
+    return out
+
+
+# Renormalized powers and the expanded cubic, as dealiased spectral products.
+#
+# With psi the first component of the (truncated) stochastic convolution and
+# gamma a real constant, the renormalized squares and cubes are
+#
+#     wick2 = psi^2 - gamma,        wick3 = psi^3 - 3 gamma psi,
+#
+# and with u0N(t) the first component of P_N S(t) u0, the cubic nonlinearity
+# expands around u0N + psi as  v^3 + a v^2 + b v + c  with
+#
+#     a = 3 u0N + 3 psi,
+#     b = 3 (u0N^2 + 2 u0N psi + wick2),
+#     c = u0N^3 + 3 u0N^2 psi + 3 u0N wick2 + wick3,
+#
+# so that identically  v^3 + a v^2 + b v + c = (u0N + psi + v)^3
+# - 3 gamma (u0N + psi + v).  All products are dealiased and kept at their
+# exact trigonometric degree (psi^2 at 2N, c at 3N, ...), so the identities
+# hold as exact equalities of coefficient arrays; the sharp projection P_N is
+# applied once, where the equation of motion says, not inside the
+# coefficients.  The package evaluates the cubic as one dealiased cube
+# (``dynamics.nonlinearity_field``) and Q pointwise on one grid
+# (``coupling._plain_bracket``); these are the oracles for both.
+
+
+@dataclasses.dataclass(frozen=True)
+class WickPowers:
+    """psi and its renormalized square/cube, at exact degree."""
+
+    psi: np.ndarray    # degree N
+    psi2: np.ndarray   # degree 2N
+    psi3: np.ndarray   # degree 3N
+    gamma: float
+
+
+@dataclasses.dataclass(frozen=True)
+class CubicCoefficients:
+    """Coefficients (a, b, c) of the expanded cubic, at exact degree."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    N: int
+
+
+def wick_powers(psi: np.ndarray, gamma: float) -> WickPowers:
+    N = truncation_of(psi)
+    psi2 = dealiased_product(psi, psi)
+    psi2 = psi2.copy()
+    psi2[..., 2 * N, 2 * N] -= gamma
+    psi3 = dealiased_product(psi, psi, psi)
+    psi3 = psi3 - 3.0 * gamma * embed(psi, 3 * N)
+    return WickPowers(psi.copy(), psi2, psi3, float(gamma))
+
+
+def cubic_coefficients(u0: np.ndarray, stick_psi: np.ndarray, t: float,
+                       gamma: float, N: int) -> CubicCoefficients:
+    """Coefficients at time t for initial data u0 and stick component psi.
+
+    u0 is a phase-space pair; u0N = pi1 P_N S(t) u0 is computed here.
+    """
+    u = project_leq(apply_S(u0, float(t))[..., 0, :, :], N)
+    psi = project_leq(stick_psi, N)
+    wick = wick_powers(psi, gamma)
+    a = 3.0 * u + 3.0 * psi
+    b = 3.0 * add_fields(
+        dealiased_product(u, u),
+        2.0 * dealiased_product(u, psi),
+        wick.psi2,
+    )
+    c = add_fields(
+        dealiased_product(u, u, u),
+        3.0 * dealiased_product(u, u, psi),
+        3.0 * dealiased_product(u, wick.psi2),
+        wick.psi3,
+    )
+    return CubicCoefficients(a, b, c, N)
+
+
+def quadratic_Q(u1: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
+    """Q(u1, v) = 3((pi1 u1)^2 - gamma) + 3 pi1 u1 pi1 v + (pi1 v)^2, so that
+    N_gamma(u1 + v) - N_gamma(u1) = Q(u1, v) * pi1 v for the cubic
+    N_gamma(x) = x^3 - 3 gamma x."""
+    p = u1[..., 0, :, :]
+    q = v[..., 0, :, :]
+    out = add_fields(
+        3.0 * dealiased_product(p, p),
+        3.0 * dealiased_product(p, q),
+        dealiased_product(q, q),
+    )
+    out = out.copy()
+    No = truncation_of(out)
+    out[..., No, No] -= 3.0 * gamma
+    return out
 
 
 def nonlinearity(v, coeffs, N: int):

@@ -31,10 +31,7 @@ from sdnlw.propagator import (
     determinant_defect,
     semigroup_defect,
 )
-from sdnlw.renorm import cubic_coefficients, quadratic_Q, wick_powers
 from sdnlw.spectral import (
-    add_fields,
-    convolution_oracle,
     dealiased_product,
     embed,
     gaussian_bump_pair,
@@ -44,8 +41,9 @@ from sdnlw.spectral import (
     truncation_of,
 )
 from sdnlw import coupling as cp
-from _utils import coarsen, fine_increments, run_table, trapezoid_shift_check, \
-    wave_residual_ratios
+from _utils import add_fields, coarsen, convolution_oracle, cubic_coefficients, \
+    fine_increments, quadratic_Q, run_table, trapezoid_shift_check, \
+    wave_residual_ratios, wick_powers
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

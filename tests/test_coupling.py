@@ -25,7 +25,6 @@ from sdnlw.coupling import (
 from sdnlw.dynamics import BlowUpError, FlowState, StepNoise, flow_init, full_flow, \
     step_noise, v_step
 from sdnlw.noise import NoiseIncrement, StickState, map_rows, sample_increment
-from sdnlw.renorm import quadratic_Q
 from sdnlw.spectral import (
     dealiased_product,
     gaussian_bump_pair,
@@ -41,7 +40,7 @@ from sdnlw.spectral import (
 )
 from sdnlw.propagator import xalpha_norm
 from _utils import assert_fields_equal, coarsen, constant_field, fine_increments, \
-    girsanov_log_density, run_table, shift_h, tau_m_norms, tau_m_update, \
+    girsanov_log_density, quadratic_Q, run_table, shift_h, tau_m_norms, tau_m_update, \
     trapezoid_shift_check
 
 RNG = np.random.default_rng(31)
@@ -537,6 +536,10 @@ class TestTvBound:
             tv_bound(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             tv_bound(1.0, -1.0, 1.0)
+        # NaN fails each check rather than passing it
+        for args in ((np.nan, 0.1, 1.0), (1.0, 0.1, np.nan), (1.0, np.nan, 1.0)):
+            with pytest.raises(ValueError):
+                tv_bound(*args)
 
     def test_dominates_gaussian_exponentials(self):
         rng = np.random.default_rng(8)
@@ -963,6 +966,12 @@ class TestCouplingOptionsValidation:
         ({"dt_grid": float("nan")}, "dt_grid"),
         ({"dt_grid": 0.0}, "dt_grid"),
         ({"dt_grid": -0.25}, "dt_grid"),
+        ({"norm_exp": -1.0}, "norm_exp"),
+        ({"norm_exp": 0.0}, "norm_exp"),
+        ({"norm_exp": float("nan")}, "norm_exp"),
+        ({"norm_exp": float("inf")}, "norm_exp"),
+        ({"eps_every": True}, "eps_every"),
+        ({"dt_grid": float("inf")}, "dt_grid"),
     ])
     def test_rejected_with_field_name(self, kw, field):
         with pytest.raises(ValueError, match=field):

@@ -139,8 +139,11 @@ class TestXalphaNorm:
         v = random_pair(4, RNG)
         with pytest.raises(ValueError, match="empty time grid"):
             xalpha_norm(v, 0.25, t_star=-1.0)
+        for t_star in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_star"):
+                xalpha_norm(v, 0.25, t_star=t_star)
 
-    @pytest.mark.parametrize("dt_grid", [0.0, -0.25])
+    @pytest.mark.parametrize("dt_grid", [0.0, -0.25, np.nan, np.inf])
     def test_nonpositive_grid_step_rejected(self, dt_grid):
         v = random_pair(4, RNG)
         with pytest.raises(ValueError, match="dt_grid"):

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from sdnlw.noise import sample_stick_at, stationary_covariance
-from sdnlw.renorm import cubic_coefficients, quadratic_Q, wick_powers
 from sdnlw.spectral import (
-    add_fields,
     dealiased_product,
     embed,
     integral,
@@ -18,7 +16,8 @@ from sdnlw.spectral import (
 )
 from sdnlw.propagator import apply_S
 from sdnlw.spectral import project_leq
-from _utils import constant_field, cosine_field, gamma_star
+from _utils import add_fields, constant_field, cosine_field, cubic_coefficients, \
+    gamma_star, quadratic_Q, wick_powers
 
 RNG = np.random.default_rng(55)
 

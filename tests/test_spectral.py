@@ -10,7 +10,6 @@ from sdnlw import spectral
 from sdnlw.spectral import (
     ResolutionError,
     bracket_multiplier,
-    convolution_oracle,
     dealiased_product,
     hermitize,
     integral,
@@ -26,8 +25,9 @@ from sdnlw.spectral import (
     to_spectral,
     zero_field,
 )
-from _utils import FFT_BACKENDS, constant_field, cosine_field, cosine_pair, fft_backend, \
-    hermitian_defect, lp_norm_whole, to_physical_fancy, to_spectral_fancy
+from _utils import FFT_BACKENDS, constant_field, convolution_oracle, cosine_field, \
+    cosine_pair, fft_backend, hermitian_defect, lp_norm_whole, to_physical_fancy, \
+    to_spectral_fancy
 
 RNG = np.random.default_rng(101)
 
