@@ -915,7 +915,8 @@ class TestPublicSurface:
                         if called or not in_verify:
                             stale.append(f"{path.stem}.{name}")
                     elif not called and name not in sdnlw.__all__:
-                        (verify_only if in_verify else orphans).append(f"{path.stem}.{name}")
+                        unlisted = verify_only if in_verify else orphans
+                        unlisted.append(f"{path.stem}.{name}")
         assert orphans == [], "no caller in src/sdnlw or perfbench; move to tests/_utils.py"
         assert verify_only == [], "only verify.py calls it; list in VERIFY_ONLY or move it"
         assert stale == [], "the list's reason no longer holds; drop it from the list"
