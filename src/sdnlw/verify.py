@@ -81,18 +81,29 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
                                        - crop))))
     out.append(_leq("products: Fourier sums at off-grid points", dev, 1e-12))
 
-    # the coupling bracket at t = 0 is the cubic's increment on the step's
-    # own route: B_plain = N_g(u2) - N_g(u1), both P_N-projected
+    # the step's cubic is the projected full cube: N_g(x) = P_N x^3 - 3 g x
+    # with x = pi1 u, the full cube pinned by the products line
     bcfg = replace(cfg, N=4, gamma=0.7, linear_only=False).check()
     u1 = spectral.random_pair(4, rng)
     u2 = spectral.random_pair(4, rng)
-    rec = coupling.coupling_init(bcfg, u1, u2)
-    _, b_plain = coupling._plain_bracket(rec, coupling._flow_samples(rec))
     zero = spectral.zero_pair(4)
-    incr = dynamics.nonlinearity_field(u2, zero, zero, bcfg.gamma, 4) \
-        - dynamics.nonlinearity_field(u1, zero, zero, bcfg.gamma, 4)
-    out.append(_leq("bracket: B_plain = N_g(u2) - N_g(u1), t = 0",
-                    float(np.max(np.abs(b_plain - incr))), 1e-12))
+    n1 = dynamics.nonlinearity_field(u1, zero, zero, bcfg.gamma, 4)
+    x = u1[0]
+    cube = spectral.resize(spectral.dealiased_product(x, x, x), 4) - 3.0 * bcfg.gamma * x
+    out.append(_leq("cubic: N_g(x) = P_N x^3 - 3 g x",
+                    float(np.max(np.abs(n1 - cube))), 1e-12))
+
+    # the coupling bracket at t = 0, p = pi1 u1 and q = pi1 (u2 - u1): Q
+    # (exact degree 2N) is 3(p^2 - g) + 3pq + q^2 at off-grid points, and
+    # B_plain is the cubic's increment N_g(u2) - N_g(u1) on the step's route
+    rec = coupling.coupling_init(bcfg, u1, u2)
+    q_form, b_plain = coupling._plain_bracket(rec, coupling._flow_samples(rec))
+    p, q = _fourier_sum(u1[0], pts), _fourier_sum(u2[0] - u1[0], pts)
+    closed = 3.0 * (p**2 - bcfg.gamma) + 3.0 * p * q + q**2
+    incr = dynamics.nonlinearity_field(u2, zero, zero, bcfg.gamma, 4) - n1
+    out.append(_leq("bracket: Q closed form, B_plain increment",
+                    max(float(np.max(np.abs(_fourier_sum(q_form, pts) - closed))),
+                        float(np.max(np.abs(b_plain - incr)))), 1e-12))
 
     # mollifier: composition law
     m1 = coupling.mollify(coupling.mollify(f, 0.013), 0.007)

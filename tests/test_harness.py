@@ -23,7 +23,7 @@ from sdnlw.checkpoint import (
     write_checkpoint,
 )
 import sdnlw
-from sdnlw import cli, coupling, ergodics, spectral
+from sdnlw import cli, coupling, dynamics, ergodics, spectral
 from sdnlw.cli import main as cli_main
 from sdnlw.config import _RESUME_KEYS, ConfigError, SimConfig, dump_config, load_config, \
     parse_config, steps
@@ -806,6 +806,36 @@ class TestCli:
             return real(replace(record, flow=flow), p_ph)
 
         monkeypatch.setattr(coupling, "_plain_bracket", flipped_gamma)
+        assert self.run_cli("verify") == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] bracket:" in out
+        assert out.count("[FAIL]") == 1
+
+    def test_verify_catches_an_aliased_cube(self, capsys, monkeypatch):
+        real = dynamics.nonlinearity_field
+
+        def undersized(lin, stick_value, v, gamma, N, x_phys=None):
+            # the cube on a grid that holds x but cannot dealias x^3
+            args = (lin, stick_value, v, gamma, N)
+            if x_phys is not None:
+                return real(*args, x_phys)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "cube_grid_size", lambda N: 2 * N + 1)
+                return real(*args)
+
+        monkeypatch.setattr(dynamics, "nonlinearity_field", undersized)
+        assert self.run_cli("verify") == 3
+        assert "[FAIL] cubic:" in capsys.readouterr().out
+
+    def test_verify_catches_a_wrong_quadratic_form(self, capsys, monkeypatch):
+        real = coupling._plain_bracket
+
+        def cropped_q(record, p_ph):
+            # Q loses its top modes; B_plain stays right
+            q_form, b_plain = real(record, p_ph)
+            return spectral.project_leq(q_form, spectral.truncation_of(q_form) - 1), b_plain
+
+        monkeypatch.setattr(coupling, "_plain_bracket", cropped_q)
         assert self.run_cli("verify") == 3
         out = capsys.readouterr().out
         assert "[FAIL] bracket:" in out
