@@ -1,9 +1,9 @@
 """Versioned binary checkpoints for single-trajectory flow states.
 
-Layout (little-endian), version 4:
+Layout (little-endian), version 5:
 
     bytes 0..5   magic  b"SDNLW1"
-    u16          format version (= 4)
+    u16          format version (= 5)
     u8           state kind (= 1, flow state)
     i64          step (the clock: t = step * dt)
     u32 + text   dump_config of the state's config (seed = the stick's), UTF-8
@@ -12,12 +12,13 @@ Layout (little-endian), version 4:
 The text is read back with ``parse_config``, so every config key is
 restored.  Refused: a truncated payload, another version (version 1
 stored only some keys; version 2 also stored a float t, which drifted
-from step * dt; version 3 text named a key since deleted), a stored
+from step * dt; version 3 text named a key since deleted, and version 4
+text two keys deleted in 0.10.0), a stored
 config ``parse_config`` refuses, and a caller's config whose
-``config._RESUME_KEYS`` (N, s, gamma, alpha, dt, linear_only) differ
-from the stored ones -- in particular cross-dt resume.  The noise
-lineage is (seed, step) and the state is stored verbatim, so a restored
-run continues bit-identically to the uninterrupted one.
+``config._RESUME_KEYS`` (N, s, gamma, alpha, dt) differ from the stored
+ones -- in particular cross-dt resume.  The noise lineage is (seed, step)
+and the state is stored verbatim, so a restored run continues
+bit-identically to the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .config import _RESUME_KEYS, ConfigError, SimConfig, dump_config, parse_con
 from .dynamics import FlowState, flow_init
 
 MAGIC = b"SDNLW1"
-VERSION = 4
+VERSION = 5
 KIND_FLOW = 1
 
 _PREFIX = struct.Struct("<HBqI")  # version, kind, step, config text length

@@ -1,20 +1,20 @@
 """Run configuration: the flat key=value file format and its validation.
 
-Constraints enforced here: N >= 0, s > 0, 0 < alpha < min(s, 1/3), dt > 0,
-T >= 0, M_pad >= 1, obs_interval > 0, blowup_threshold > 0, and every float
-key finite except blowup_threshold, which may be +inf, every observables
-name one a config line can select (``selectable_name``), and output_dir
-free of '#', line breaks and surrounding whitespace, so that a config
-survives dump_config and parse_config unchanged.  NaN fails every
-constraint.  A boolean key reads only 1/0, true/false, yes/no or on/off, in
-any case.  Each violated constraint is reported individually, naming the
-offending key.
+Constraints enforced here: N an integer >= 0, s > 0,
+0 < alpha < min(s, 1/3), dt > 0, T >= 0, obs_interval > 0,
+blowup_threshold > 0, and every float key finite except blowup_threshold,
+which may be +inf, every observables name one a config line can select
+(``selectable_name``), and output_dir free of '#', line breaks and
+surrounding whitespace, so that a config survives dump_config and
+parse_config unchanged.  NaN fails every constraint.  Each violated
+constraint is reported individually, naming the offending key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 DEFAULT_OBSERVABLES = ("mean_u", "mean_u2", "clipped_halpha")
@@ -40,18 +40,17 @@ class SimConfig:
     dt: float = 0.01
     T: float = 10.0
     seed: int = 0
-    M_pad: float = 2.0                 # quadrature zero-padding factor
     observables: tuple = DEFAULT_OBSERVABLES
     output_dir: str = "."
     obs_interval: float = 0.25
-    linear_only: bool = False          # disable the cubic term (diagnostics)
     blowup_threshold: float = 1e12
 
     def validate(self) -> list[str]:
         # every comparison fails on NaN; only blowup_threshold may be inf
         errs = []
-        if self.N < 0:
-            errs.append(f"N: must be >= 0, got {self.N}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) \
+                or self.N < 0:
+            errs.append(f"N: must be an integer >= 0, got {self.N!r}")
         if not 0 < self.s < math.inf:
             errs.append(f"s: must be finite and > 0, got {self.s}")
         if not math.isfinite(self.gamma):
@@ -64,8 +63,6 @@ class SimConfig:
             errs.append(f"dt: must be finite and > 0, got {self.dt}")
         if not 0 <= self.T < math.inf:
             errs.append(f"T: must be finite and >= 0, got {self.T}")
-        if not 1.0 <= self.M_pad < math.inf:
-            errs.append(f"M_pad: must be finite and >= 1, got {self.M_pad}")
         if not 0 < self.obs_interval < math.inf:
             errs.append(f"obs_interval: must be finite and > 0, got {self.obs_interval}")
         if not self.blowup_threshold > 0:
@@ -99,25 +96,13 @@ class SimConfig:
 
 
 # the keys a resumed run must share with its checkpoint; the rest may change
-_RESUME_KEYS = ("N", "s", "gamma", "alpha", "dt", "linear_only")
-
-
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(v: str) -> bool:
-    try:
-        return _BOOLS[v.strip().lower()]
-    except KeyError:
-        raise ValueError(v) from None
+_RESUME_KEYS = ("N", "s", "gamma", "alpha", "dt")
 
 
 # one parser per key, chosen by the SimConfig field's declared type
 _TYPE_PARSERS = {
     "int": int, "float": float, "str": str,
     "tuple": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
-    "bool": _parse_bool,
 }
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SimConfig)}
 

@@ -122,11 +122,11 @@ def tv_bound(moment_p: float, e_abs_logx_p: float, L: float) -> float:
     return float(min(2.0, val))
 
 
-def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float, pad: float = 2.0):
+def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float):
     """The bounded pseudo-metric 1 /\\ n |x - y|_{X^alpha}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.minimum(1.0, n * xalpha_norm(x - y, alpha, pad=pad))
+    return np.minimum(1.0, n * xalpha_norm(x - y, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,6 @@ class TauMMonitor(OwnArrays):
     M: float
     alpha: float
     gamma: float
-    pad: float = 2.0
     batch: InitVar[tuple] = ()
     stopped: np.ndarray | None = field(default=None, metadata=PER_PATH)
     stop_time: np.ndarray | None = field(default=None, metadata=PER_PATH)
@@ -221,7 +220,7 @@ class TauMMonitor(OwnArrays):
             raise ValueError(f"stick batch {stick_pair.shape[:-3]} differs from "
                              f"the monitor's batch {batch}")
         N = truncation_of(stick_pair)
-        M_quad = quad_grid_size(N, self.pad)
+        M_quad = quad_grid_size(N)
         p = 4.0 / self.alpha
         S = np.abs(stick_pair[..., 0, :, :]).sum(-2) @ _half_spectrum_weights(N)
         S2, g = S * S, abs(self.gamma)
@@ -231,8 +230,7 @@ class TauMMonitor(OwnArrays):
         # a skipped norm enters the max as 0
         n_stick, n_w2, n_w3 = (np.zeros(batch) for _ in range(3))
         if need_pair.any():
-            n_stick[need_pair] = pair_norm(stick_pair[need_pair], self.alpha, p,
-                                           self.pad)
+            n_stick[need_pair] = pair_norm(stick_pair[need_pair], self.alpha, p)
         if need_psi.any():
             n_w2[need_psi], n_w3[need_psi] = _quadrature_blocks(
                 stick_pair[..., 0, :, :][need_psi], M_quad,
@@ -256,12 +254,13 @@ class CouplingOptions:
     dt_grid: float = 0.25          # X^alpha sup grid step
 
     def __post_init__(self):
-        if self.norm_exp is not None and not 0.0 < self.norm_exp < np.inf:
+        if self.norm_exp is not None and (isinstance(self.norm_exp, bool)
+                                          or not 0.0 < self.norm_exp < np.inf):
             raise ValueError(f"norm_exp must be finite and > 0, got {self.norm_exp}")
         if isinstance(self.eps_every, bool) \
                 or not (self.eps_every >= 1 and self.eps_every == int(self.eps_every)):
             raise ValueError(f"eps_every must be an integer >= 1, got {self.eps_every}")
-        if not 0.0 < self.dt_grid < np.inf:
+        if isinstance(self.dt_grid, bool) or not 0.0 < self.dt_grid < np.inf:
             raise ValueError(f"dt_grid must be finite and > 0, got {self.dt_grid}")
 
 
@@ -305,10 +304,10 @@ def coupling_init(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray,
     b = flow.batch
     diff0 = resize(u2_0, cfg.N) - flow.lin  # a new array, not the caller's
     _check_fits_paths("u2_0", diff0, b)
-    xnorm = xalpha_norm(diff0, cfg.alpha, dt_grid=opts.dt_grid, pad=cfg.M_pad)
+    xnorm = xalpha_norm(diff0, cfg.alpha, dt_grid=opts.dt_grid)
     monitor = None
     if monitor_M is not None:
-        monitor = TauMMonitor(monitor_M, cfg.alpha, cfg.gamma, cfg.M_pad, b)
+        monitor = TauMMonitor(monitor_M, cfg.alpha, cfg.gamma, b)
     return CouplingRecord(
         flow=flow, lin_diff=diff0,
         w=zero_pair(cfg.N, b), hcost=np.zeros(b), log_density=np.zeros(b),
@@ -323,20 +322,17 @@ def _flow_samples(record: CouplingRecord) -> np.ndarray:
     return to_physical(full_flow(record.flow)[..., 0, :, :], cube_grid_size(N))
 
 
-def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray | None):
+def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray):
     """(Q, B_plain) at the current time on one shared dealiased grid.
 
     Q has exact degree 2N; B_plain = P_N [Q (pi1 w + pi1 S(t) udiff)], which
     is P_N [N_gamma(p + q) - N_gamma(p)] with p = pi1 u1(t) and
     q = pi1 (w + S(t) udiff) (module docstring).  Both are assembled
     pointwise on the cube grid, which dealiases Q q to P_N.
-    ``p_ph`` are the ``_flow_samples`` of the record (None under
-    linear_only, which has no bracket).
+    ``p_ph`` are the ``_flow_samples`` of the record.
     """
     cfg = record.flow.cfg
     N = cfg.N
-    if cfg.linear_only:
-        return zero_field(2 * N, record.batch), zero_field(N, record.batch)
     q_ph = to_physical((record.w + record.lin_diff)[..., 0, :, :], cube_grid_size(N))
     q_form = 3.0 * (p_ph**2 - cfg.gamma) + 3.0 * p_ph * q_ph + q_ph**2
     return to_spectral(q_form, 2 * N), to_spectral(q_form * q_ph, N)
@@ -344,10 +340,7 @@ def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray | None):
 
 def _moll_bracket(record: CouplingRecord, Q: np.ndarray, eps: np.ndarray):
     """B_moll = P_N [(Q conv rho_eps)(pi1 w + pi1 S(t) udiff conv rho_eps)]."""
-    cfg = record.flow.cfg
-    N = cfg.N
-    if cfg.linear_only:
-        return zero_field(N, record.batch)
+    N = record.flow.cfg.N
     qm = record.w[..., 0, :, :] + mollify(record.lin_diff[..., 0, :, :], eps)
     return dealiased_product(mollify(Q, eps), qm, out_N=N)
 
@@ -355,14 +348,12 @@ def _moll_bracket(record: CouplingRecord, Q: np.ndarray, eps: np.ndarray):
 def epsilon_scale(record: CouplingRecord, Q: np.ndarray) -> np.ndarray:
     """The adaptive mollification time eps(w)(t) for the record's quadratic
     form Q (``_plain_bracket``); nonincreasing in every norm argument."""
-    cfg = record.flow.cfg
-    alpha = cfg.alpha
+    alpha = record.flow.cfg.alpha
     opts = record.opts
     norm_exp = opts.norm_exp if opts.norm_exp is not None else 4.0 / alpha
     base = (1.0 + hnorm(record.w) + record.diff0_xnorm
-            + xalpha_norm(full_flow(record.flow), alpha, dt_grid=opts.dt_grid,
-                          pad=cfg.M_pad)
-            + sobolev_norm(Q, alpha, 2.0 / (1.0 - alpha), cfg.M_pad))
+            + xalpha_norm(full_flow(record.flow), alpha, dt_grid=opts.dt_grid)
+            + sobolev_norm(Q, alpha, 2.0 / (1.0 - alpha)))
     return np.asarray(np.power(base, -norm_exp))
 
 
@@ -381,7 +372,7 @@ def _step_rows(record: CouplingRecord, noise: StepNoise) -> CouplingRecord:
     if monitor is not None:
         monitor = monitor.update(flow.t, flow.stick.value)
     # the flow's start-of-step samples serve the bracket and the flow's cube
-    p_ph = None if cfg.linear_only else _flow_samples(record)
+    p_ph = _flow_samples(record)
     Q, b_plain = _plain_bracket(record, p_ph)
     if record.step % record.opts.eps_every == 0:
         eps = epsilon_scale(record, Q)
@@ -506,9 +497,8 @@ def coupling_distance(record: CouplingRecord, n: int = 1):
     """d_n between the coupled pair: 1 /\\ n |S(t) udiff + w|_{X^alpha}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cfg = record.flow.cfg
-    val = xalpha_norm(record.lin_diff + record.w, cfg.alpha,
-                      dt_grid=record.opts.dt_grid, pad=cfg.M_pad)
+    val = xalpha_norm(record.lin_diff + record.w, record.flow.cfg.alpha,
+                      dt_grid=record.opts.dt_grid)
     return np.minimum(1.0, n * val)
 
 

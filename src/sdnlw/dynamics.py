@@ -32,10 +32,7 @@ the tests keep that form, at exact degree, as the oracle for the cube.
 The energy of the remainder (w = P_N v) is
 
     E(v) = 1/2 int (w_t)^2 + 1/2 int w^2 + 1/2 int |grad w|^2
-         + 1/4 int w^4 + 1/8 int (w + w_t)^2,
-
-and the modified functional used for the drift bound is
-F = E - 1/8 int (w_t)^2 + 1/3 int a w^3, with a = 3 (u0N + psi) as above.
+         + 1/4 int w^4 + 1/8 int (w + w_t)^2.
 """
 
 from __future__ import annotations
@@ -51,10 +48,8 @@ from .noise import PER_DATUM, PER_PATH, NoiseIncrement, StickState, sample_incre
 from .propagator import apply_tables, kick_tables, propagator_tables
 from .spectral import (
     dealiased_product,
-    embed,
     grad2_table,
     hnorm,
-    l2_inner,
     mean_square,
     product_grid_size,
     project_leq,
@@ -207,13 +202,9 @@ def v_step(state: FlowState, noise: StepNoise | None = None, *,
     N, delta = cfg.N, cfg.dt
     tab = propagator_tables(N, delta)
 
-    if cfg.linear_only:
-        v_new = apply_tables(tab, state.v)
-    else:
-        nl = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
-                                x0_phys)
-        v_new = apply_tables(tab, state.v) - delta * kick_tables(tab, nl)
-
+    nl = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
+                            x0_phys)
+    v_new = apply_tables(tab, state.v) - delta * kick_tables(tab, nl)
     lin_new = apply_tables(tab, state.lin)
     _check_blowup(v_new, cfg, noise.stick.step * delta)
     return replace(state, lin=lin_new, stick=noise.stick, v=v_new)
@@ -241,15 +232,6 @@ def energy(v: np.ndarray, N: int) -> np.ndarray:
         + 0.125 * mean_square(w + wt)
     w2 = dealiased_product(w, w)
     return quad + 0.25 * mean_square(w2)
-
-
-def modified_energy_F(v: np.ndarray, a: np.ndarray, N: int) -> np.ndarray:
-    """F = E - 1/8 int (w_t)^2 + 1/3 int a w^3 for the field a = 3 (u0N + psi)."""
-    w = project_leq(v[..., 0, :, :], N)
-    wt = project_leq(v[..., 1, :, :], N)
-    w3 = dealiased_product(w, w, w)
-    return energy(v, N) - 0.125 * mean_square(wt) \
-        + (1.0 / 3.0) * l2_inner(embed(a, truncation_of(w3)), w3)
 
 
 def restart_check(cfg: SimConfig, u0: np.ndarray | None, t: float, h: float,

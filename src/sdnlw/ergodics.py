@@ -69,7 +69,7 @@ def _clipped_halpha(pair, cfg):
 
 def _dn_to_ref(pair, cfg):
     """d_1 to the zero state."""
-    return coupling_mod.d_n(pair, np.zeros_like(pair), 1, cfg.alpha, cfg.M_pad)
+    return coupling_mod.d_n(pair, np.zeros_like(pair), 1, cfg.alpha)
 
 
 _REGISTRY = {
@@ -389,7 +389,7 @@ def krylov_bogolyubov_diagnostic(cfg: SimConfig, radii, n_samples: int,
     seeds = [seed + j for j in range(n_samples)]
     run = sample_trajectory(cfg, None, seeds, t_sample, ())
     state: FlowState = run["state"]
-    z = weighted_sup_norm(state.stick.value, cfg.alpha, Z_PROXY_P, pad=cfg.M_pad)
+    z = weighted_sup_norm(state.stick.value, cfg.alpha, Z_PROXY_P)
     vnorm = hnorm(state.v, 1.0 + cfg.alpha)
     size = z + vnorm
     radii = np.asarray(sorted(radii), dtype=float)

@@ -188,16 +188,17 @@ def mode_sum_bound(evolved: np.ndarray, alpha: float, p: float) -> np.ndarray:
 
 def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
                       t_star: float = 40.0, dt_grid: float = 0.25,
-                      pad: float = 2.0, return_detail: bool = False):
+                      return_detail: bool = False):
     """sup_t e^{t/8} ||S(t) v||_{W^{alpha,p} x W^{alpha-1,p}}.
 
     Grid maximum over [0, t_star] plus the certified tail bound for
     t > t_star; monotone under grid refinement only up to the L^p
-    quadrature error of ``pad``.  The value of a path does not depend on
-    the batch it is evaluated in.  Needs p >= 2: grid times that provably
-    cannot raise the maximum are skipped (module docstring), and the result
-    equals the unpruned evaluation bit for bit.  The detail adds, per path,
-    the number of grid times transformed (``transformed``).
+    quadrature error on the grid ``spectral.quad_grid_size`` (padding
+    factor 2).  The value of a path does not depend on the batch it is
+    evaluated in.  Needs p >= 2: grid times that provably cannot raise the
+    maximum are skipped (module docstring), and the result equals the
+    unpruned evaluation bit for bit.  The detail adds, per path, the number
+    of grid times transformed (``transformed``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("weighted sup norm needs 0 < alpha < 1")
@@ -214,7 +215,7 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
     grid, tables = grid_tables(N, float(t_star), float(dt_grid))
     paths = int(np.prod(pair.shape[:-3]))
     # grid times per chunk, at 16 bytes per complex sample
-    per_time = paths * quad_grid_size(N, pad) ** 2 * 16
+    per_time = paths * quad_grid_size(N) ** 2 * 16
     g = max(1, spectral.CHUNK_BYTES // max(1, per_time))
     # the grid axis sits just before the component axis of the pair
     lifted = pair[..., None, :, :, :]
@@ -229,7 +230,7 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
         need = ~(bound <= best[..., None])
         if need.any():
             val = np.zeros(need.shape)
-            val[need] = weight[need] * pair_norm(evolved[need], alpha, p, pad)
+            val[need] = weight[need] * pair_norm(evolved[need], alpha, p)
             best = np.maximum(best, np.max(val, axis=-1))
             transformed += np.count_nonzero(need, axis=-1)
         # the tail bound at the chunk's last time covers every later grid time
@@ -245,11 +246,9 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float,
 
 
 def xalpha_norm(pair: np.ndarray, alpha: float, t_star: float = 40.0,
-                dt_grid: float = 0.25, pad: float = 2.0,
-                return_detail: bool = False):
+                dt_grid: float = 0.25, return_detail: bool = False):
     """The well-posedness norm: weighted_sup_norm at p = 2/alpha."""
-    return weighted_sup_norm(pair, alpha, 2.0 / alpha, t_star, dt_grid, pad,
-                             return_detail)
+    return weighted_sup_norm(pair, alpha, 2.0 / alpha, t_star, dt_grid, return_detail)
 
 
 def semigroup_defect(pair: np.ndarray, t1: float, t2: float) -> float:

@@ -25,9 +25,10 @@ With this choice the damped wave characteristic roots are -1/2 +- i*omega_n.
 Sobolev norms: ||f||_{W^{a,p}} = ||<grad>^a f||_{L^p}; the pair norm is
 ||(u,ut)||^p = ||<grad>^a u||_p^p + ||<grad>^{a-1} ut||_p^p.  For p = 2 the
 norm is the exact Plancherel sum; otherwise it is physical-grid quadrature
-on a zero-padded grid (default padding factor 2, spectrally accurate for
-trigonometric polynomials and exact whenever p is an even integer small
-enough for the padded grid to resolve |g|^p).
+on a grid zero-padded by the factor 2 (``quad_grid_size``: at least
+2(2N+1) points a side), spectrally accurate for trigonometric polynomials
+and exact whenever p is an even integer small enough for the padded grid
+to resolve |g|^p.
 
 Quadrature samples at most CHUNK_BYTES worth of paths at a time (at 16
 bytes per grid point, and at least one path): a batch whose M x M samples
@@ -300,8 +301,8 @@ def dealiased_product(*factors: np.ndarray, out_N: int | None = None) -> np.ndar
 # norms and integrals
 
 
-def quad_grid_size(N: int, pad: float = 2.0) -> int:
-    return fast_grid_size(int(np.ceil(pad * lattice_size(N))))
+def quad_grid_size(N: int) -> int:
+    return fast_grid_size(2 * lattice_size(N))
 
 
 def l2_norm(coeffs: np.ndarray) -> np.ndarray:
@@ -333,14 +334,14 @@ def _quadrature_blocks(coeffs: np.ndarray, M: int, reduce) -> tuple:
     return tuple(o.reshape(batch) for o in out)
 
 
-def lp_norm(coeffs: np.ndarray, p: float, pad: float = 2.0) -> np.ndarray:
+def lp_norm(coeffs: np.ndarray, p: float) -> np.ndarray:
     """L^p(T^2) norm by padded quadrature (p=2 via Plancherel), in path
     blocks of CHUNK_BYTES (module docstring)."""
     if p == 2.0:
         return l2_norm(coeffs)
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    M = quad_grid_size(truncation_of(coeffs), pad)
+    M = quad_grid_size(truncation_of(coeffs))
 
     def norm(phys):
         return (np.power(np.mean(np.abs(phys) ** p, axis=(-2, -1)), 1.0 / p),)
@@ -348,17 +349,15 @@ def lp_norm(coeffs: np.ndarray, p: float, pad: float = 2.0) -> np.ndarray:
     return _quadrature_blocks(coeffs, M, norm)[0]
 
 
-def sobolev_norm(coeffs: np.ndarray, alpha: float, p: float = 2.0,
-                 pad: float = 2.0) -> np.ndarray:
+def sobolev_norm(coeffs: np.ndarray, alpha: float, p: float = 2.0) -> np.ndarray:
     """W^{alpha,p} norm, ||<grad>^alpha f||_{L^p}."""
-    return lp_norm(bracket_multiplier(coeffs, alpha), p, pad)
+    return lp_norm(bracket_multiplier(coeffs, alpha), p)
 
 
-def pair_norm(pair: np.ndarray, alpha: float, p: float = 2.0,
-              pad: float = 2.0) -> np.ndarray:
+def pair_norm(pair: np.ndarray, alpha: float, p: float = 2.0) -> np.ndarray:
     """W^{alpha,p} x W^{alpha-1,p} norm of a phase-space pair."""
-    a = sobolev_norm(pair[..., 0, :, :], alpha, p, pad)
-    b = sobolev_norm(pair[..., 1, :, :], alpha - 1.0, p, pad)
+    a = sobolev_norm(pair[..., 0, :, :], alpha, p)
+    b = sobolev_norm(pair[..., 1, :, :], alpha - 1.0, p)
     if p == 2.0:
         return np.sqrt(np.square(a) + np.square(b))
     return np.power(np.power(a, p) + np.power(b, p), 1.0 / p)

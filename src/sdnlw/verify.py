@@ -83,7 +83,7 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
 
     # the step's cubic is the projected full cube: N_g(x) = P_N x^3 - 3 g x
     # with x = pi1 u, the full cube pinned by the products line
-    bcfg = replace(cfg, N=4, gamma=0.7, linear_only=False).check()
+    bcfg = replace(cfg, N=4, gamma=0.7).check()
     u1 = spectral.random_pair(4, rng)
     u2 = spectral.random_pair(4, rng)
     zero = spectral.zero_pair(4)
@@ -130,10 +130,10 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     out.append(_leq("covariance: stationary closed form",
                     float(np.max(np.abs(stat[..., 0, 0] - pred11))), 1e-13))
 
-    # linear restart identity (exact for the linear flow)
-    lin_cfg = replace(cfg, N=4, dt=0.05, linear_only=True, seed=11).check()
-    res = dynamics.restart_check(lin_cfg, spectral.random_pair(4, rng), 0.5, 0.5)
-    out.append(_leq("restart: linear flow residual", res, 1e-10))
+    # Markov restart identity of the cubic flow (round-off, restart_check)
+    rcfg = replace(cfg, N=4, gamma=0.7, dt=0.05, seed=11).check()
+    res = dynamics.restart_check(rcfg, spectral.random_pair(4, rng), 0.5, 0.5)
+    out.append(_leq("restart: flow residual", res, 1e-10))
 
     # zero fixed point of the remainder
     zcfg = replace(cfg, N=4, gamma=0.0, dt=0.05, seed=3).check()
@@ -170,7 +170,7 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
                     abs(float(np.exp(rec.log_density)) - 1.0), 0.0))
 
     # Phi(u2, xi + h) = Phi(u1, xi) + S(t) udiff + w for the one scheme
-    ccfg = replace(cfg, N=4, dt=0.05, linear_only=False, seed=5).check()
+    ccfg = replace(cfg, N=4, dt=0.05, seed=5).check()
     gap, _ = coupling.shifted_flow_check(ccfg, None, spectral.gaussian_bump_pair(4), 0.5)
     out.append(_leq("coupling: exact shifted-flow identity (rel)", gap, 1e-12))
 

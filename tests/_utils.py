@@ -3,7 +3,8 @@ FFT backend switch, and the oracles the package's fast routes are checked
 against (the fancy-index 2-d transforms, the fresh-generator fft2 noise
 route, the whole-batch quadrature, the one-time-per-pass sup norm, the
 O(K^4) direct convolution, the spectral Wick powers, the expanded-coefficient
-cubic and nonlinearity, the quadratic form Q as dealiased products, the
+cubic and nonlinearity, the modified energy F of the drift bound, the
+quadratic form Q as dealiased products, the
 tau_M norms on every path, the standalone Girsanov density, the two-start
 comparison with one run per start, the coupled two-start comparison with a
 second record loop, the two-pass trapezoid shifted-flow check), and small
@@ -20,14 +21,15 @@ import pytest
 
 from sdnlw import coupling, propagator, spectral
 from sdnlw.config import steps
-from sdnlw.dynamics import flow_init, full_flow, step_noise, v_step
+from sdnlw.dynamics import energy, flow_init, full_flow, step_noise, v_step
 from sdnlw.ergodics import compare_averages, compare_starts, sample_trajectory, \
     time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
 from sdnlw.spectral import bracket_multiplier, dealiased_product, embed, grad2_table, \
-    hnorm, l2_norm, lattice_size, mode_range, pair_norm, project_leq, quad_grid_size, \
-    reflect, resize, to_physical, truncation_of, zero_field, zero_pair
+    hnorm, l2_inner, l2_norm, lattice_size, mean_square, mode_range, pair_norm, \
+    project_leq, quad_grid_size, reflect, resize, to_physical, truncation_of, \
+    zero_field, zero_pair
 
 
 def assert_fields_equal(a, b, path="record"):
@@ -128,14 +130,14 @@ def run_table(step, state, table: list):
     return state
 
 
-def weighted_sup_norm_loop(pair, alpha, p, t_star=40.0, dt_grid=0.25, pad=2.0):
+def weighted_sup_norm_loop(pair, alpha, p, t_star=40.0, dt_grid=0.25):
     """One grid time per pass: the oracle for the chunked weighted sup norm.
 
     Returns (total, grid_max, tail_bound)."""
     N = truncation_of(pair)
     best = np.zeros(pair.shape[:-3])
     for t in default_time_grid(t_star, dt_grid):
-        val = np.exp(t / 8.0) * pair_norm(apply_S(pair, float(t)), alpha, p, pad)
+        val = np.exp(t / 8.0) * pair_norm(apply_S(pair, float(t)), alpha, p)
         best = np.maximum(best, val)
     end = apply_S(pair, float(t_star))
     tail = DECAY_CONST * lattice_size(N) * np.exp(t_star / 8.0) * hnorm(end, alpha)
@@ -244,6 +246,20 @@ def cubic_coefficients(u0: np.ndarray, stick_psi: np.ndarray, t: float,
     return CubicCoefficients(a, b, c, N)
 
 
+def modified_energy_F(v: np.ndarray, a: np.ndarray, N: int) -> np.ndarray:
+    """The modified functional of the drift bound,
+
+        F = E - 1/8 int (w_t)^2 + 1/3 int a w^3,
+
+    with E = ``dynamics.energy`` of the remainder (w = P_N v) and the field
+    a = 3 (u0N + psi) of ``cubic_coefficients``."""
+    w = project_leq(v[..., 0, :, :], N)
+    wt = project_leq(v[..., 1, :, :], N)
+    w3 = dealiased_product(w, w, w)
+    return energy(v, N) - 0.125 * mean_square(wt) \
+        + (1.0 / 3.0) * l2_inner(embed(a, truncation_of(w3)), w3)
+
+
 def quadratic_Q(u1: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
     """Q(u1, v) = 3((pi1 u1)^2 - gamma) + 3 pi1 u1 pi1 v + (pi1 v)^2, so that
     N_gamma(u1 + v) - N_gamma(u1) = Q(u1, v) * pi1 v for the cubic
@@ -283,26 +299,28 @@ def girsanov_log_density(h_fields, increments, delta: float):
 
 
 def lp_norm_whole(coeffs, p: float, pad: float = 2.0):
-    """Every path sampled in one transform: the oracle for the path blocks
-    of ``spectral.lp_norm``."""
-    phys = to_physical(coeffs, quad_grid_size(truncation_of(coeffs), pad))
+    """Every path sampled in one transform on a grid zero-padded by ``pad``:
+    the oracle for the path blocks of ``spectral.lp_norm`` (pad 2), and at
+    a larger pad for its quadrature."""
+    M = spectral.fast_grid_size(int(np.ceil(pad * lattice_size(truncation_of(coeffs)))))
+    phys = to_physical(coeffs, M)
     return np.mean(np.abs(phys) ** p, axis=(-2, -1)) ** (1.0 / p)
 
 
-def tau_m_norms(stick_pair, alpha: float, gamma: float, pad: float = 2.0):
+def tau_m_norms(stick_pair, alpha: float, gamma: float):
     """The three tau_M norms (stick pair, wick2, wick3) of every path, each
     quadrature over the whole batch: the oracle for the certified skip and
     the path blocks in ``coupling.TauMMonitor.update``."""
     N = truncation_of(stick_pair)
-    M_quad = quad_grid_size(N, pad)
+    M_quad = quad_grid_size(N)
     psi = to_physical(stick_pair[..., 0, :, :], M_quad)
     psi2 = psi * psi
     w2 = psi2 - gamma
     w3 = (psi2 - 3.0 * gamma) * psi
     w2sq = w2 * w2
     p = 4.0 / alpha
-    a = lp_norm_whole(bracket_multiplier(stick_pair[..., 0, :, :], alpha), p, pad)
-    b = lp_norm_whole(bracket_multiplier(stick_pair[..., 1, :, :], alpha - 1.0), p, pad)
+    a = lp_norm_whole(bracket_multiplier(stick_pair[..., 0, :, :], alpha), p)
+    b = lp_norm_whole(bracket_multiplier(stick_pair[..., 1, :, :], alpha - 1.0), p)
     n_stick = (a**p + b**p) ** (1.0 / p)
     n_w2 = np.mean(w2sq * w2sq, axis=(-2, -1)) ** 0.25
     n_w3 = np.sqrt(np.mean(w3 * w3, axis=(-2, -1)))
@@ -311,7 +329,7 @@ def tau_m_norms(stick_pair, alpha: float, gamma: float, pad: float = 2.0):
 
 def tau_m_update(monitor, t: float, stick_pair):
     """``TauMMonitor.update`` with every norm evaluated on every path."""
-    norms = tau_m_norms(stick_pair, monitor.alpha, monitor.gamma, monitor.pad)
+    norms = tau_m_norms(stick_pair, monitor.alpha, monitor.gamma)
     running_max = np.maximum(monitor.running_max, np.maximum.reduce(norms))
     newly = (running_max > monitor.M) & ~monitor.stopped
     return dataclasses.replace(monitor, stopped=monitor.stopped | newly,

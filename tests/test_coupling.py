@@ -117,7 +117,7 @@ class TestCouplingInit:
         assert np.array_equal(rec.lin_diff, diff)
         rows = np.broadcast_to(diff, batch + diff.shape[-3:])
         assert np.array_equal(rec.diff0_xnorm,
-                              xalpha_norm(rows, 0.25, dt_grid=1.0, pad=cfg.M_pad))
+                              xalpha_norm(rows, 0.25, dt_grid=1.0))
 
 
 class TestHeldOnce:
@@ -231,12 +231,10 @@ class TestBracketConsistency:
 
 
 class TestWSystem:
-    @pytest.mark.parametrize("linear_only", [False, True])
-    def test_flow_step_equals_v_step(self, linear_only):
+    def test_flow_step_equals_v_step(self):
         # the coupling hands its bracket samples of u1 to the flow step: the
         # flow it advances is bit for bit the plain v_step of the same flow
-        cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05,
-                        linear_only=linear_only)
+        cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.05)
         rec = coupling_init(cfg, random_pair(4, RNG), gaussian_bump_pair(4, 0.5),
                             seed=[5, 6], batch=(2,))
         rec = run_coupling(rec, 3)
@@ -246,7 +244,7 @@ class TestWSystem:
         for a, b in ((got.v, want.v), (got.lin, want.lin),
                      (got.stick.value, want.stick.value)):
             assert np.array_equal(a, b)
-        assert linear_only or not np.all(rec.w == 0)
+        assert not np.all(rec.w == 0)
 
     def test_scalar_seed_refused_for_a_batch(self):
         # four paths on one stream would report four equal log-densities
@@ -418,12 +416,6 @@ class TestShiftedFlow:
         cfg = SimConfig(N=4, s=1.0, gamma=0.4, alpha=0.25, dt=0.02)
         out = trapezoid_shift_check(cfg, None, zero_pair(4), 0.5, seed=2)
         assert out["residual"][-1] < 1e-12
-
-    def test_cubic_disabled_roundoff(self):
-        cfg = SimConfig(N=4, s=1.0, linear_only=True, alpha=0.25, dt=0.02)
-        u2 = gaussian_bump_pair(4, 1.0)
-        out = trapezoid_shift_check(cfg, None, u2, 0.5, seed=2)
-        assert out["residual"][-1] < 1e-11
 
     def test_residual_decreases_with_dt(self):
         # both step sizes see one white-noise path: the dt = 0.02 increments
@@ -972,6 +964,10 @@ class TestCouplingOptionsValidation:
         ({"norm_exp": float("inf")}, "norm_exp"),
         ({"eps_every": True}, "eps_every"),
         ({"dt_grid": float("inf")}, "dt_grid"),
+        ({"dt_grid": True}, "dt_grid"),
+        ({"dt_grid": False}, "dt_grid"),
+        ({"norm_exp": True}, "norm_exp"),
+        ({"norm_exp": False}, "norm_exp"),
     ])
     def test_rejected_with_field_name(self, kw, field):
         with pytest.raises(ValueError, match=field):

@@ -14,7 +14,6 @@ from sdnlw.dynamics import (
     energy,
     flow_init,
     full_flow,
-    modified_energy_F,
     nonlinearity_field,
     restart_check,
     run_steps,
@@ -37,8 +36,8 @@ from sdnlw.spectral import (
     zero_pair,
 )
 from sdnlw import spectral
-from _utils import coarsen, cubic_coefficients, fine_increments, nonlinearity, run_table, \
-    zero_increments
+from _utils import coarsen, cubic_coefficients, fine_increments, modified_energy_F, \
+    nonlinearity, run_table, zero_increments
 
 RNG = np.random.default_rng(12)
 
@@ -186,16 +185,6 @@ class TestVStep:
         plus = run_table(v_step, plus, [NoiseIncrement(c, cfg.dt) for c in incr])
         minus = run_table(v_step, minus, [NoiseIncrement(-c, cfg.dt) for c in incr])
         assert float(hnorm(full_flow(plus) + full_flow(minus))) < 1e-12
-
-    def test_linearity_with_cubic_disabled(self):
-        cfg = SimConfig(N=4, s=1.0, linear_only=True, dt=0.05)
-        u0 = random_pair(4, RNG)
-        st = flow_init(cfg, u0, seed=9)
-        st = run_steps(st, 30)
-        from sdnlw.propagator import apply_S
-        expect = apply_S(u0, st.t) + st.stick.value
-        assert float(hnorm(full_flow(st) - expect)) < 1e-12
-        assert np.all(st.v == 0)
 
     def test_n_convergence_of_remainder(self):
         # sup_t |v_N - v_{2N}|_{H1} decreases monotonically over N = 4, 8, 16
@@ -390,11 +379,6 @@ class TestEnergies:
 
 
 class TestRestart:
-    def test_linear_restart_exact(self):
-        cfg = SimConfig(N=6, s=1.0, dt=0.05, linear_only=True)
-        u0 = random_pair(6, RNG)
-        assert restart_check(cfg, u0, 1.0, 1.0, seed=4) < 1e-12
-
     def test_h_zero(self):
         cfg = SimConfig(N=4, s=1.0, gamma=0.2, dt=0.05)
         assert restart_check(cfg, random_pair(4, RNG), 1.0, 0.0, seed=4) == 0.0

@@ -8,7 +8,7 @@ import pytest
 
 from sdnlw import coupling, dynamics, ergodics, noise
 from sdnlw.config import ConfigError, SimConfig
-from sdnlw.coupling import CouplingOptions, d_n
+from sdnlw.coupling import CouplingOptions
 from sdnlw.ergodics import (
     ObservableSeries,
     autocorr_time,
@@ -63,14 +63,6 @@ class TestObservables:
                 * (1.0 + 0j)
             val = get_observable("clipped_halpha")(pair, cfg)
             assert val <= 1.0
-
-    def test_dn_to_ref_uses_config_pad(self):
-        # the X^alpha quadrature of d_1 to the zero state follows cfg.M_pad
-        pair = 1e-3 * random_pair(4, RNG)
-        zero = np.zeros_like(pair)
-        got = get_observable("dn_to_ref")(pair, SimConfig(N=4, M_pad=4.0))
-        assert got == d_n(pair, zero, 1, 0.25, pad=4.0)
-        assert got != d_n(pair, zero, 1, 0.25, pad=2.0)
 
     def test_user_extension_point(self, registry):
         register_observable("test_zero_obs", lambda pair, cfg: 0.0)
@@ -342,7 +334,7 @@ class TestExperiments:
         # the summed clock read 49.99999999999823 at step 2000 and the
         # window [50, 200] began at 50.25; F(t) = t averages to 125 over it
         cfg = SimConfig(N=1, s=1.0, dt=0.025, obs_interval=0.25, T=200.0,
-                        linear_only=True, observables=("mean_u2",))
+                        observables=("mean_u2",))
         s = sample_trajectory(cfg, None, seeds=1)["series"]["mean_u2"]
         assert s.times[200] == 50.0 and s.times[-1] == 200.0
         ramp = {"t": ObservableSeries("t", s.times, s.times.copy())}

@@ -23,7 +23,7 @@ from sdnlw.checkpoint import (
     write_checkpoint,
 )
 import sdnlw
-from sdnlw import cli, coupling, dynamics, ergodics, spectral
+from sdnlw import checkpoint, cli, coupling, dynamics, ergodics, spectral
 from sdnlw.cli import main as cli_main
 from sdnlw.config import _RESUME_KEYS, ConfigError, SimConfig, dump_config, load_config, \
     parse_config, steps
@@ -68,7 +68,6 @@ class TestConfig:
         ("gamma = nan", "gamma:"),
         ("gamma = -inf", "gamma:"),
         ("s = nan", "s:"),
-        ("M_pad = nan", "M_pad:"),
         ("obs_interval = inf", "obs_interval:"),
         ("obs_interval = nan", "obs_interval:"),
         ("blowup_threshold = nan", "blowup_threshold:"),
@@ -90,17 +89,25 @@ class TestConfig:
         cfg = parse_config("observables = mean_u, mean_u2\n")
         assert cfg.observables == ("mean_u", "mean_u2")
 
-    @pytest.mark.parametrize("text,value", [
-        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
-        ("0", False), ("False", False), ("NO", False), ("off", False),
-    ])
-    def test_bool_words(self, text, value):
-        assert parse_config(f"linear_only = {text}\n").linear_only is value
+    @pytest.mark.parametrize("line", ["linear_only = 1", "linear_only = false",
+                                      "M_pad = 2.0", "M_pad = 4"])
+    def test_deleted_keys_refused(self, line):
+        # the cubic is always on and the quadrature padding is fixed at 2
+        key = line.split(" ", 1)[0]
+        with pytest.raises(ConfigError, match=f"^{key}: unknown configuration key$"):
+            parse_config(line + "\n")
 
-    @pytest.mark.parametrize("text", ["ture", "2", "", "y", "none"])
-    def test_bad_bool_refused(self, text):
-        with pytest.raises(ConfigError, match="^linear_only: "):
-            parse_config(f"linear_only = {text}\n")
+    @pytest.mark.parametrize("N", [True, False, 2.5, 3.0, "4", None])
+    def test_non_integer_N_refused(self, N):
+        with pytest.raises(ConfigError, match=r"^N: must be an integer >= 0, got "):
+            SimConfig(N=N).check()
+
+    def test_non_integer_N_reported_with_the_others(self):
+        errs = SimConfig(N=2.5, s=-1.0, dt=0.0).validate()
+        assert [e.split(":", 1)[0] for e in errs] == ["N", "s", "alpha", "dt"]
+
+    def test_numpy_integer_N_accepted(self):
+        assert SimConfig(N=np.int64(3)).check().N == 3
 
     @pytest.mark.parametrize("name", ["euler", "midpoint", "rk4"])
     def test_unknown_integrator_refused(self, name):
@@ -125,9 +132,8 @@ class TestConfig:
     @pytest.mark.parametrize("cfg", [
         SimConfig(),
         SimConfig(N=6, s=0.7, gamma=-0.3, alpha=0.2, dt=0.02, T=3.0, seed=11,
-                  M_pad=3.5, observables=("mean_u", "dn_to_ref"),
-                  output_dir="runs/a b-1", obs_interval=0.1, linear_only=True,
-                  blowup_threshold=np.inf),
+                  observables=("mean_u", "dn_to_ref"), output_dir="runs/a b-1",
+                  obs_interval=0.1, blowup_threshold=np.inf),
         SimConfig(observables=(), output_dir="", blowup_threshold=1e-300, T=0.0),
     ])
     def test_parse_inverts_dump(self, cfg):
@@ -189,10 +195,9 @@ def with_config_text(blob: bytes, edit) -> bytes:
 class TestCheckpoint:
     # the keys a resume may change; every other key is in _RESUME_KEYS
     MAY_CHANGE = {"T": 2.5, "seed": 99, "observables": ("mean_u4",),
-                  "output_dir": "elsewhere", "obs_interval": 0.1, "M_pad": 3.0,
+                  "output_dir": "elsewhere", "obs_interval": 0.1,
                   "blowup_threshold": np.inf}
-    MUST_MATCH = {"N": 5, "s": 0.9, "gamma": 0.3, "alpha": 0.2, "dt": 0.01,
-                  "linear_only": True}
+    MUST_MATCH = {"N": 5, "s": 0.9, "gamma": 0.3, "alpha": 0.2, "dt": 0.01}
 
     def make_state(self, steps=7):
         cfg = SimConfig(N=4, s=1.0, gamma=0.2, dt=0.05, seed=13)
@@ -286,11 +291,6 @@ class TestCheckpoint:
         assert "integrator: unknown configuration key" in err
         assert "Traceback" not in err
 
-    def test_stored_linear_only_refused(self, tmp_path, capsys):
-        code, err = self.resume_patched(tmp_path, capsys, "linear_only", 7)
-        assert code == 1
-        assert "linear_only:" in err and "Traceback" not in err
-
     def test_stored_config_checked(self, tmp_path, capsys):
         code, err = self.resume_patched(tmp_path, capsys, "alpha", float("nan"))
         assert code == 1
@@ -330,7 +330,7 @@ class TestCheckpoint:
         # v3 text held the deleted integrator key
         st = self.make_state()
         v3 = with_config_text(save_checkpoint(st),
-                              lambda text: text.replace("M_pad", "integrator = euler\nM_pad"))
+                              lambda text: text.replace("seed", "integrator = euler\nseed"))
         v3 = v3[:6] + struct.pack("<H", 3) + v3[8:]
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 3$"):
             load_checkpoint(v3)
@@ -340,10 +340,33 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert "unsupported checkpoint version 3" in err and "Traceback" not in err
 
+    def test_version_4_refused(self, tmp_path, capsys):
+        # v4 text held the deleted keys M_pad and linear_only, in field order
+        st = self.make_state()
+        v4 = with_config_text(save_checkpoint(st), lambda text: text
+                              .replace("observables", "M_pad = 2.0\nobservables")
+                              .replace("blowup_threshold",
+                                       "linear_only = False\nblowup_threshold"))
+        v4 = v4[:6] + struct.pack("<H", 4) + v4[8:]
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 4$"):
+            load_checkpoint(v4)
+        p = tmp_path / "v4.ckpt"
+        p.write_bytes(v4)
+        assert cli_main(["resume", "--checkpoint", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 4" in err and "Traceback" not in err
+
+    def test_stored_keys_pinned_to_the_format_version(self):
+        # checkpoints store every SimConfig key as text: a change to the key
+        # set changes what a stored text parses to, so it bumps VERSION
+        assert (checkpoint.VERSION, tuple(f.name for f in fields(SimConfig))) == (
+            5, ("N", "s", "gamma", "alpha", "dt", "T", "seed", "observables",
+                "output_dir", "obs_interval", "blowup_threshold"))
+
     def test_header_holds_no_time(self):
         st = self.make_state()
         text = dump_config(replace(st.cfg, seed=13)).encode("utf-8")
-        head = b"SDNLW1" + struct.pack("<HBqI", 4, 1, st.step, len(text)) + text
+        head = b"SDNLW1" + struct.pack("<HBqI", 5, 1, st.step, len(text)) + text
         assert save_checkpoint(st)[:len(head)] == head
         assert load_checkpoint(save_checkpoint(st)).t == st.step * st.cfg.dt
 
@@ -356,8 +379,8 @@ class TestCheckpoint:
     def test_every_key_round_trips(self):
         # a key the format dropped would come back at its default
         cfg = SimConfig(N=3, s=0.9, gamma=0.1 + 0.2, alpha=0.2, dt=0.02, T=0.5,
-                        seed=-2**63, M_pad=1.5, observables=("mean_u2", "mean_u"),
-                        output_dir="runs/a b", obs_interval=0.1, linear_only=True,
+                        seed=-2**63, observables=("mean_u2", "mean_u"),
+                        output_dir="runs/a b", obs_interval=0.1,
                         blowup_threshold=np.inf)
         moved = {f.name for f in fields(cfg) if getattr(cfg, f.name) != f.default}
         assert moved == {f.name for f in fields(cfg)}
@@ -483,12 +506,14 @@ class TestCli:
             assert "integrator: unknown configuration key" in err
             assert "Traceback" not in err
 
-    def test_bad_bool_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["linear_only = true", "M_pad = 2.0"])
+    def test_deleted_key_exit_one(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("linear_only = ture\n")
+        bad.write_text(line + "\n")
         assert self.run_cli("simulate", "--config", str(bad)) == 1
         err = capsys.readouterr().err
-        assert "linear_only:" in err and "Traceback" not in err
+        key = line.split(" ", 1)[0]
+        assert f"{key}: unknown configuration key" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "ergodic"])
     def test_unknown_observable_exit_one(self, tmp_path, capsys, command):
@@ -888,12 +913,13 @@ VERIFY_ONLY = {
     "semigroup_defect": "the propagator's semigroup law",
     "determinant_defect": "the propagator's Wronskian det S(t) = e^{-t}",
     "random_pair": "the identity suite's random test data",
+    "energy": "the remainder's coercive energy E, against its constant-pair closed form",
+    "l2_inner": "the L^2 pairing of the projection's self-adjointness check",
 }
 
 # public names kept without a caller in the package or the benchmark
 KEPT_WITHOUT_CALLER = {
     "register_observable": "the documented extension point for observables",
-    "modified_energy_F": "the paper's drift functional F",
     "krylov_bogolyubov_diagnostic": "the paper's tightness table",
     "linear_moment_report": "criterion 03's subject: the linear flow against its law",
 }
