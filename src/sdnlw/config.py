@@ -1,6 +1,7 @@
 """Run configuration: the flat key=value file format and its validation.
 
-Constraints enforced here: N an integer >= 0, s > 0,
+Constraints enforced here: N an integer >= 0, seed an integer in
+[-2**63, 2**63), every float key a real number (not a bool), s > 0,
 0 < alpha < min(s, 1/3), dt > 0, T >= 0, obs_interval > 0,
 blowup_threshold > 0, and every float key finite except blowup_threshold,
 which may be +inf, every observables name one a config line can select
@@ -48,26 +49,34 @@ class SimConfig:
     def validate(self) -> list[str]:
         # every comparison fails on NaN; only blowup_threshold may be inf
         errs = []
+
+        def real(key, ok, need) -> bool:
+            """Report ``key`` unless it holds a real number (a bool does not,
+            though Python counts it as one) with ok(value); whether it holds
+            a real number."""
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                errs.append(f"{key}: must be a real number, got {val!r}")
+                return False
+            if not ok(val):
+                errs.append(f"{key}: must {need}, got {val}")
+            return True
+
         if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) \
                 or self.N < 0:
             errs.append(f"N: must be an integer >= 0, got {self.N!r}")
-        if not 0 < self.s < math.inf:
-            errs.append(f"s: must be finite and > 0, got {self.s}")
-        if not math.isfinite(self.gamma):
-            errs.append(f"gamma: must be finite, got {self.gamma}")
-        if not 0.0 < self.alpha < min(self.s, 1.0 / 3.0):
-            errs.append(
-                f"alpha: must satisfy 0 < alpha < min(s, 1/3) = "
-                f"{min(self.s, 1.0/3.0):.6g}, got {self.alpha}")
-        if not 0 < self.dt < math.inf:
-            errs.append(f"dt: must be finite and > 0, got {self.dt}")
-        if not 0 <= self.T < math.inf:
-            errs.append(f"T: must be finite and >= 0, got {self.T}")
-        if not 0 < self.obs_interval < math.inf:
-            errs.append(f"obs_interval: must be finite and > 0, got {self.obs_interval}")
-        if not self.blowup_threshold > 0:
-            errs.append(f"blowup_threshold: must be > 0 (inf allowed), got "
-                        f"{self.blowup_threshold}")
+        s_real = real("s", lambda v: 0 < v < math.inf, "be finite and > 0")
+        real("gamma", math.isfinite, "be finite")
+        cap = min(self.s, 1.0 / 3.0) if s_real else 1.0 / 3.0
+        real("alpha", lambda v: 0.0 < v < cap,
+             f"satisfy 0 < alpha < min(s, 1/3) = {cap:.6g}")
+        real("dt", lambda v: 0 < v < math.inf, "be finite and > 0")
+        real("T", lambda v: 0 <= v < math.inf, "be finite and >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or not -2**63 <= self.seed < 2**63:
+            errs.append(f"seed: must be an integer in [-2**63, 2**63), got {self.seed!r}")
+        real("obs_interval", lambda v: 0 < v < math.inf, "be finite and > 0")
+        real("blowup_threshold", lambda v: v > 0, "be > 0 (inf allowed)")
         bad = [name for name in self.observables if not selectable_name(name)]
         if bad:
             errs.append(f"observables: {bad} cannot be selected by a config line "

@@ -19,10 +19,11 @@ autocorrelation time with automatic windowing (smallest window W with
 W >= c tau_int, c = 5), so standard errors reflect the effective sample
 size rather than the raw sample count.
 
-When the cubic term is disabled the flow is an exactly solvable Gaussian
-system whose per-mode stationary covariance is known in closed form
-(noise.stationary_covariance); ``linear_moment_report`` pits the whole
-averaging pipeline against that law.
+The stochastic convolution alone (the stick, the flow's linear part with
+zero data) is an exactly solvable Gaussian system whose per-mode
+stationary covariance is known in closed form
+(noise.stationary_covariance); ``linear_moment_report`` steps the stick
+exactly in law and pits the whole averaging pipeline against that law.
 
 The Hoelder-type norm of the tightness argument is replaced throughout by
 the computable exponentially weighted sup with p = 16, labelled "Z-proxy".

@@ -37,6 +37,7 @@ are independent of scheduling; each step consumes disjoint blocks.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 
@@ -57,25 +58,29 @@ BLOCK_EXACT_A = 1      # exact-law stick sampling
 BLOCK_EXACT_B = 2
 
 
-# One reusable Philox whose (key, counter) is reset per draw: bit-identical
-# to constructing a fresh generator, at half the call overhead.  Processes
-# own their trajectories, and within a process only the thread that calls
-# ``dynamics.step_noise`` draws: a coupling step split into row blocks
-# draws its noise before the split, so no two threads touch this.  The
-# state dict is read once: a draw rewrites its counter and key in place
-# and assigns it back; buffer_pos = 4 marks the output buffer empty, so
-# its contents are unused.
-_PHILOX = np.random.Philox(key=0)
-_PHILOX_GEN = np.random.Generator(_PHILOX)
-_PHILOX_STATE = _PHILOX.state
-_COUNTER = _PHILOX_STATE["state"]["counter"]
-_KEY = _PHILOX_STATE["state"]["key"]
+# One reusable Philox per thread whose (key, counter) is reset per draw:
+# bit-identical to constructing a fresh generator, at a fraction of the call
+# overhead.  Any thread may draw any row, since the stream is keyed by
+# (seed, step, block) alone; a split coupling step draws each block's rows
+# on the block's thread, each thread from its own template.  The template's
+# state dict holds Python ints (lists for counter, key and buffer), which
+# the ``Philox.state`` setter reads faster than numpy scalars; a draw
+# rewrites the counter and key in place and assigns the dict back.
+# buffer_pos = 4 marks the output buffer empty, so its contents are unused.
+class _Template(threading.local):
+    def __init__(self):
+        self.philox = np.random.Philox(key=0)
+        self.gen = np.random.Generator(self.philox)
+        state = self.philox.state
+        self.counter = state["state"]["counter"].tolist()
+        self.key = state["state"]["key"].tolist()
+        state["state"] = {"counter": self.counter, "key": self.key}
+        state["buffer"] = state["buffer"].tolist()
+        self.state = state
 
 
-def _reset_stream(seed, step: int, block: int) -> None:
-    _COUNTER[:] = (0, 0, int(block), int(step))
-    _KEY[0] = int(seed) & (2**64 - 1)
-    _PHILOX.state = _PHILOX_STATE
+_TEMPLATE = _Template()
+_KEY_MASK = 2**64 - 1
 
 
 def _check_seeds(seed) -> None:
@@ -98,17 +103,22 @@ def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
     each seed's drawn into its row of one array; a scalar seed gives an
     unbatched array, a 1-d sequence of n seeds a batch (n,)."""
     _check_seeds(seed)
+    t = _TEMPLATE
+    philox, gen, state, key = t.philox, t.gen, t.state, t.key
+    t.counter[2:] = (int(block), int(step))
     if np.isscalar(seed):
-        _reset_stream(seed, step, block)
-        return _PHILOX_GEN.standard_normal(shape)
+        key[0] = int(seed) & _KEY_MASK
+        philox.state = state
+        return gen.standard_normal(shape)
     if np.ndim(seed) > 1:
         raise ValueError(f"seed of shape {np.shape(seed)}: a draw takes a scalar "
                          "seed or a 1-d sequence of seeds")
-    seeds = np.asarray(seed).ravel()
-    out = np.empty((seeds.size,) + tuple(shape))
+    seeds = np.asarray(seed).ravel().tolist()
+    out = np.empty((len(seeds),) + tuple(shape))
     for s, row in zip(seeds, out):
-        _reset_stream(s, step, block)
-        _PHILOX_GEN.standard_normal(shape, out=row)
+        key[0] = int(s) & _KEY_MASK
+        philox.state = state
+        gen.standard_normal(shape, out=row)
     return out
 
 

@@ -106,6 +106,23 @@ class TestConfig:
         errs = SimConfig(N=2.5, s=-1.0, dt=0.0).validate()
         assert [e.split(":", 1)[0] for e in errs] == ["N", "s", "alpha", "dt"]
 
+    @pytest.mark.parametrize("key", ["s", "gamma", "alpha", "dt", "T", "obs_interval",
+                                     "blowup_threshold"])
+    def test_bool_float_key_refused(self, key):
+        # True compares as 1, which lies in range for most of these keys
+        with pytest.raises(ConfigError, match=rf"^{key}: must be a real number, got True$"):
+            SimConfig(**{key: True}).check()
+
+    @pytest.mark.parametrize("seed", [True, False, 2.5, 3.0, "4", None, 2**63, -2**63 - 1])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ConfigError,
+                           match=r"^seed: must be an integer in \[-2\*\*63, 2\*\*63\), got "):
+            SimConfig(seed=seed).check()
+
+    @pytest.mark.parametrize("seed", [0, -3, 2**63 - 1, -2**63, np.int64(7)])
+    def test_signed_64_bit_seed_accepted(self, seed):
+        assert SimConfig(seed=seed).check().seed == seed
+
     def test_numpy_integer_N_accepted(self):
         assert SimConfig(N=np.int64(3)).check().N == 3
 

@@ -1,6 +1,8 @@
 """White-noise increments and the stochastic convolution's exact law."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -78,6 +80,53 @@ class TestIncrements:
                 for step, block in ((0, 0), (7, 2)):
                     assert np.array_equal(noise.unit_hermitian(N, seed, step, block),
                                           unit_hermitian_fft2(N, seed, step, block))
+
+
+# the ends of the signed 64-bit range, both signs and zero
+PINNED_SEEDS = [0, 5, -3, 2**63 - 1, -2**63]
+
+
+def fresh_normals(seed: int, step: int, block: int, shape: tuple) -> np.ndarray:
+    """The stream's definition: a new Philox keyed by seed mod 2**64 at
+    counter (0, 0, block, step), its standard normals in order."""
+    bitgen = np.random.Philox(key=seed % 2**64, counter=[0, 0, block, step])
+    return np.random.Generator(bitgen).standard_normal(shape)
+
+
+class TestStream:
+    @pytest.mark.parametrize("step", [0, 1, 99])
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_draw_equals_fresh_generator(self, step, block):
+        want = np.stack([fresh_normals(s, step, block, (9, 9)) for s in PINNED_SEEDS])
+        assert np.array_equal(noise._batched_normals(PINNED_SEEDS, step, block, (9, 9)),
+                              want)
+        for s, row in zip(PINNED_SEEDS, want):
+            assert np.array_equal(noise._batched_normals(s, step, block, (9, 9)), row)
+
+    def test_threads_draw_the_serial_rows(self):
+        # 4 threads draw interleaved seeds, switching every microsecond
+        seeds = list(range(-40, 40))
+        keys = [(k, step) for k in range(4) for step in range(20)]
+        serial = {(k, step): noise._batched_normals(seeds[k::4], step, 0, (9, 9))
+                  for k, step in keys}
+        got = {}
+
+        def draw(k):
+            for step in range(20):
+                got[k, step] = noise._batched_normals(seeds[k::4], step, 0, (9, 9))
+
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(got) == keys
+        assert all(np.array_equal(got[key], serial[key]) for key in keys)
 
 
 class TestStepCovariance:
