@@ -51,9 +51,9 @@ class SimConfig:
         errs = []
 
         def real(key, ok, need) -> bool:
-            """Report ``key`` unless it holds a real number (a bool does not,
-            though Python counts it as one) with ok(value); whether it holds
-            a real number."""
+            """Append an error for ``key`` unless it holds a real number that
+            passes ``ok`` (a bool is not one here, though Python counts it
+            as one); return whether it holds a real number."""
             val = getattr(self, key)
             if isinstance(val, bool) or not isinstance(val, numbers.Real):
                 errs.append(f"{key}: must be a real number, got {val!r}")

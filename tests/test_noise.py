@@ -122,9 +122,10 @@ class TestStream:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert sorted(got) == keys
         assert all(np.array_equal(got[key], serial[key]) for key in keys)
 
