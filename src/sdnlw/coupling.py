@@ -51,8 +51,7 @@ A ``CouplingRecord`` carries the reference ``FlowState`` and reads its clock
 from it; ``coupling_step`` runs on one ``StepNoise`` of that flow (its own
 ``step_noise`` unless given), checks w with the flow's blow-up check and
 advances u1 with ``v_step`` on the same noise; a large batch is stepped in
-row blocks on threads, each block drawing its own rows' noise unless it is
-given, bit for bit as whole (``coupling_step``).  The
+row blocks on threads, bit for bit as whole (``coupling_step``).  The
 blocks are cut and joined by walking the one place that records the path
 axis, the states' field declarations (``noise.map_rows``).  Records, their
 monitor and their arrays are frozen: a step returns a new record with a
@@ -363,12 +362,9 @@ def _h_from_bracket(b_moll: np.ndarray, s: float) -> np.ndarray:
     return bracket_table(N, s) * b_moll / np.sqrt(2.0)
 
 
-def _step_rows(record: CouplingRecord, noise: StepNoise | None = None) -> CouplingRecord:
-    """The step of ``coupling_step`` on all of the record's rows at once,
-    on the flow's ``step_noise`` unless ``noise`` is given."""
+def _step_rows(record: CouplingRecord, noise: StepNoise) -> CouplingRecord:
+    """The step of ``coupling_step`` on all of the record's rows at once."""
     flow = record.flow
-    if noise is None:
-        noise = step_noise(flow)
     cfg = flow.cfg
     N, delta = cfg.N, cfg.dt
 
@@ -442,22 +438,18 @@ def _row_blocks(record: CouplingRecord) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _rows_of(record: CouplingRecord, noise: StepNoise | None, sl: slice) -> tuple:
-    """The record and noise of the rows ``sl``, one stick for both (no
-    noise when ``noise`` is None)."""
+def _rows_of(record: CouplingRecord, noise: StepNoise, sl: slice) -> tuple:
+    """The record and noise of the rows ``sl``, one stick for both."""
     memo = {}
-    return tuple(None if state is None else
-                 map_rows(lambda arr: arr[sl], record.batch, state, memo=memo)
+    return tuple(map_rows(lambda arr: arr[sl], record.batch, state, memo=memo)
                  for state in (record, noise))
 
 
-def _joined(record: CouplingRecord, noise: StepNoise | None, parts: list) -> CouplingRecord:
-    """The stepped record from its stepped row blocks, in row order; on the
-    caller's ``noise.stick`` when noise was given, else on the blocks'
-    sticks joined."""
-    memo = {} if noise is None else {id(noise.before): noise.stick}
+def _joined(record: CouplingRecord, noise: StepNoise, parts: list) -> CouplingRecord:
+    """The stepped record from its stepped row blocks, in row order, on the
+    caller's ``noise.stick``."""
     return map_rows(lambda _, *rows: np.concatenate(rows), record.batch, record,
-                    *parts, memo=memo)
+                    *parts, memo={id(noise.before): noise.stick})
 
 
 def coupling_step(record: CouplingRecord, noise: StepNoise | None = None) -> CouplingRecord:
@@ -467,18 +459,18 @@ def coupling_step(record: CouplingRecord, noise: StepNoise | None = None) -> Cou
     from another stick than the flow's is refused before any work.
 
     A large 1-d batch (``_row_blocks``) is stepped in contiguous row blocks
-    on a pool of threads, one per CPU this process may use.  Without
-    ``noise``, each block draws its own rows' increments and advances its
-    rows' stick on its thread (the stream is keyed by seed, step and
-    block, so a row's draw does not depend on the thread or the block);
-    with ``noise``, the blocks take its rows and the result its stick.
-    Every row's numbers are computed as in the whole step, so the result
-    equals it bit for bit.  Each block runs in a copy of the caller's
-    context (its ``np.errstate``); a blow-up in any block is reported by
-    stepping the batch whole, so its error is the whole step's; any other
-    error propagates as raised.  No thread outlives the call.
+    on a pool of threads, one per CPU this process may use.  The noise is
+    drawn here, before the split, and every row's numbers are computed as
+    in the whole step, so the result equals it bit for bit.  Each block
+    runs in a copy of the caller's context (its ``np.errstate``); a
+    blow-up in any block is reported by stepping the batch whole, so its
+    error is the whole step's; any other error propagates as raised.  No
+    thread outlives the call.
     """
-    if noise is not None and noise.before is not record.flow.stick:
+    flow = record.flow
+    if noise is None:
+        noise = step_noise(flow)
+    elif noise.before is not flow.stick:
         raise ValueError("noise: built from another stick than the state's")
     blocks = _row_blocks(record)
     if not blocks:

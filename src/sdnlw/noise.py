@@ -61,11 +61,13 @@ BLOCK_EXACT_B = 2
 # One reusable Philox per thread whose (key, counter) is reset per draw:
 # bit-identical to constructing a fresh generator, at a fraction of the call
 # overhead.  Any thread may draw any row, since the stream is keyed by
-# (seed, step, block) alone; a split coupling step draws each block's rows
-# on the block's thread, each thread from its own template.  The template's
-# state dict holds Python ints (lists for counter, key and buffer), which
-# the ``Philox.state`` setter reads faster than numpy scalars; a draw
-# rewrites the counter and key in place and assigns the dict back.
+# (seed, step, block) alone and each thread resets its own template; a
+# split coupling step still draws its noise on the calling thread, before
+# the split (drawing in the blocks gained nothing measurable).  The
+# template's state dict holds Python ints (lists for counter, key and
+# buffer), which the ``Philox.state`` setter reads faster than numpy
+# scalars; a draw rewrites the counter and key in place and assigns the
+# dict back.
 # buffer_pos = 4 marks the output buffer empty, so its contents are unused.
 class _Template(threading.local):
     def __init__(self):
