@@ -79,6 +79,7 @@ from .spectral import (
     dealiased_product,
     grad2_table,
     hnorm,
+    mean_square,
     pair_norm,
     quad_grid_size,
     resize,
@@ -122,11 +123,12 @@ def tv_bound(moment_p: float, e_abs_logx_p: float, L: float) -> float:
     return float(min(2.0, val))
 
 
-def d_n(x: np.ndarray, y: np.ndarray, n: int, alpha: float):
-    """The bounded pseudo-metric 1 /\\ n |x - y|_{X^alpha}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.minimum(1.0, n * xalpha_norm(x - y, alpha))
+def d_n(diff: np.ndarray, n: int, alpha: float, *, dt_grid: float = 0.25):
+    """The bounded pseudo-metric 1 /\\ n |diff|_{X^alpha}: d_n(x, y) at
+    diff = x - y, on the X^alpha time grid of step ``dt_grid``."""
+    if isinstance(n, bool) or not (1 <= n < np.inf and n == int(n)):
+        raise ValueError(f"n must be an integer >= 1, got {n}")
+    return np.minimum(1.0, n * xalpha_norm(diff, alpha, dt_grid=dt_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ def _step_rows(record: CouplingRecord, noise: StepNoise) -> CouplingRecord:
     h_used = h_live if monitor is None else \
         np.where(record.monitor.stopped[..., None, None], record.h_last, h_live)
 
-    hsq = np.sum(np.abs(h_used) ** 2, axis=(-2, -1))
+    hsq = mean_square(h_used)
     hcost = record.hcost + delta * hsq
     pairing = np.sum(h_used * np.conj(noise.incr.coeffs), axis=(-2, -1)).real
     log_density = record.log_density - 0.5 * delta * hsq + pairing
@@ -495,11 +497,8 @@ def run_coupling(record: CouplingRecord, n_steps: int) -> CouplingRecord:
 
 def coupling_distance(record: CouplingRecord, n: int = 1):
     """d_n between the coupled pair: 1 /\\ n |S(t) udiff + w|_{X^alpha}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    val = xalpha_norm(record.lin_diff + record.w, record.flow.cfg.alpha,
-                      dt_grid=record.opts.dt_grid)
-    return np.minimum(1.0, n * val)
+    return d_n(record.lin_diff + record.w, n, record.flow.cfg.alpha,
+               dt_grid=record.opts.dt_grid)
 
 
 # ---------------------------------------------------------------------------

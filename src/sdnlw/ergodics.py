@@ -70,7 +70,7 @@ def _clipped_halpha(pair, cfg):
 
 def _dn_to_ref(pair, cfg):
     """d_1 to the zero state."""
-    return coupling_mod.d_n(pair, np.zeros_like(pair), 1, cfg.alpha)
+    return coupling_mod.d_n(pair, 1, cfg.alpha)
 
 
 _REGISTRY = {

@@ -184,8 +184,8 @@ class NoiseIncrement:
 
 
 def sample_increment(N: int, delta: float, seed, step: int = 0) -> NoiseIncrement:
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     z = unit_hermitian(N, seed, step, BLOCK_WHITE)
     return NoiseIncrement(np.sqrt(delta) * z, float(delta))
 
@@ -199,8 +199,8 @@ def step_covariance(omega, delta: float, s: float) -> np.ndarray:
 
     ``delta=np.inf`` returns the stationary covariance.
     """
-    if delta <= 0 and not np.isinf(delta):
-        raise ValueError("delta must be > 0")
+    if not delta > 0:  # NaN and -inf fail too
+        raise ValueError(f"delta must be > 0, got {delta}")
     w = np.asarray(omega, dtype=float)
     b = 2.0 * w
     denom = 1.0 + b**2
@@ -290,8 +290,8 @@ def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
 
 def stick_step_exact(state: StickState, delta: float) -> StickState:
     """Advance by delta drawing the exact Gaussian step law."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     tab = propagator_tables(state.N, float(delta))
     value = apply_tables(tab, state.value) \
         + sample_stick_at(state.N, state.s, delta, state.seed, state.step)
@@ -303,8 +303,8 @@ def stick_step_shared(state: StickState, delta: float,
     """Advance by delta driven by an explicit white-noise increment, drawn
     for this delta: the order-1 kick S(delta) (0, sqrt(2) <grad>^{-s} xihat).
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if incr.delta != delta:
         raise ValueError(f"increment delta {incr.delta} differs from step delta {delta}")
     forcing = _forcing_table(state.N, state.s) * incr.coeffs
@@ -326,10 +326,11 @@ def sample_stick_at(N: int, s: float, t: float, seed, step: int = 0) -> np.ndarr
 # diagnostics
 
 
-def stationary_moment_report(s: float, N: int, n_samples: int,
-                             times: tuple = (10.0, 20.0, 40.0),
-                             seed: int = 0) -> dict:
-    """Empirical per-mode variances of the stick at several times.
+MOMENT_TIMES = (10.0, 20.0, 40.0)
+
+
+def stationary_moment_report(s: float, N: int, n_samples: int, seed: int = 0) -> dict:
+    """Empirical per-mode variances of the stick at the MOMENT_TIMES.
 
     The marginal at time t is Gaussian with the closed-form Sigma(t), so
     each time slice is sampled exactly with one step.  A mode is flagged
@@ -339,11 +340,10 @@ def stationary_moment_report(s: float, N: int, n_samples: int,
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     K = lattice_size(N)
-    times = tuple(float(t) for t in times)
-    var_u = np.empty((len(times), K, K))
-    var_ut = np.empty((len(times), K, K))
+    var_u = np.empty((len(MOMENT_TIMES), K, K))
+    var_ut = np.empty((len(MOMENT_TIMES), K, K))
     seeds = [seed + 1000 * j for j in range(n_samples)]
-    for i, t in enumerate(times):
+    for i, t in enumerate(MOMENT_TIMES):
         vals = sample_stick_at(N, s, t, seeds, step=i)
         var_u[i] = np.mean(np.abs(vals[:, 0]) ** 2, axis=0)
         var_ut[i] = np.mean(np.abs(vals[:, 1]) ** 2, axis=0)
@@ -357,14 +357,14 @@ def stationary_moment_report(s: float, N: int, n_samples: int,
 
     def drift_flags(var, se):
         flags = np.zeros((K, K), dtype=bool)
-        for i in range(len(times)):
-            for j in range(i + 1, len(times)):
+        for i in range(len(MOMENT_TIMES)):
+            for j in range(i + 1, len(MOMENT_TIMES)):
                 comb = 5.0 * np.sqrt(se[i] ** 2 + se[j] ** 2)
                 flags |= np.abs(var[i] - var[j]) > comb
         return flags
 
     return {
-        "times": times,
+        "times": MOMENT_TIMES,
         "var_u": var_u,
         "var_ut": var_ut,
         "se_u": se_u,

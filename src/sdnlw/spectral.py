@@ -305,10 +305,6 @@ def quad_grid_size(N: int) -> int:
     return fast_grid_size(2 * lattice_size(N))
 
 
-def l2_norm(coeffs: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)))
-
-
 def _quadrature_blocks(coeffs: np.ndarray, M: int, reduce) -> tuple:
     """``reduce(to_physical(coeffs, M))`` a block of paths at a time.
 
@@ -338,7 +334,7 @@ def lp_norm(coeffs: np.ndarray, p: float) -> np.ndarray:
     """L^p(T^2) norm by padded quadrature (p=2 via Plancherel), in path
     blocks of CHUNK_BYTES (module docstring)."""
     if p == 2.0:
-        return l2_norm(coeffs)
+        return np.sqrt(mean_square(coeffs))
     if p < 1.0:
         raise ValueError("p must be >= 1")
     M = quad_grid_size(truncation_of(coeffs))
@@ -370,34 +366,24 @@ def hnorm(pair: np.ndarray, alpha: float = 1.0) -> np.ndarray:
 
 def l2_inner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Real L^2(T^2) pairing of two (real) fields via Plancherel."""
-    Nf, Ng = truncation_of(f), truncation_of(g)
-    if Nf != Ng:
-        N = max(Nf, Ng)
-        f = embed(f, N)
-        g = embed(g, N)
+    N = max(truncation_of(f), truncation_of(g))
+    f, g = resize(f, N), resize(g, N)
     return np.sum(f * np.conj(g), axis=(-2, -1)).real
 
 
-def embed(coeffs: np.ndarray, N_out: int) -> np.ndarray:
-    """Re-embed coefficients into a larger lattice (zero padding in modes)."""
+def resize(coeffs: np.ndarray, N_out: int) -> np.ndarray:
+    """Pad with zero modes or crop to lattice size N_out (cropping drops the
+    outside modes); at N_out = N the input itself."""
     N = truncation_of(coeffs)
     if N_out == N:
         return coeffs
     if N_out < N:
-        raise ValueError("embed target must be at least the current truncation")
+        sl = slice(N - N_out, N + N_out + 1)
+        return np.ascontiguousarray(coeffs[..., sl, sl])
     out = zero_field(N_out, coeffs.shape[:-2])
     sl = slice(N_out - N, N_out + N + 1)
     out[..., sl, sl] = coeffs
     return out
-
-
-def resize(coeffs: np.ndarray, N_out: int) -> np.ndarray:
-    """Pad or crop to lattice size N_out (cropping drops outside modes)."""
-    N = truncation_of(coeffs)
-    if N_out >= N:
-        return embed(coeffs, N_out)
-    sl = slice(N - N_out, N + N_out + 1)
-    return np.ascontiguousarray(coeffs[..., sl, sl])
 
 
 def integral(coeffs: np.ndarray) -> np.ndarray:

@@ -153,11 +153,11 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     # d_n pseudo-metric basics and the TV bound edges
     x = spectral.random_pair(4, rng)
     y = spectral.random_pair(4, rng)
-    dxy = coupling.d_n(x, y, 2, cfg.alpha)
-    dyx = coupling.d_n(y, x, 2, cfg.alpha)
+    dxy = coupling.d_n(x - y, 2, cfg.alpha)
+    dyx = coupling.d_n(y - x, 2, cfg.alpha)
     out.append(_leq("d_n: symmetry", float(abs(dxy - dyx)), 1e-12))
     out.append(_leq("d_n: bounded by one",
-                    float(coupling.d_n(x, 1e9 * y, 2, cfg.alpha) - 1.0), 0.0))
+                    float(coupling.d_n(x - 1e9 * y, 2, cfg.alpha) - 1.0), 0.0))
     out.append(_leq("tv_bound: zero-moment edge",
                     abs(coupling.tv_bound(1.0, 0.0, 0.5) - 2.0 * (1 - np.exp(-0.5))),
                     1e-15))

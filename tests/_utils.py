@@ -26,8 +26,8 @@ from sdnlw.ergodics import compare_averages, compare_starts, sample_trajectory, 
     time_averages
 from sdnlw.noise import NoiseIncrement, sample_increment, stationary_covariance
 from sdnlw.propagator import DECAY_CONST, apply_S, default_time_grid
-from sdnlw.spectral import bracket_multiplier, dealiased_product, embed, grad2_table, \
-    hnorm, l2_inner, l2_norm, lattice_size, mean_square, mode_range, pair_norm, \
+from sdnlw.spectral import bracket_multiplier, dealiased_product, grad2_table, \
+    hnorm, l2_inner, lattice_size, lp_norm, mean_square, mode_range, pair_norm, \
     project_leq, quad_grid_size, reflect, resize, to_physical, truncation_of, \
     zero_field, zero_pair
 
@@ -77,7 +77,7 @@ def wave_residual_field(pair: np.ndarray, t: float, h: float) -> np.ndarray:
 
 def wave_residual_ratios(pair: np.ndarray, t: float, hs) -> list:
     """Successive L^2-residual ratios over the dyadic h values (~4 = O(h^2))."""
-    res = [float(np.max(l2_norm(wave_residual_field(pair, t, h)))) for h in hs]
+    res = [float(np.max(lp_norm(wave_residual_field(pair, t, h), 2.0))) for h in hs]
     return [res[i] / res[i + 1] for i in range(len(res) - 1)]
 
 
@@ -131,9 +131,7 @@ def run_table(step, state, table: list):
 
 
 def weighted_sup_norm_loop(pair, alpha, p, t_star=40.0, dt_grid=0.25):
-    """One grid time per pass: the oracle for the chunked weighted sup norm.
-
-    Returns (total, grid_max, tail_bound)."""
+    """One grid time per pass: the oracle for the chunked weighted sup norm."""
     N = truncation_of(pair)
     best = np.zeros(pair.shape[:-3])
     for t in default_time_grid(t_star, dt_grid):
@@ -141,7 +139,7 @@ def weighted_sup_norm_loop(pair, alpha, p, t_star=40.0, dt_grid=0.25):
         best = np.maximum(best, val)
     end = apply_S(pair, float(t_star))
     tail = DECAY_CONST * lattice_size(N) * np.exp(t_star / 8.0) * hnorm(end, alpha)
-    return np.maximum(best, tail), best, tail
+    return np.maximum(best, tail)
 
 
 def add_fields(*fields: np.ndarray) -> np.ndarray:
@@ -149,7 +147,7 @@ def add_fields(*fields: np.ndarray) -> np.ndarray:
     N = max(truncation_of(f) for f in fields)
     out = zero_field(N, np.broadcast_shapes(*[f.shape[:-2] for f in fields]))
     for f in fields:
-        out = out + embed(f, N)
+        out = out + resize(f, N)
     return out
 
 
@@ -218,7 +216,7 @@ def wick_powers(psi: np.ndarray, gamma: float) -> WickPowers:
     psi2 = psi2.copy()
     psi2[..., 2 * N, 2 * N] -= gamma
     psi3 = dealiased_product(psi, psi, psi)
-    psi3 = psi3 - 3.0 * gamma * embed(psi, 3 * N)
+    psi3 = psi3 - 3.0 * gamma * resize(psi, 3 * N)
     return WickPowers(psi.copy(), psi2, psi3, float(gamma))
 
 
@@ -257,7 +255,7 @@ def modified_energy_F(v: np.ndarray, a: np.ndarray, N: int) -> np.ndarray:
     wt = project_leq(v[..., 1, :, :], N)
     w3 = dealiased_product(w, w, w)
     return energy(v, N) - 0.125 * mean_square(wt) \
-        + (1.0 / 3.0) * l2_inner(embed(a, truncation_of(w3)), w3)
+        + (1.0 / 3.0) * l2_inner(resize(a, truncation_of(w3)), w3)
 
 
 def quadratic_Q(u1: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:

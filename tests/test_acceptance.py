@@ -33,11 +33,11 @@ from sdnlw.propagator import (
 )
 from sdnlw.spectral import (
     dealiased_product,
-    embed,
     gaussian_bump_pair,
     hnorm,
     random_field,
     random_pair,
+    resize,
     truncation_of,
 )
 from sdnlw import coupling as cp
@@ -310,13 +310,13 @@ def test_criterion_11_algebraic_identities():
     x = project_leq(apply_S(u0, t)[0], 4) + psi
     tot = add_fields(x, vf)
     rhs = dealiased_product(tot, tot, tot) \
-        - 3.0 * gamma * embed(tot, 3 * truncation_of(tot))
+        - 3.0 * gamma * resize(tot, 3 * truncation_of(tot))
     poly_dev = float(np.max(np.abs(lhs - rhs)))
     wick = wick_powers(psi, gamma)
     q = quadratic_Q(u0, random_pair(4, rng), gamma)
     poly_dev = max(poly_dev, float(np.max(np.abs(
         wick.psi3 - dealiased_product(psi, psi, psi)
-        + 3 * gamma * embed(psi, 12)))))
+        + 3 * gamma * resize(psi, 12)))))
     # mollifier composition
     f = random_field(6, rng)
     moll_dev = float(np.max(np.abs(

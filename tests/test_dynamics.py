@@ -189,7 +189,6 @@ class TestVStep:
     def test_n_convergence_of_remainder(self):
         # sup_t |v_N - v_{2N}|_{H1} decreases monotonically over N = 4, 8, 16
         # for fixed smooth data and one fixed noise realization
-        from sdnlw.spectral import embed
         T, dt = 1.0, 5e-3
         fine = fine_increments(16, dt, round(T / dt), 23)
         u0_full = random_pair(16, np.random.default_rng(2), decay=3.0)
@@ -201,7 +200,7 @@ class TestVStep:
             for k, c in enumerate(fine):
                 st = v_step(st, step_noise(st, NoiseIncrement(spectral.resize(c, N), dt)))
                 if (k + 1) % 10 == 0:
-                    vs.append(embed(st.v, 16))
+                    vs.append(spectral.resize(st.v, 16))
             snaps[N] = np.stack(vs)
         d48 = float(np.max(hnorm(snaps[4] - snaps[8])))
         d816 = float(np.max(hnorm(snaps[8] - snaps[16])))

@@ -446,7 +446,7 @@ class TestCoupledStarts:
         with pytest.raises(ConfigError, match=match):
             compare_starts(self.CFG, u1, u2, T, [3, 4], self.OPTS, 1, dn_every)
 
-    @pytest.mark.parametrize("dn_n", [0, -3, 0.5])
+    @pytest.mark.parametrize("dn_n", [0, -3, 0.5, 2.5, True])
     def test_bad_dn_n_refused(self, monkeypatch, dn_n):
         def no_step(*args, **kw):
             raise AssertionError("a coupling step ran")
@@ -455,5 +455,5 @@ class TestCoupledStarts:
         monkeypatch.setenv("SDNLW_WORKERS", "1")
         monkeypatch.setattr(ergodics, "coupling_step", no_step)
         u1, u2 = self.starts()
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             compare_starts(self.CFG, u1, u2, 1.0, [3, 4], self.OPTS, dn_n, 0.5)

@@ -941,6 +941,51 @@ KEPT_WITHOUT_CALLER = {
     "linear_moment_report": "criterion 03's subject: the linear flow against its law",
 }
 
+# defaulted parameters that no call in the package or the benchmark passes
+DEFAULT_ONLY = {
+    ("ergodics.compare_starts", "coupling_opts"):
+        "criterion 10's coupled run, the one coupled two-start experiment",
+    ("ergodics.compare_starts", "dn_n"): "criterion 10's coupled run sets d_n's n",
+    ("ergodics.compare_starts", "dn_every"): "criterion 10's coupled run sets the d_n cadence",
+}
+
+
+def _defaulted_parameters(tree, module: str) -> list:
+    """(function, the name a call uses, parameter, position) of every
+    parameter with a default under ``tree``.  ``__init__`` is called by its
+    class name; a method's position does not count its self or cls; a
+    keyword-only parameter has no position (None)."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                called = cls if child.name == "__init__" else child.name
+                a = child.args
+                pos = a.posonlyargs + a.args
+                skip = 0 if cls is None else 1
+                out.extend((f"{module}.{called}", called, pos[i].arg, i - skip)
+                           for i in range(len(pos) - len(a.defaults), len(pos)))
+                out.extend((f"{module}.{called}", called, arg.arg, None)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """Whether ``call`` passes ``param``, by name or by position; a
+    ``**kw`` or ``*args`` may pass anything."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
 
 def _referenced_names(node) -> Counter:
     """Names, attributes, imported names and dotted string constants (the
@@ -996,19 +1041,27 @@ class TestPublicSurface:
         assert set(KEPT_WITHOUT_CALLER) | set(VERIFY_ONLY) <= defined
 
     def test_every_keyword_only_parameter_is_passed_by_name(self):
-        # a keyword-only parameter that no code in the package or the
-        # benchmark passes is a hand-off kept only for tests
+        # a defaulted parameter, keyword-only or not, that no code in the
+        # package or the benchmark passes is an option kept only for tests
         root = Path(__file__).resolve().parents[1]
         package = sorted((root / "src" / "sdnlw").glob("*.py"))
         callers = package + sorted((root / "perfbench").glob("*.py"))
-        passed = {kw.arg for path in callers
-                  for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.Call) for kw in node.keywords}
-        kwonly = [(f"{path.stem}.{node.name}", arg.arg) for path in package
-                  for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.FunctionDef) for arg in node.args.kwonlyargs]
-        assert ("dynamics.v_step", "x0_phys") in kwonly
-        assert [f"{fn}({arg})" for fn, arg in kwonly if arg not in passed] == []
+        calls = {}
+        for path in callers:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+        defaulted = [d for path in package
+                     for d in _defaulted_parameters(ast.parse(path.read_text()), path.stem)]
+        exempt = set(VERIFY_ONLY) | set(KEPT_WITHOUT_CALLER)
+        assert ("dynamics.v_step", "v_step", "x0_phys", None) in defaulted
+        assert ("dynamics.BlowUpError", "BlowUpError", "label", 2) in defaulted
+        assert set(DEFAULT_ONLY) <= {(fn, param) for fn, _, param, _ in defaulted}
+        unpassed = [f"{fn}({param})" for fn, name, param, pos in defaulted
+                    if name not in exempt and (fn, param) not in DEFAULT_ONLY
+                    and not any(_passes(c, param, pos) for c in calls.get(name, []))]
+        assert unpassed == []
 
     def test_every_traced_name_resolves(self):
         # perfbench/spans.py names the functions it traces by string; a

@@ -71,6 +71,11 @@ class TestIncrements:
         with pytest.raises(ValueError):
             sample_increment(4, 0.0, 1, 0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_refuses_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            sample_increment(4, delta, 1, 0)
+
     @pytest.mark.parametrize("N, seed", [(0, 5), (4, 3), (8, -2), (4, [3, -2**63, 2**63 - 1]),
                                          (3, np.arange(20)), (1, [7])])
     def test_unit_hermitian_equals_fft2_route(self, N, seed):
@@ -160,6 +165,12 @@ class TestStepCovariance:
             assert np.max(np.abs(stat[..., 1, 1] - w ** (-2 * s))) < 1e-13
             assert np.max(np.abs(stat[..., 0, 1])) < 1e-14
 
+    @pytest.mark.parametrize("delta", [np.nan, -np.inf, 0.0])
+    def test_refuses_delta_not_above_zero(self, delta):
+        # +inf is the stationary law; -inf is not
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            step_covariance(np.array(2.0), delta, 1.0)
+
     def test_psd(self):
         for delta in (1e-3, 0.1, 2.0, np.inf):
             eig = np.linalg.eigvalsh(lattice_covariance(6, delta, 1.0))
@@ -228,6 +239,22 @@ class TestStickStepping:
         inc = sample_increment(4, 0.05, 99, 0)
         c = stick_step_shared(st, 0.05, inc)
         assert not np.allclose(a.value, c.value)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0])
+    def test_exact_step_refuses_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            stick_step_exact(stick_init(4, 1.0, 3), delta)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0])
+    def test_shared_step_refuses_non_finite_delta(self, delta):
+        incr = sample_increment(4, 0.01, 3)
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            stick_step_shared(stick_init(4, 1.0, 3), delta, incr)
+
+    @pytest.mark.parametrize("t", [np.nan, -np.inf])
+    def test_sample_at_refuses_time(self, t):
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            noise.sample_stick_at(4, 1.0, t, 3)
 
     def test_shared_step_refuses_increment_for_another_delta(self):
         st = stick_init(4, 1.0, 3)
@@ -323,8 +350,7 @@ class TestStickStepping:
 
 class TestMomentReport:
     def test_stationary_in_time(self):
-        rep = stationary_moment_report(1.0, 3, 3000, times=(10.0, 20.0, 40.0),
-                                       seed=4)
+        rep = stationary_moment_report(1.0, 3, 3000, seed=4)
         assert not rep["drift_flags"].any()
 
     def test_velocity_variance_candidate_via_quadrature(self):

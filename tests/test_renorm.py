@@ -6,10 +6,10 @@ import pytest
 from sdnlw.noise import sample_stick_at, stationary_covariance
 from sdnlw.spectral import (
     dealiased_product,
-    embed,
     integral,
     random_field,
     random_pair,
+    resize,
     to_physical,
     truncation_of,
     zero_pair,
@@ -25,7 +25,7 @@ RNG = np.random.default_rng(55)
 def gamma_cube(field, gamma):
     """x^3 - 3 gamma x at exact degree (reference for identities)."""
     cube = dealiased_product(field, field, field)
-    return cube - 3.0 * gamma * embed(field, truncation_of(cube))
+    return cube - 3.0 * gamma * resize(field, truncation_of(cube))
 
 
 class TestWickPowers:
