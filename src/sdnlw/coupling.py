@@ -100,13 +100,16 @@ def mollify(coeffs: np.ndarray, eps) -> np.ndarray:
 
     eps may be a scalar or a batch array; eps = 0 is the identity and the
     composition law mollify(mollify(f, e1), e2) = mollify(f, e1 + e2) is
-    exact.
+    exact.  eps must be finite and >= 0.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0):
-        raise ValueError("mollifier scale must be >= 0")
-    N = truncation_of(coeffs)
-    return coeffs * np.exp(-eps[..., None, None] * grad2_table(N))
+    if not np.all((0 <= eps) & (eps < np.inf)):  # NaN fails too
+        raise ValueError(f"mollifier scale must be finite and >= 0, got {eps}")
+    return _mollify(coeffs, eps)
+
+
+def _mollify(coeffs: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    return coeffs * np.exp(-eps[..., None, None] * grad2_table(truncation_of(coeffs)))
 
 
 def tv_bound(moment_p: float, e_abs_logx_p: float, L: float) -> float:
@@ -259,9 +262,9 @@ class CouplingOptions:
         if self.norm_exp is not None and (isinstance(self.norm_exp, bool)
                                           or not 0.0 < self.norm_exp < np.inf):
             raise ValueError(f"norm_exp must be finite and > 0, got {self.norm_exp}")
-        if isinstance(self.eps_every, bool) \
-                or not (self.eps_every >= 1 and self.eps_every == int(self.eps_every)):
-            raise ValueError(f"eps_every must be an integer >= 1, got {self.eps_every}")
+        every = self.eps_every  # NaN and inf fail before int() sees them
+        if isinstance(every, bool) or not (1 <= every < np.inf and every == int(every)):
+            raise ValueError(f"eps_every must be an integer >= 1, got {every}")
         if isinstance(self.dt_grid, bool) or not 0.0 < self.dt_grid < np.inf:
             raise ValueError(f"dt_grid must be finite and > 0, got {self.dt_grid}")
 
@@ -343,8 +346,9 @@ def _plain_bracket(record: CouplingRecord, p_ph: np.ndarray):
 def _moll_bracket(record: CouplingRecord, Q: np.ndarray, eps: np.ndarray):
     """B_moll = P_N [(Q conv rho_eps)(pi1 w + pi1 S(t) udiff conv rho_eps)]."""
     N = record.flow.cfg.N
-    qm = record.w[..., 0, :, :] + mollify(record.lin_diff[..., 0, :, :], eps)
-    return dealiased_product(mollify(Q, eps), qm, out_N=N)
+    # unchecked: a non-finite path's NaN eps ends in the blow-up check on w
+    qm = record.w[..., 0, :, :] + _mollify(record.lin_diff[..., 0, :, :], eps)
+    return dealiased_product(_mollify(Q, eps), qm, out_N=N)
 
 
 def epsilon_scale(record: CouplingRecord, Q: np.ndarray) -> np.ndarray:

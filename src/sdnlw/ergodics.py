@@ -6,12 +6,9 @@ two starts in lockstep on the same seeds and one stick object: one
 ``dynamics.step_noise`` per step, the white-noise increment with the
 stochastic convolution advanced by it, serves both (synchronous
 coupling); with coupling options a coupling
-record toward the second start carries the first start's flow.  The
-seeds are split over one spawn process pool sized by SDNLW_WORKERS; a
-path's numbers depend only on its seed and the starts and join in seed
-order, so none depends on the worker count.  A script calling it with
-SDNLW_WORKERS > 1 needs an ``if __name__ == "__main__":`` guard, or the
-pool fails at once with ``BrokenProcessPool``.
+record toward the second start carries the first start's flow.  Every
+seed runs in-process as one batch per start, and a path's numbers depend
+only on its seed and the starts.
 
 Birkhoff averages (1/T) int_0^T F(Phi_t) dt are computed by the trapezoid
 rule over the stored sampling times.  Error bars use the integrated
@@ -31,7 +28,6 @@ the computable exponentially weighted sup with p = 16, labelled "Z-proxy".
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,6 +170,13 @@ def _window(s: ObservableSeries, burn: float, T: float) -> tuple:
     return s.times[mask], s.values[mask]
 
 
+def _pooled(per: list) -> tuple:
+    """Mean of the per-path means and its standard error sqrt(sum se^2) / n,
+    from one ``mean_with_error`` per path."""
+    means, errs, _ = map(np.array, zip(*per))
+    return means.mean(), np.sqrt(np.sum(errs**2)) / len(per)
+
+
 def ensemble_summary(series: dict, burn: float) -> dict:
     """Pooled mean/variance/autocorrelation time/standard error per
     observable; the standard error uses the effective sample size from the
@@ -184,13 +187,13 @@ def ensemble_summary(series: dict, burn: float) -> dict:
         if vals.ndim == 1:
             vals = vals[:, None]
         per = [mean_with_error(vals[:, j]) for j in range(vals.shape[1])]
-        errs = np.array([p[1] for p in per])
+        mean, stderr = _pooled(per)
         taus = np.array([p[2] for p in per])
         out[name] = {
-            "mean": float(np.mean([p[0] for p in per])),
+            "mean": float(mean),
             "var": float(vals.var(ddof=1)),
             "act": float(taus.mean()),
-            "stderr": float(np.sqrt(np.sum(errs**2)) / len(per)),
+            "stderr": float(stderr),
             "n_eff": float(np.sum(vals.shape[0] / (2.0 * taus))),
         }
     return out
@@ -298,29 +301,6 @@ def _check_window(cfg: SimConfig, T: float) -> None:
                           f"than two samples at obs_interval {cfg.obs_interval}")
 
 
-def worker_count() -> int:
-    """Worker processes for the two-start ensembles: SDNLW_WORKERS, default 1."""
-    raw = os.environ.get("SDNLW_WORKERS", "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ConfigError(f"SDNLW_WORKERS: expected a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _chunk(seq: list, k: int) -> list:
-    k = max(1, min(k, len(seq)))
-    size = (len(seq) + k - 1) // k
-    return [seq[i: i + size] for i in range(0, len(seq), size)]
-
-
-def _averages_worker(payload) -> tuple:
-    """Per-trajectory averages over [T/4, T] of every start, and the
-    coupled d_n series (None when uncoupled), for one seed chunk."""
-    cfg, starts, T, seeds, coupled = payload
-    runs = _sample_starts(cfg, starts, seeds, T, coupled=coupled)
-    return ([time_averages(run["series"], 0.25 * T, T) for run in runs],
-            runs[0].get("coupled_dn"))
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -351,7 +331,6 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
     if len(seeds) < 2:  # the across-seed standard error needs two
         raise ValueError(f"seeds: need at least 2 for a standard error, got {len(seeds)}")
     names = tuple(cfg.observables)
-    _observable_fns(names)  # refuse an unknown name before any worker starts
     coupled = None
     if coupling_opts is not None:
         if not dn_every > 0:
@@ -359,26 +338,15 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
         steps(T, dn_every, "dn_every")
         coupled = (coupling_opts, dn_n, steps(dn_every, cfg.dt, "dn_every"))
     _check_window(cfg, T)
-    workers = worker_count()
-    payloads = [(cfg, (u1_0, u2_0), T, chunk, coupled)
-                for chunk in _chunk(seeds, workers)]
-    if workers == 1:
-        results = [_averages_worker(p) for p in payloads]
-    else:  # imported here so that in-process runs do not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        with ProcessPoolExecutor(len(payloads), mp_context=get_context("spawn")) as pool:
-            results = list(pool.map(_averages_worker, payloads))
-    avg1, avg2 = ({name: np.concatenate([avgs[i][name] for avgs, _ in results])
-                   for name in names} for i in range(2))
+    runs = _sample_starts(cfg, (u1_0, u2_0), seeds, T, coupled=coupled)
+    avg1, avg2 = (time_averages(run["series"], 0.25 * T, T) for run in runs)
     report = {"observables": {name: compare_averages(avg1[name], avg2[name])
                               for name in names},
               "seeds": tuple(seeds), "T": T}
     if coupled is not None:
-        # one 1-d array of all seeds per time, so the chunking moves no bit
-        per_path = np.concatenate([dn.values for _, dn in results], axis=1)
-        dn_vals = [float(np.mean(row)) for row in per_path]
-        report["coupled_dn"] = {"times": results[0][1].times, "values": np.array(dn_vals),
+        dn = runs[0]["coupled_dn"]
+        dn_vals = [float(np.mean(row)) for row in dn.values]
+        report["coupled_dn"] = {"times": dn.times, "values": np.array(dn_vals),
                                 "n": dn_n, "final": dn_vals[-1]}
     return report
 
@@ -420,17 +388,10 @@ def linear_moment_report(N: int, s: float, T: float, dt_sample: float = 0.25,
         mom_ut[k] = np.abs(state.value[:, 1]) ** 2
     stat = noise_mod.stationary_covariance(N, s)
 
-    def pooled(mom):
-        mean = np.zeros((K, K))
-        se = np.zeros((K, K))
-        for a in range(K):
-            for b in range(K):
-                per = [mean_with_error(mom[:, j, a, b]) for j in range(n_paths)]
-                means = np.array([p[0] for p in per])
-                errs = np.array([p[1] for p in per])
-                mean[a, b] = means.mean()
-                se[a, b] = np.sqrt(np.sum(errs**2)) / n_paths
-        return mean, se
+    def pooled(mom):  # the (K, K) tables of the means and their standard errors
+        cells = [_pooled([mean_with_error(mom[:, j, a, b]) for j in range(n_paths)])
+                 for a in range(K) for b in range(K)]
+        return np.array(cells).T.reshape(2, K, K)
 
     mu_u, se_u = pooled(mom_u)
     mu_ut, se_ut = pooled(mom_ut)

@@ -155,15 +155,15 @@ def kick_tables(tables: PropagatorTables, forcing: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_time_grid(t_star: float = 40.0, dt_grid: float = 0.25) -> np.ndarray:
+def default_time_grid(t_star: float = T_STAR, dt_grid: float = 0.25) -> np.ndarray:
     return np.arange(0.0, t_star + 0.5 * dt_grid, dt_grid)
 
 
 @lru_cache(maxsize=64)
-def grid_tables(N: int, t_star: float, dt_grid: float):
-    """The time grid and its S(t) tables stacked to shape (G, K, K); each
-    slice is the cached ``propagator_tables(N, t)`` of that grid time."""
-    grid = read_only(default_time_grid(t_star, dt_grid))
+def grid_tables(N: int, dt_grid: float):
+    """The time grid over [0, T_STAR] and its S(t) tables stacked to shape
+    (G, K, K), each slice the cached ``propagator_tables(N, t)`` of its time."""
+    grid = read_only(default_time_grid(T_STAR, dt_grid))
     per_t = [propagator_tables(N, float(t)) for t in grid]
     return grid, PropagatorTables(*(read_only(np.stack(m)) for m in zip(*per_t)))
 
@@ -209,7 +209,7 @@ def weighted_sup_norm(pair: np.ndarray, alpha: float, p: float, *,
         raise ValueError(f"dt_grid must be finite and > 0, got {dt_grid}")
     N = truncation_of(pair)
     K = lattice_size(N)
-    grid, tables = grid_tables(N, T_STAR, float(dt_grid))
+    grid, tables = grid_tables(N, float(dt_grid))
     paths = math.prod(pair.shape[:-3])  # np.prod costs a batch-1 norm about 10%
     # grid times per chunk, at 16 bytes per complex sample
     per_time = paths * quad_grid_size(N) ** 2 * 16

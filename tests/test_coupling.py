@@ -75,6 +75,12 @@ class TestMollify:
         with pytest.raises(ValueError):
             mollify(random_field(3, RNG), -1e-3)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, [0.1, np.nan], [0.1, np.inf]])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN would make every coefficient NaN, inf the zero mode (-inf * 0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            mollify(random_field(3, RNG, batch=np.shape(eps)), eps)
+
     def test_batched_eps(self):
         f = random_field(3, RNG, batch=(4,))
         eps = np.array([0.0, 0.1, 0.2, 0.3])
@@ -969,6 +975,8 @@ class TestCouplingOptionsValidation:
         ({"dt_grid": False}, "dt_grid"),
         ({"norm_exp": True}, "norm_exp"),
         ({"norm_exp": False}, "norm_exp"),
+        ({"eps_every": float("inf")}, "eps_every"),
+        ({"eps_every": float("nan")}, "eps_every"),
     ])
     def test_rejected_with_field_name(self, kw, field):
         with pytest.raises(ValueError, match=field):

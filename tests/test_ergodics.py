@@ -233,8 +233,7 @@ class TestSamplingMemory:
         self.assert_flat(lambda T: sample_trajectory(cfg, None, 7, T),
                          8 * (len(cfg.observables) + 1))
 
-    def test_compare_starts(self, monkeypatch):
-        monkeypatch.delenv("SDNLW_WORKERS", raising=False)
+    def test_compare_starts(self):
         cfg, seeds = self.config(), [7, 8, 9]
         u2 = gaussian_bump_pair(cfg.N, 1.0)
         self.assert_flat(lambda T: compare_starts(cfg, None, u2, T, seeds),
@@ -350,10 +349,8 @@ class TestLockstep:
         return SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, obs_interval=0.25,
                          observables=("mean_u2", "mean_u4", "clipped_halpha"))
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_equals_one_run_per_start(self, monkeypatch, workers):
-        # uneven chunks at two workers (5 seeds: 3 + 2), a nonzero first start
-        monkeypatch.setenv("SDNLW_WORKERS", workers)
+    def test_equals_one_run_per_start(self):
+        # five seeds and a nonzero first start
         cfg = self.config()
         u1 = 0.3 * random_pair(4, np.random.default_rng(5), decay=2.0)
         u2 = gaussian_bump_pair(4, 1.0)
@@ -362,7 +359,6 @@ class TestLockstep:
         assert got == compare_starts_separately(cfg, u1, u2, 1.0, seeds)
 
     def test_one_draw_per_step(self, monkeypatch):
-        monkeypatch.setenv("SDNLW_WORKERS", "1")
         calls = []
         real = noise.sample_increment
 
@@ -373,7 +369,7 @@ class TestLockstep:
         for mod in (noise, dynamics):
             monkeypatch.setattr(mod, "sample_increment", counting)
         compare_starts(self.config(), None, gaussian_bump_pair(4, 1.0), 1.0, [3, 4, 5])
-        assert len(calls) == 20  # T / dt, for the one seed chunk
+        assert len(calls) == 20  # T / dt, for the one batch of seeds
 
 
 class TestCoupledStarts:
@@ -390,14 +386,11 @@ class TestCoupledStarts:
         u1 = 0.3 * random_pair(4, np.random.default_rng(5), decay=2.0)
         return u1, u1 + gaussian_bump_pair(4, 0.05)
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_equals_the_oracle(self, monkeypatch, workers):
-        # uneven chunks at two workers (5 seeds: 3 + 2), two different starts
-        monkeypatch.setenv("SDNLW_WORKERS", "1")
+    def test_equals_the_oracle(self):
+        # five seeds and two different starts
         u1, u2 = self.starts()
         seeds = [21, 22, 23, 24, 25]
         want = two_start_convergence(self.CFG, u1, u2, 2.0, seeds, self.OPTS, 1, 0.5)
-        monkeypatch.setenv("SDNLW_WORKERS", workers)
         got = compare_starts(self.CFG, u1, u2, 2.0, seeds, self.OPTS, 1, 0.5)
         assert got.keys() == want.keys()
         assert got["observables"] == want["observables"]
@@ -414,7 +407,6 @@ class TestCoupledStarts:
     def test_one_draw_and_one_flow_step_per_start(self, monkeypatch):
         # the record's flow is start 1's flow: 20 steps draw 20 increments
         # and make 40 flow steps, none of them a second run of start 1
-        monkeypatch.setenv("SDNLW_WORKERS", "1")
         draws, flow_steps = [], []
 
         def counting(calls, real):
@@ -437,11 +429,10 @@ class TestCoupledStarts:
         (2.1, 0.07, "dn_every: 0.07 is not a whole multiple of 0.05"),
     ])
     def test_bad_dn_every_refused_before_any_step(self, monkeypatch, T, dn_every, match):
-        def no_worker(payload):
-            raise AssertionError("a seed chunk started")
+        def no_run(*args, **kw):
+            raise AssertionError("a run started")
 
-        monkeypatch.setenv("SDNLW_WORKERS", "1")
-        monkeypatch.setattr(ergodics, "_averages_worker", no_worker)
+        monkeypatch.setattr(ergodics, "_sample_starts", no_run)
         u1, u2 = self.starts()
         with pytest.raises(ConfigError, match=match):
             compare_starts(self.CFG, u1, u2, T, [3, 4], self.OPTS, 1, dn_every)
@@ -452,7 +443,6 @@ class TestCoupledStarts:
             raise AssertionError("a coupling step ran")
 
         # refused at the d_n of t = 0, before the first step
-        monkeypatch.setenv("SDNLW_WORKERS", "1")
         monkeypatch.setattr(ergodics, "coupling_step", no_step)
         u1, u2 = self.starts()
         with pytest.raises(ValueError, match="n must be an integer >= 1"):

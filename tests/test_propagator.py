@@ -2,6 +2,7 @@
 
 import inspect
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ class TestXalphaNorm:
 
 # (T_STAR, dt_grid): T_STAR on the grid, off the grid, and a one-point grid
 GRIDS = [(40.0, 1.0), (1.0, 0.3), (0.0, 0.25)]
+
+
+def patch_t_star(monkeypatch, t_star):
+    """Move the grid end for one test.  ``grid_tables`` is cached by
+    (N, dt_grid) alone, so the test gets a cache of its own: no grid of
+    another end is served to it, and none of its grids outlives it."""
+    monkeypatch.setattr(propagator, "T_STAR", t_star)
+    monkeypatch.setattr(propagator, "grid_tables",
+                        lru_cache(maxsize=None)(grid_tables.__wrapped__))
+
 # chunk budgets: one grid time per chunk, the default, the whole grid at once
 BUDGETS = [1, spectral.CHUNK_BYTES, 1 << 40]
 
@@ -181,7 +192,7 @@ class TestChunkedSupNorm:
     def test_equals_per_point_loop(self, monkeypatch, batch, p, t_star, dt_grid,
                                    budget):
         monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
-        monkeypatch.setattr(propagator, "T_STAR", t_star)
+        patch_t_star(monkeypatch, t_star)
         v = random_pair(4, RNG, batch=batch)
         total = weighted_sup_norm(v, 0.25, p, dt_grid=dt_grid)
         assert np.array_equal(total, weighted_sup_norm_loop(v, 0.25, p, t_star, dt_grid))
@@ -190,7 +201,7 @@ class TestChunkedSupNorm:
     @pytest.mark.parametrize("p", [2.0, 8.0, 16.0])
     def test_large_batch_equals_per_point_loop(self, monkeypatch, p, t_star, dt_grid):
         # 1000 paths at N=4 exceed the budget at one grid time: one per chunk
-        monkeypatch.setattr(propagator, "T_STAR", t_star)
+        patch_t_star(monkeypatch, t_star)
         v = random_pair(4, RNG, batch=(1000,))
         want = weighted_sup_norm_loop(v, 0.25, p, t_star, dt_grid)
         assert np.array_equal(weighted_sup_norm(v, 0.25, p, dt_grid=dt_grid), want)
@@ -221,7 +232,7 @@ class TestChunkedSupNorm:
         assert np.array_equal(stacked.ravel(), together)
 
     def test_grid_tables_are_the_per_time_tables(self):
-        grid, tables = grid_tables(4, 1.0, 0.3)
+        grid, tables = grid_tables(4, 0.3)
         for i, t in enumerate(grid):
             for stacked, single in zip(tables, propagator_tables(4, float(t))):
                 assert np.array_equal(stacked[i], single)
@@ -304,7 +315,7 @@ class TestPrunedSupNorm:
     @pytest.mark.parametrize("kind", sorted(PRUNE_INPUTS))
     def test_equals_per_point_loop(self, monkeypatch, kind, p, t_star, budget):
         monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
-        monkeypatch.setattr(propagator, "T_STAR", t_star)
+        patch_t_star(monkeypatch, t_star)
         v = PRUNE_INPUTS[kind]()
         total = weighted_sup_norm(v, 0.25, p)
         want = weighted_sup_norm_loop(v, 0.25, p, t_star)
@@ -388,8 +399,8 @@ class TestPrunedSupNorm:
 class TestCachedTablesReadOnly:
     @pytest.mark.parametrize("table", [
         lambda: propagator_tables(4, 0.3).m11,
-        lambda: grid_tables(4, 1.0, 0.3)[0],
-        lambda: grid_tables(4, 1.0, 0.3)[1].m22,
+        lambda: grid_tables(4, 0.3)[0],
+        lambda: grid_tables(4, 0.3)[1].m22,
         lambda: omega_table(4),
         lambda: bracket_table(4, 0.25),
         lambda: bracket_table(4, -0.75),

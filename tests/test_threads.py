@@ -94,7 +94,6 @@ class TestSplitEqualsWhole:
                 coupling_step(rec, stale)
 
     def test_lockstep_compare_starts(self, monkeypatch):
-        monkeypatch.delenv("SDNLW_WORKERS", raising=False)
         cfg = SimConfig(N=4, s=1.0, gamma=0.3, alpha=0.25, dt=0.1, obs_interval=0.2,
                         observables=("mean_u2",))
         u2 = gaussian_bump_pair(4, 0.5)
