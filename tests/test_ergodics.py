@@ -349,14 +349,15 @@ class TestLockstep:
         return SimConfig(N=4, s=1.0, gamma=0.3, dt=0.05, obs_interval=0.25,
                          observables=("mean_u2", "mean_u4", "clipped_halpha"))
 
-    def test_equals_one_run_per_start(self):
-        # five seeds and a nonzero first start
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_equals_one_run_per_start(self, T):
+        # five seeds, a nonzero first start, and windows of 4 and 7 samples
         cfg = self.config()
         u1 = 0.3 * random_pair(4, np.random.default_rng(5), decay=2.0)
         u2 = gaussian_bump_pair(4, 1.0)
         seeds = [21, 22, 23, 24, 25]
-        got = compare_starts(cfg, u1, u2, 1.0, seeds)
-        assert got == compare_starts_separately(cfg, u1, u2, 1.0, seeds)
+        got = compare_starts(cfg, u1, u2, float(T), seeds)
+        assert got == compare_starts_separately(cfg, u1, u2, float(T), seeds)
 
     def test_one_draw_per_step(self, monkeypatch):
         calls = []
@@ -386,11 +387,20 @@ class TestCoupledStarts:
         u1 = 0.3 * random_pair(4, np.random.default_rng(5), decay=2.0)
         return u1, u1 + gaussian_bump_pair(4, 0.05)
 
-    def test_equals_the_oracle(self):
-        # five seeds and two different starts
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_the_oracle(self, monkeypatch, threads):
+        # five seeds and two different starts; on two threads the coupling
+        # steps run split in uneven row blocks (2 + 3), on one thread whole
         u1, u2 = self.starts()
         seeds = [21, 22, 23, 24, 25]
         want = two_start_convergence(self.CFG, u1, u2, 2.0, seeds, self.OPTS, 1, 0.5)
+        monkeypatch.setattr(coupling, "_thread_count", lambda: threads)
+        monkeypatch.setattr(coupling, "_MIN_BLOCK_SAMPLES",
+                            len(seeds) * coupling.cube_grid_size(4) ** 2 // 2)
+        split = []
+        real_blocks = coupling._row_blocks
+        monkeypatch.setattr(coupling, "_row_blocks",
+                            lambda rec: split.append(real_blocks(rec)) or split[-1])
         got = compare_starts(self.CFG, u1, u2, 2.0, seeds, self.OPTS, 1, 0.5)
         assert got.keys() == want.keys()
         assert got["observables"] == want["observables"]
@@ -403,6 +413,8 @@ class TestCoupledStarts:
         for key in ("n", "final"):
             assert type(dn[key]) is type(dn_want[key]) and dn[key] == dn_want[key]
         assert 0.0 < dn["final"] < 1.0  # d_1 neither zero nor saturated
+        want_blocks = [] if threads == 1 else [slice(0, 2), slice(2, 5)]
+        assert split and all(blocks == want_blocks for blocks in split)
 
     def test_one_draw_and_one_flow_step_per_start(self, monkeypatch):
         # the record's flow is start 1's flow: 20 steps draw 20 increments
