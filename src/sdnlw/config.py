@@ -145,7 +145,9 @@ def parse_config(text: str) -> SimConfig:
 
 def steps(span: float, dt: float, key: str) -> int:
     """The exact number of steps of length dt in span; a ConfigError naming
-    ``key`` unless span is a whole multiple of dt (relative tolerance 1e-9)."""
+    ``key`` unless span >= 0 is a whole multiple of dt (relative tolerance 1e-9)."""
+    if span < 0:
+        raise ConfigError(f"{key}: must be >= 0, got {span}")
     n = span / dt
     if not (math.isfinite(n) and math.isclose(round(n) * dt, span, rel_tol=1e-9)):
         raise ConfigError(f"{key}: {span} is not a whole multiple of {dt}")

@@ -48,8 +48,8 @@ the discrete Girsanov density
 uses predictable h_k, so E[E(h)] = 1 holds exactly at any step size.
 
 A ``CouplingRecord`` carries the reference ``FlowState`` and reads its clock
-from it; ``coupling_step`` runs on one ``StepNoise`` of that flow (its own
-``step_noise`` unless given), checks w with the flow's blow-up check and
+from it; ``coupling_step`` takes its ``StepNoise`` as ``v_step`` does
+(``dynamics._noise_for``), checks w with the flow's blow-up check and
 advances u1 with ``v_step`` on the same noise; a large batch is stepped in
 row blocks on threads, bit for bit as whole (``coupling_step``).  The
 blocks are cut and joined by walking the one place that records the path
@@ -68,8 +68,8 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .config import SimConfig, steps
-from .dynamics import BlowUpError, FlowState, StepNoise, _check_blowup, \
-    _check_fits_paths, cube_grid_size, flow_init, full_flow, step_noise, v_step
+from .dynamics import BlowUpError, FlowState, StepNoise, _check_blowup, _check_fits_paths, \
+    _noise_for, cube_grid_size, flow_init, full_flow, step_noise, v_step
 from .noise import PER_DATUM, PER_PATH, NoiseIncrement, OwnArrays, map_rows
 from .propagator import _half_spectrum_weights, apply_tables, kick_tables, \
     mode_sum_bound, propagator_tables, xalpha_norm
@@ -399,7 +399,7 @@ def _step_rows(record: CouplingRecord, noise: StepNoise) -> CouplingRecord:
     tab = propagator_tables(N, delta)
     w_new = apply_tables(tab, record.w) \
         + delta * kick_tables(tab, b_moll - b_plain)
-    _check_blowup(w_new, cfg, (flow.step + 1) * delta, "w")
+    _check_blowup(w_new, cfg, noise.stick.step, "w")
     flow_new = v_step(flow, noise, x0_phys=p_ph)
     lin_diff_new = apply_tables(tab, record.lin_diff)
 
@@ -473,11 +473,7 @@ def coupling_step(record: CouplingRecord, noise: StepNoise | None = None) -> Cou
     error is the whole step's; any other error propagates as raised.  No
     thread outlives the call.
     """
-    flow = record.flow
-    if noise is None:
-        noise = step_noise(flow)
-    elif noise.before is not flow.stick:
-        raise ValueError("noise: built from another stick than the state's")
+    noise = _noise_for(record.flow, noise)
     blocks = _row_blocks(record)
     if not blocks:
         return _step_rows(record, noise)
@@ -519,7 +515,6 @@ def shifted_flow_check(cfg: SimConfig, u1_0: np.ndarray | None, u2_0: np.ndarray
     coupling step, and then, shifted by dt times the h that step used,
     drives the plain simulator from u2^0.  The gap is round-off.
     """
-    seed = cfg.seed if seed is None else seed
     rec = coupling_init(cfg, u1_0, u2_0, opts, seed=seed)
     direct = flow_init(cfg, u2_0, seed=seed)
     worst = 0.0

@@ -135,17 +135,16 @@ def cube_grid_size(N: int) -> int:
     return product_grid_size(3 * N, N)
 
 
-def nonlinearity_field(lin: np.ndarray, stick_value: np.ndarray, v: np.ndarray,
-                       gamma: float, N: int, x_phys: np.ndarray | None = None
-                       ) -> np.ndarray:
-    """P_N [ x^3 - 3 gamma x ] with x = pi1 P_N (lin + stick + v).
+def nonlinearity_field(x: np.ndarray, gamma: float, N: int,
+                       x_phys: np.ndarray | None = None) -> np.ndarray:
+    """P_N [ x^3 - 3 gamma x ] of x = pi1 of a full flow (``full_flow``).
 
     The cube is dealiased on the M x M grid, M = cube_grid_size(N), as
     ``dealiased_product(x, x, x, out_N=N)`` does it, bit for bit.
     ``x_phys``, when given, holds x already sampled on that grid, so x is
     not transformed again.
     """
-    x = project_leq((lin + stick_value + v)[..., 0, :, :], N)
+    x = project_leq(x, N)
     M = cube_grid_size(N)
     if x_phys is None:
         x_phys = to_physical(x, M)
@@ -156,11 +155,12 @@ def nonlinearity_field(lin: np.ndarray, stick_value: np.ndarray, v: np.ndarray,
     return cube - 3.0 * gamma * x
 
 
-def _check_blowup(field: np.ndarray, cfg: SimConfig, t: float, label: str = "v") -> None:
+def _check_blowup(field: np.ndarray, cfg: SimConfig, step: int, label: str = "v") -> None:
     n = hnorm(field)
     bad = ~np.isfinite(n) | (n > cfg.blowup_threshold)
     if np.any(bad):
-        raise BlowUpError(t, float(np.max(np.where(np.isfinite(n), n, np.inf))), label)
+        worst = float(np.max(np.where(np.isfinite(n), n, np.inf)))
+        raise BlowUpError(step * cfg.dt, worst, label)
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,16 @@ def step_noise(state: FlowState, incr: NoiseIncrement | None = None) -> StepNois
     return StepNoise(incr, before, noise_mod.stick_step_shared(before, delta, incr))
 
 
+def _noise_for(state: FlowState, noise: StepNoise | None) -> StepNoise:
+    """The noise every step of ``state`` (``v_step``, the coupling's step)
+    runs on, refused before any work when built from another stick."""
+    if noise is None:
+        return step_noise(state)
+    if noise.before is not state.stick:
+        raise ValueError("noise: built from another stick than the state's")
+    return noise
+
+
 def v_step(state: FlowState, noise: StepNoise | None = None, *,
            x0_phys: np.ndarray | None = None) -> FlowState:
     """Advance stick and remainder by one exponential Euler step of length
@@ -194,19 +204,15 @@ def v_step(state: FlowState, noise: StepNoise | None = None, *,
     ``noise``).
     ``x0_phys`` is pi1 of the state's full flow on the cube grid, when the
     caller has sampled it already (see ``nonlinearity_field``)."""
-    if noise is None:
-        noise = step_noise(state)
-    elif noise.before is not state.stick:
-        raise ValueError("noise: built from another stick than the state's")
+    noise = _noise_for(state, noise)
     cfg = state.cfg
     N, delta = cfg.N, cfg.dt
     tab = propagator_tables(N, delta)
 
-    nl = nonlinearity_field(state.lin, state.stick.value, state.v, cfg.gamma, N,
-                            x0_phys)
+    nl = nonlinearity_field(full_flow(state)[..., 0, :, :], cfg.gamma, N, x0_phys)
     v_new = apply_tables(tab, state.v) - delta * kick_tables(tab, nl)
     lin_new = apply_tables(tab, state.lin)
-    _check_blowup(v_new, cfg, noise.stick.step * delta)
+    _check_blowup(v_new, cfg, noise.stick.step)
     return replace(state, lin=lin_new, stick=noise.stick, v=v_new)
 
 

@@ -36,7 +36,7 @@ from . import coupling as coupling_mod
 from . import noise as noise_mod
 from .config import ConfigError, SimConfig, selectable_name, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
-from .dynamics import FlowState, flow_init, full_flow, step_noise, v_step
+from .dynamics import flow_init, full_flow, run_steps, step_noise, v_step
 from .propagator import weighted_sup_norm
 from .spectral import dealiased_product, hnorm, integral, mean_square, pair_norm
 
@@ -203,40 +203,41 @@ def ensemble_summary(series: dict, burn: float) -> dict:
 # trajectory sampling
 
 
-def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
-                   observables: tuple | None = None,
+def _sample_starts(cfg: SimConfig, starts: tuple, seeds,
                    coupled: tuple | None = None) -> list:
-    """Run one (batched) trajectory per start in lockstep on the same seeds
-    (module docstring) and sample observables on the cadence; a start's
-    numbers equal its own run's bit for bit (the same lineage), and a
-    blow-up of any start stops the run.  Returns one {"series", "state"} per
-    start, as ``sample_trajectory``; with ``coupled = (opts, n, every)`` the
-    first run's "coupled_dn" series holds d_n of the coupled pair per path
-    every ``every`` steps.
+    """Run one (batched) trajectory per start to cfg.T in lockstep on the
+    same seeds (module docstring) and sample cfg.observables on the
+    cadence; a start's numbers equal its own run's bit for bit (the same
+    lineage), and a blow-up of any start stops the run.  Returns one
+    {"series", "state"} per start, as ``sample_trajectory``; with
+    ``coupled = (opts, n, every)`` the first start's flow is the one a
+    coupling record toward the second carries, and the first run's
+    "coupled_dn" series holds d_n of the coupled pair per path every
+    ``every`` steps.
 
     Each series is one preallocated float64 buffer of shape
     (n_samples,) + batch that every sample is copied into, so no sampled
     state outlives its step.  A sample's time is its step x dt, the
     sampled state's ``t`` bit for bit.
     """
-    T = cfg.T if T is None else T
-    names = observables if observables is not None else cfg.observables
-    fns = _observable_fns(names)
-    n_steps = steps(T, cfg.dt, "T")
+    fns = _observable_fns(cfg.observables)
+    n_steps = steps(cfg.T, cfg.dt, "T")
     every = steps(cfg.obs_interval, cfg.dt, "obs_interval")
     if fns:  # the samples must land on T
-        steps(T, cfg.obs_interval, "T")
+        steps(cfg.T, cfg.obs_interval, "T")
     batch = () if seeds is None or np.isscalar(seeds) else (len(seeds),)
-    states = [flow_init(cfg, u0, seed=seeds, batch=batch) for u0 in starts]
-    if coupled is not None:
+    if coupled is None:
+        first = flow_init(cfg, starts[0], seed=seeds, batch=batch)
+    else:
         opts, dn_n, dn_every = coupled
         rec = coupling_init(cfg, *starts, opts, seed=seeds, batch=batch)
-        states[0] = rec.flow
+        first = rec.flow
         dn_times = np.arange(0, n_steps + 1, dn_every) * cfg.dt
         dn_vals = np.empty(dn_times.shape + batch)
         dn_vals[0] = coupling_distance(rec, dn_n)
     # one stick object for every start, so one step_noise serves them all
-    states[1:] = [replace(st, stick=states[0].stick) for st in states[1:]]
+    states = [first] + [replace(flow_init(cfg, u0, seed=seeds, batch=batch),
+                                stick=first.stick) for u0 in starts[1:]]
     times = np.arange(0, n_steps + 1, every) * cfg.dt
     values = [{name: np.empty(times.shape + batch) for name in fns} for _ in states]
 
@@ -271,15 +272,15 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds, T: float | None,
     return runs
 
 
-def sample_trajectory(cfg: SimConfig, u0=None, seeds=None, T: float | None = None,
-                      observables: tuple | None = None) -> dict:
-    """Run one (batched) trajectory and sample observables on the cadence.
+def sample_trajectory(cfg: SimConfig, u0=None, seeds=None) -> dict:
+    """Run one (batched) trajectory to cfg.T and sample cfg.observables on
+    the cadence.
 
     T and obs_interval must be multiples of dt, and T of obs_interval when
     observables are sampled (a ConfigError before any step otherwise).  Returns
     {"series": {name: ObservableSeries}, "state": final FlowState}.
     """
-    return _sample_starts(cfg, (u0,), seeds, T, observables)[0]
+    return _sample_starts(cfg, (u0,), seeds)[0]
 
 
 def time_averages(series: dict, burn: float, T: float) -> dict:
@@ -325,11 +326,13 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
     standard error.  With ``coupling_opts``, "coupled_dn" holds the seed
     mean of d_n of the coupled pair every ``dn_every``, which must be > 0
     and divide T; the window must hold two samples (a ConfigError before
-    any step otherwise).
+    any step otherwise), and the seeds two or more distinct ones.
     """
     seeds = list(seeds)
     if len(seeds) < 2:  # the across-seed standard error needs two
         raise ValueError(f"seeds: need at least 2 for a standard error, got {len(seeds)}")
+    if len(set(seeds)) < len(seeds):  # repeated seeds run identical paths
+        raise ValueError(f"seeds: must be distinct for a standard error, got {seeds}")
     names = tuple(cfg.observables)
     coupled = None
     if coupling_opts is not None:
@@ -338,7 +341,7 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
         steps(T, dn_every, "dn_every")
         coupled = (coupling_opts, dn_n, steps(dn_every, cfg.dt, "dn_every"))
     _check_window(cfg, T)
-    runs = _sample_starts(cfg, (u1_0, u2_0), seeds, T, coupled=coupled)
+    runs = _sample_starts(replace(cfg, T=T), (u1_0, u2_0), seeds, coupled=coupled)
     avg1, avg2 = (time_averages(run["series"], 0.25 * T, T) for run in runs)
     report = {"observables": {name: compare_averages(avg1[name], avg2[name])
                               for name in names},
@@ -356,8 +359,8 @@ def krylov_bogolyubov_diagnostic(cfg: SimConfig, radii, n_samples: int,
     """Tightness table: fraction of samples with
     |stick|_{Z-proxy} + |v|_{H^{1+alpha}} > R, against the O(1/R) shape."""
     seeds = [seed + j for j in range(n_samples)]
-    run = sample_trajectory(cfg, None, seeds, t_sample, ())
-    state: FlowState = run["state"]
+    state = run_steps(flow_init(cfg, seed=seeds, batch=(n_samples,)),
+                      steps(t_sample, cfg.dt, "t_sample"))
     z = weighted_sup_norm(state.stick.value, cfg.alpha, Z_PROXY_P)
     vnorm = hnorm(state.v, 1.0 + cfg.alpha)
     size = z + vnorm

@@ -102,26 +102,22 @@ def _check_seeds(seed) -> None:
 
 def _batched_normals(seed, step: int, block: int, shape: tuple) -> np.ndarray:
     """Standard normals from the counter-based stream (seed, step, block),
-    each seed's drawn into its row of one array; a scalar seed gives an
-    unbatched array, a 1-d sequence of n seeds a batch (n,)."""
+    each seed's drawn into its row of one array; a 1-d sequence of n seeds
+    gives a batch (n,), a scalar seed a batch of one whose row is returned."""
     _check_seeds(seed)
-    t = _TEMPLATE
-    philox, gen, state, key = t.philox, t.gen, t.state, t.key
-    t.counter[2:] = (int(block), int(step))
-    if np.isscalar(seed):
-        key[0] = int(seed) & _KEY_MASK
-        philox.state = state
-        return gen.standard_normal(shape)
     if np.ndim(seed) > 1:
         raise ValueError(f"seed of shape {np.shape(seed)}: a draw takes a scalar "
                          "seed or a 1-d sequence of seeds")
+    t = _TEMPLATE
+    philox, gen, state, key = t.philox, t.gen, t.state, t.key
+    t.counter[2:] = (int(block), int(step))
     seeds = np.asarray(seed).ravel().tolist()
     out = np.empty((len(seeds),) + tuple(shape))
     for s, row in zip(seeds, out):
         key[0] = int(s) & _KEY_MASK
         philox.state = state
         gen.standard_normal(shape, out=row)
-    return out
+    return out[0] if np.isscalar(seed) else out
 
 
 @lru_cache(maxsize=None)
@@ -275,14 +271,16 @@ class StickState(OwnArrays):
 def stick_init(N: int, s: float, seed, batch: tuple = ()) -> StickState:
     """The stochastic convolution starts from the zero pair.  Each path
     needs its own stream: a scalar seed takes batch (), a 1-d sequence of
-    seeds batch (len(seed),).  A seed is a signed 64-bit integer, the
-    stream's key; one outside [-2**63, 2**63) is refused here and on every
-    draw (``_check_seeds``)."""
+    seeds batch (len(seed),), and an empty sequence is refused.  A seed is
+    a signed 64-bit integer, the stream's key; one outside [-2**63, 2**63)
+    is refused here and on every draw (``_check_seeds``)."""
     batch = tuple(batch)
     if np.shape(seed) != batch or np.ndim(seed) != (0 if np.isscalar(seed) else 1):
         raise ValueError(f"seed of shape {np.shape(seed)} does not match batch "
                          f"{batch}: a scalar seed needs batch (), a 1-d "
                          "sequence of n seeds batch (n,)")
+    if batch == (0,):
+        raise ValueError("seed: an empty sequence of seeds gives no path")
     _check_seeds(seed)
     seed = np.array(seed, dtype=np.int64) if batch else seed  # not the caller's
     return StickState(N, s, zero_pair(N, batch), 0, seed)

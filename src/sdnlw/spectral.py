@@ -61,8 +61,6 @@ try:  # scipy's pocketfft is noticeably faster on small batched transforms
 except ImportError:  # pragma: no cover
     from numpy import fft as _fft
 
-OMEGA0 = np.sqrt(0.75)  # omega at the zero mode, <0> = sqrt(3/4)
-
 # budget for the physical-grid samples one quadrature block, or one X^alpha
 # chunk, holds at a time (module docstring; propagator)
 CHUNK_BYTES = 256 * 1024

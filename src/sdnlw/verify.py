@@ -86,8 +86,7 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     bcfg = replace(cfg, N=4, gamma=0.7).check()
     u1 = spectral.random_pair(4, rng)
     u2 = spectral.random_pair(4, rng)
-    zero = spectral.zero_pair(4)
-    n1 = dynamics.nonlinearity_field(u1, zero, zero, bcfg.gamma, 4)
+    n1 = dynamics.nonlinearity_field(u1[0], bcfg.gamma, 4)
     x = u1[0]
     cube = spectral.resize(spectral.dealiased_product(x, x, x), 4) - 3.0 * bcfg.gamma * x
     out.append(_leq("cubic: N_g(x) = P_N x^3 - 3 g x",
@@ -100,7 +99,7 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
     q_form, b_plain = coupling._plain_bracket(rec, coupling._flow_samples(rec))
     p, q = _fourier_sum(u1[0], pts), _fourier_sum(u2[0] - u1[0], pts)
     closed = 3.0 * (p**2 - bcfg.gamma) + 3.0 * p * q + q**2
-    incr = dynamics.nonlinearity_field(u2, zero, zero, bcfg.gamma, 4) - n1
+    incr = dynamics.nonlinearity_field(u2[0], bcfg.gamma, 4) - n1
     out.append(_leq("bracket: Q closed form, B_plain increment",
                     max(float(np.max(np.abs(_fourier_sum(q_form, pts) - closed))),
                         float(np.max(np.abs(b_plain - incr)))), 1e-12))

@@ -386,9 +386,9 @@ def unit_hermitian_fft2(N: int, seed, step: int, block: int) -> np.ndarray:
 def compare_starts_separately(cfg, u1_0, u2_0, T: float, seeds) -> dict:
     """One ``sample_trajectory`` run per start, each drawing its own noise:
     the oracle for the lockstep ``ergodics.compare_starts``."""
-    seeds = list(seeds)
-    avg1, avg2 = (time_averages(sample_trajectory(cfg, u0, seeds, T)["series"],
-                                0.25 * T, T) for u0 in (u1_0, u2_0))
+    seeds, cfg = list(seeds), dataclasses.replace(cfg, T=T)
+    avg1, avg2 = (time_averages(sample_trajectory(cfg, u0, seeds)["series"], 0.25 * T, T)
+                  for u0 in (u1_0, u2_0))
     return {"observables": {name: compare_averages(avg1[name], avg2[name])
                             for name in cfg.observables},
             "seeds": tuple(seeds), "T": T}

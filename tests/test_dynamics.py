@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from sdnlw.checkpoint import load_checkpoint, save_checkpoint
-from sdnlw.config import SimConfig
+from sdnlw.config import ConfigError, SimConfig
 from sdnlw.dynamics import (
     BlowUpError,
     cube_grid_size,
@@ -24,6 +24,7 @@ from sdnlw.noise import NoiseIncrement, sample_increment
 from sdnlw.propagator import apply_S, xalpha_norm
 from sdnlw.spectral import (
     dealiased_product,
+    gaussian_bump_pair,
     grad2_table,
     hnorm,
     integral,
@@ -67,7 +68,7 @@ class TestNonlinearity:
         lin = apply_S(u0, t)
         stick = zero_pair(4)
         stick[0] = psi
-        direct = nonlinearity_field(lin, stick, v, gamma, 4)
+        direct = nonlinearity_field((lin + stick + v)[0], gamma, 4)
         assert np.max(np.abs(via_coeffs - direct)) < 1e-12
 
     def test_presampled_flow_gives_the_same_bits(self):
@@ -75,10 +76,10 @@ class TestNonlinearity:
         x = (lin + stick + v)[..., 0, :, :]
         x_phys = to_physical(x, cube_grid_size(4))
         expect = dealiased_product(x, x, x, out_N=4) - 3.0 * 0.4 * x
-        assert np.array_equal(nonlinearity_field(lin, stick, v, 0.4, 4, x_phys), expect)
-        assert np.array_equal(nonlinearity_field(lin, stick, v, 0.4, 4), expect)
+        assert np.array_equal(nonlinearity_field(x, 0.4, 4, x_phys), expect)
+        assert np.array_equal(nonlinearity_field(x, 0.4, 4), expect)
         with pytest.raises(ValueError, match="sampled on"):
-            nonlinearity_field(lin, stick, v, 0.4, 4, to_physical(x, 9))
+            nonlinearity_field(x, 0.4, 4, to_physical(x, 9))
 
 
 class TestVStep:
@@ -116,7 +117,7 @@ class TestVStep:
         def rhs(t, y):
             z = y.reshape(2, K, K, 2)
             pair = z[..., 0] + 1j * z[..., 1]
-            nl = nonlinearity_field(zero_pair(N), zero_pair(N), pair, cfg.gamma, N)
+            nl = nonlinearity_field(pair[0], cfg.gamma, N)
             # remainder ODE: u' = ut, ut' = -ut - lam u - NL(u)
             du = pair[1]
             dut = -pair[1] - lam * pair[0] - nl
@@ -395,6 +396,13 @@ class TestRestart:
         cfg = SimConfig(N=4, dt=0.05)
         with pytest.raises(ValueError):
             restart_check(cfg, None, 0.33, 0.5)
+
+    @pytest.mark.parametrize("t, h, key", [(-0.5, 0.5, "t"), (0.5, -0.5, "h")])
+    def test_rejects_negative_times(self, t, h, key):
+        # a negative span ran no step and reported a residual of 0.0
+        cfg = SimConfig(N=2, dt=0.05)
+        with pytest.raises(ConfigError, match=f"^{key}: must be >= 0"):
+            restart_check(cfg, gaussian_bump_pair(2), t, h, seed=1)
 
 
 class TestEnergyBoundedness:

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestSamplingMemory:
 
     def test_sample_trajectory(self):
         cfg = self.config()
-        self.assert_flat(lambda T: sample_trajectory(cfg, None, 7, T),
+        self.assert_flat(lambda T: sample_trajectory(replace(cfg, T=T), None, 7),
                          8 * (len(cfg.observables) + 1))
 
     def test_compare_starts(self):
@@ -242,7 +243,7 @@ class TestSamplingMemory:
     def test_observable_returning_a_view(self, registry):
         register_observable("view_u", lambda pair, cfg: pair[..., 0, cfg.N, cfg.N].real)
         cfg = self.config(observables=("view_u",))
-        self.assert_flat(lambda T: sample_trajectory(cfg, None, 7, T), 8 * 2)
+        self.assert_flat(lambda T: sample_trajectory(replace(cfg, T=T), None, 7), 8 * 2)
 
 
 class TestExperiments:
@@ -286,6 +287,25 @@ class TestExperiments:
         rep = krylov_bogolyubov_diagnostic(SimConfig(N=2, dt=0.05), [1, 2], 4, 0.3)
         assert rep["sizes"].shape == (4,)
 
+    def test_krylov_bogolyubov_horizon_names_t_sample(self):
+        with pytest.raises(ConfigError, match="^t_sample: 0.33 is not a whole multiple of 0.05"):
+            krylov_bogolyubov_diagnostic(SimConfig(N=2, dt=0.05), [1.0], 4, 0.33)
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: krylov_bogolyubov_diagnostic(cfg, [1.0], 0, 0.5),
+        lambda cfg: sample_trajectory(cfg, None, []),
+        lambda cfg: linear_moment_report(2, 1.0, 2.0, n_paths=0),
+    ], ids=["krylov_bogolyubov", "sample_trajectory", "linear_moment_report"])
+    def test_no_paths_refused(self, run):
+        # no seed ran NaN fractions, empty series or an unpacking error
+        with pytest.raises(ValueError, match="^seed: an empty sequence"):
+            run(SimConfig(N=2, dt=0.05, T=1.0))
+
+    def test_negative_horizon_refused(self):
+        # T = -1 was a whole number of steps, -20, and died on an empty series
+        with pytest.raises(ConfigError, match="^T: must be >= 0"):
+            sample_trajectory(SimConfig(N=2, dt=0.05, T=-1.0), None, 3)
+
     def test_krylov_bogolyubov_shape(self):
         cfg = SimConfig(N=8, s=1.0, gamma=0.0, dt=0.05)
         rep = krylov_bogolyubov_diagnostic(cfg, radii=[0.0, 1.0, 2.0, 4.0, 8.0],
@@ -300,9 +320,9 @@ class TestExperiments:
         # two seeds, same config: long-run averages agree within 3 combined
         # autocorrelation-aware standard errors
         from sdnlw.ergodics import mean_with_error
-        cfg = SimConfig(N=4, s=1.0, gamma=0.0, dt=0.05, obs_interval=0.25,
+        cfg = SimConfig(N=4, s=1.0, gamma=0.0, dt=0.05, T=60.0, obs_interval=0.25,
                         observables=("mean_u2",))
-        run = sample_trajectory(cfg, None, seeds=[11, 12], T=60.0)
+        run = sample_trajectory(cfg, None, seeds=[11, 12])
         vals = run["series"]["mean_u2"].values  # (T, 2)
         burn = vals.shape[0] // 4
         m1, se1, _ = mean_with_error(vals[burn:, 0])

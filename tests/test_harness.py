@@ -195,8 +195,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("span,dt", [
         (1.1, 0.25), (0.33, 0.05), (1e-12, 0.01), (np.inf, 0.01), (np.nan, 0.01),
+        (-0.5, 0.05), (-1.0, 0.25), (-1e-12, 0.01), (-np.inf, 0.01),
     ])
     def test_steps_off_grid_refused(self, span, dt):
+        # a negative span is refused too: -0.5 / 0.05 is a whole number of
+        # steps, -10, that no loop runs
         with pytest.raises(ConfigError, match="^T: "):
             steps(span, dt, "T")
 
@@ -470,8 +473,10 @@ class TestRunner:
         assert np.array_equal(dn["values"], dn_want["values"])
         assert dn["final"] == dn_want["final"]
 
-    @pytest.mark.parametrize("seeds", [[], [5]])
+    @pytest.mark.parametrize("seeds", [[], [5], [4, 4, 4], [3, 5, 6, 5]])
     def test_too_few_seeds_refused(self, seeds):
+        # repeated seeds run identical paths, which the standard error
+        # counts as independent: [4, 4, 4] reported combined_se 0.0
         cfg = SimConfig(N=2, s=1.0, dt=0.05, observables=("mean_u2",))
         for opts in (None, CouplingOptions(eps_every=10)):
             with pytest.raises(ValueError, match="seeds"):
@@ -841,9 +846,9 @@ class TestCli:
     def test_verify_catches_an_aliased_cube(self, capsys, monkeypatch):
         real = dynamics.nonlinearity_field
 
-        def undersized(lin, stick_value, v, gamma, N, x_phys=None):
+        def undersized(x, gamma, N, x_phys=None):
             # the cube on a grid that holds x but cannot dealias x^3
-            args = (lin, stick_value, v, gamma, N)
+            args = (x, gamma, N)
             if x_phys is not None:
                 return real(*args, x_phys)
             with pytest.MonkeyPatch.context() as mp:
@@ -1049,6 +1054,14 @@ class TestPublicSurface:
                     if name not in exempt and (fn, param) not in DEFAULT_ONLY
                     and not any(_passes(c, param, pos) for c in calls.get(name, []))]
         assert unpassed == []
+
+    def test_one_noise_hand_off(self):
+        # v_step and coupling_step take their noise through one function,
+        # dynamics._noise_for, which alone refuses noise of another stick
+        root = Path(__file__).resolve().parents[1]
+        hits = [p.name for p in sorted((root / "src" / "sdnlw").glob("*.py"))
+                for _ in range(p.read_text().count('"noise: built from another stick'))]
+        assert hits == ["dynamics.py"]
 
     def test_every_traced_name_resolves(self):
         # perfbench/spans.py names the functions it traces by string; a

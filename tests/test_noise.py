@@ -269,6 +269,10 @@ class TestStickStepping:
         with pytest.raises(ValueError, match=r"seed of shape .* batch"):
             stick_init(2, 1.0, seed, batch)
 
+    def test_init_refuses_an_empty_seed_sequence(self):
+        with pytest.raises(ValueError, match="^seed: an empty sequence"):
+            stick_init(2, 1.0, [], (0,))
+
     DRAWS = pytest.mark.parametrize("draw", [
         lambda seed: sample_increment(2, 0.1, seed),
         lambda seed: noise.unit_hermitian(2, seed, 0, 0),
