@@ -227,17 +227,17 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds,
         steps(cfg.T, cfg.obs_interval, "T")
     batch = () if seeds is None or np.isscalar(seeds) else (len(seeds),)
     if coupled is None:
-        first = flow_init(cfg, starts[0], seed=seeds, batch=batch)
+        states = [flow_init(cfg, starts[0], seed=seeds, batch=batch)]
     else:
         opts, dn_n, dn_every = coupled
         rec = coupling_init(cfg, *starts, opts, seed=seeds, batch=batch)
-        first = rec.flow
+        states = [rec.flow]
         dn_times = np.arange(0, n_steps + 1, dn_every) * cfg.dt
         dn_vals = np.empty(dn_times.shape + batch)
         dn_vals[0] = coupling_distance(rec, dn_n)
     # one stick object for every start, so one step_noise serves them all
-    states = [first] + [replace(flow_init(cfg, u0, seed=seeds, batch=batch),
-                                stick=first.stick) for u0 in starts[1:]]
+    states += [replace(flow_init(cfg, u0, seed=seeds, batch=batch), stick=states[0].stick)
+               for u0 in starts[1:]]
     times = np.arange(0, n_steps + 1, every) * cfg.dt
     values = [{name: np.empty(times.shape + batch) for name in fns} for _ in states]
 
@@ -331,9 +331,12 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
     seeds = list(seeds)
     if len(seeds) < 2:  # the across-seed standard error needs two
         raise ValueError(f"seeds: need at least 2 for a standard error, got {len(seeds)}")
-    if len(set(seeds)) < len(seeds):  # repeated seeds run identical paths
+    # repeated seeds run identical paths; rows are compared (axis 0), so a
+    # nested sequence reaches the seed checks of the state
+    if len(np.unique(seeds, axis=0)) < len(seeds):
         raise ValueError(f"seeds: must be distinct for a standard error, got {seeds}")
     names = tuple(cfg.observables)
+    steps(T, cfg.dt, "T")  # first, so a negative T is not reported as dn_every's span
     coupled = None
     if coupling_opts is not None:
         if not dn_every > 0:

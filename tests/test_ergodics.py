@@ -459,6 +459,7 @@ class TestCoupledStarts:
         (2.0, -1.0, "dn_every: must be > 0"),
         (2.0, 0.75, "dn_every: 2.0 is not a whole multiple of 0.75"),
         (2.1, 0.07, "dn_every: 0.07 is not a whole multiple of 0.05"),
+        (-1.0, 0.5, "T: must be >= 0, got -1.0"),
     ])
     def test_bad_dn_every_refused_before_any_step(self, monkeypatch, T, dn_every, match):
         def no_run(*args, **kw):
