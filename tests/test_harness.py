@@ -482,6 +482,13 @@ class TestRunner:
             with pytest.raises(ValueError, match="seeds"):
                 compare_starts(cfg, None, None, 0.5, seeds, coupling_opts=opts)
 
+    def test_nested_seeds_refused_by_the_state(self):
+        # rows of seeds cannot be hashed for the repeated-seed check; the
+        # state's own seed check refuses them
+        cfg = SimConfig(N=2, s=1.0, dt=0.05, observables=("mean_u2",))
+        with pytest.raises(ValueError, match=r"^seed of shape \(2, 2\) does not match"):
+            compare_starts(cfg, None, None, 0.5, np.array([[1, 2], [3, 4]]))
+
 
 class TestCli:
     def run_cli(self, *args):
