@@ -65,7 +65,8 @@ def _write_json(args, name: str, payload: dict) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    paths = simulate_run(cfg, args.out, args.u0, args.amplitude)
+    u0 = gaussian_bump_pair(cfg.N, args.amplitude) if args.u0 == "bump" else None
+    paths = simulate_run(cfg, args.out, u0)
     print(f"series:     {paths['series']}")
     print(f"summary:    {paths['summary']}")
     print(f"checkpoint: {paths['checkpoint']}")

@@ -5,7 +5,7 @@ Constraints enforced here: N an integer >= 0, seed an integer in
 0 < alpha < min(s, 1/3), dt > 0, T >= 0, obs_interval > 0,
 blowup_threshold > 0, and every float key finite except blowup_threshold,
 which may be +inf, every observables name one a config line can select
-(``selectable_name``), and output_dir free of '#', line breaks and
+(``selectable_name``) and listed once, and output_dir free of '#', line breaks and
 surrounding whitespace, so that a config survives dump_config and
 parse_config unchanged.  NaN fails every constraint.  Each violated
 constraint is reported individually, naming the offending key.
@@ -77,10 +77,14 @@ class SimConfig:
             errs.append(f"seed: must be an integer in [-2**63, 2**63), got {self.seed!r}")
         real("obs_interval", lambda v: 0 < v < math.inf, "be finite and > 0")
         real("blowup_threshold", lambda v: v > 0, "be > 0 (inf allowed)")
-        bad = [name for name in self.observables if not selectable_name(name)]
+        names = list(self.observables)
+        bad = [name for name in names if not selectable_name(name)]
         if bad:
             errs.append(f"observables: {bad} cannot be selected by a config line "
                         f"(empty, or holding whitespace, ',', '#' or '=')")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            errs.append(f"observables: {repeated} listed more than once")
         out = str(self.output_dir)
         if "#" in out or len(out.splitlines()) > 1 or out != out.strip():
             errs.append(f"output_dir: must hold no '#' or line break and no leading "

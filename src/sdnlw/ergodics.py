@@ -28,13 +28,13 @@ the computable exponentially weighted sup with p = 16, labelled "Z-proxy".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import coupling as coupling_mod
 from . import noise as noise_mod
-from .config import ConfigError, SimConfig, selectable_name, steps
+from .config import ConfigError, SimConfig, steps
 from .coupling import CouplingOptions, coupling_distance, coupling_init, coupling_step
 from .dynamics import flow_init, full_flow, run_steps, step_noise, v_step
 from .propagator import weighted_sup_norm
@@ -69,6 +69,7 @@ def _dn_to_ref(pair, cfg):
     return coupling_mod.d_n(pair, 1, cfg.alpha)
 
 
+# the observables a config may list, read when a run starts
 _REGISTRY = {
     "mean_u": _mean_u,
     "mean_u2": _mean_u2,
@@ -78,51 +79,14 @@ _REGISTRY = {
 }
 
 
-def register_observable(name: str, fn) -> None:
-    """Add a named functional ``fn(pair, cfg)`` of the full state to the
-    observables a config may list.
-
-    ``fn`` must return real values of the paths' batch shape (a scalar for
-    one path); each value is copied into the run's float64 series at its
-    sample, so returning a view of ``pair`` retains nothing.  A value of
-    another shape or a complex value is refused at the t = 0 sample, before
-    any step.  A name must be one a config line can select: non-empty, with
-    no whitespace and none of ``,``, ``#`` or ``=`` (a ValueError naming it
-    otherwise); a non-callable ``fn`` is a TypeError.
-    """
-    if not selectable_name(name):
-        raise ValueError(f"observable name {name!r}: must be non-empty, with no "
-                         f"whitespace, ',', '#' or '='")
-    if not callable(fn):
-        raise TypeError(f"observable {name!r}: fn must be callable, got {type(fn)}")
-    _REGISTRY[name] = fn
-
-
-def get_observable(name: str):
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown observable {name!r}; "
-                       f"known: {sorted(_REGISTRY)}") from None
-
-
 def _observable_fns(names) -> dict:
-    """The registered functional of each name; a ConfigError naming
-    ``observables`` for a name not registered."""
+    """The functional of each name; a ConfigError naming ``observables``
+    for a name not in the table."""
     try:
-        return {name: get_observable(name) for name in names}
+        return {name: _REGISTRY[name] for name in names}
     except KeyError as exc:
-        raise ConfigError(f"observables: {exc.args[0]}") from None
-
-
-@dataclass
-class ObservableSeries:
-    """Sampled values of one observable along one trajectory (or batch),
-    float64; the series one sampling run returns share one ``times`` array."""
-
-    name: str
-    times: np.ndarray
-    values: np.ndarray  # shape (n_times,) + batch
+        raise ConfigError(f"observables: unknown observable {exc.args[0]!r}; "
+                          f"known: {sorted(_REGISTRY)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +119,21 @@ def autocorr_time(x: np.ndarray) -> float:
 
 
 def mean_with_error(x: np.ndarray) -> tuple[float, float, float]:
-    """(mean, stderr, tau_int) of a correlated scalar series."""
+    """(mean, stderr, tau_int) of a correlated series of two or more samples."""
     x = np.asarray(x, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"a series of {x.size} samples has no standard error")
     tau = autocorr_time(x)
     n_eff = max(x.size / (2.0 * tau), 1.0)
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n_eff)), float(tau)
 
 
-def _window(s: ObservableSeries, burn: float, T: float) -> tuple:
-    """Times and values of ``s`` in [burn, T], which must hold two samples."""
-    mask = (s.times >= burn - 1e-12) & (s.times <= T + 1e-12)
+def _window(times: np.ndarray, burn: float) -> np.ndarray:
+    """The mask of the times in [burn, times[-1]], which must hold two samples."""
+    mask = times >= burn - 1e-12
     if np.count_nonzero(mask) < 2:
-        raise ValueError(f"{s.name}: the window [{burn}, {T}] holds under two samples")
-    return s.times[mask], s.values[mask]
+        raise ValueError(f"the window [{burn}, {times[-1]}] holds under two samples")
+    return mask
 
 
 def _pooled(per: list) -> tuple:
@@ -177,15 +143,14 @@ def _pooled(per: list) -> tuple:
     return means.mean(), np.sqrt(np.sum(errs**2)) / len(per)
 
 
-def ensemble_summary(series: dict, burn: float) -> dict:
+def ensemble_summary(times: np.ndarray, series: dict, burn: float) -> dict:
     """Pooled mean/variance/autocorrelation time/standard error per
-    observable; the standard error uses the effective sample size from the
-    windowed autocorrelation estimate."""
+    observable over [burn, times[-1]]; the standard error uses the effective
+    sample size from the windowed autocorrelation estimate."""
+    mask = _window(times, burn)
     out = {}
-    for name, s in series.items():
-        _, vals = _window(s, burn, s.times[-1])
-        if vals.ndim == 1:
-            vals = vals[:, None]
+    for name, values in series.items():
+        vals = values[mask].reshape(np.count_nonzero(mask), -1)  # a column per path
         per = [mean_with_error(vals[:, j]) for j in range(vals.shape[1])]
         mean, stderr = _pooled(per)
         taus = np.array([p[2] for p in per])
@@ -209,11 +174,11 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds,
     same seeds (module docstring) and sample cfg.observables on the
     cadence; a start's numbers equal its own run's bit for bit (the same
     lineage), and a blow-up of any start stops the run.  Returns one
-    {"series", "state"} per start, as ``sample_trajectory``; with
+    {"times", "series", "state"} per start, as ``sample_trajectory``; with
     ``coupled = (opts, n, every)`` the first start's flow is the one a
     coupling record toward the second carries, and the first run's
-    "coupled_dn" series holds d_n of the coupled pair per path every
-    ``every`` steps.
+    "coupled_dn" pair (times, values) holds d_n of the coupled pair per
+    path every ``every`` steps.
 
     Each series is one preallocated float64 buffer of shape
     (n_samples,) + batch that every sample is copied into, so no sampled
@@ -223,8 +188,7 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds,
     fns = _observable_fns(cfg.observables)
     n_steps = steps(cfg.T, cfg.dt, "T")
     every = steps(cfg.obs_interval, cfg.dt, "obs_interval")
-    if fns:  # the samples must land on T
-        steps(cfg.T, cfg.obs_interval, "T")
+    steps(cfg.T, cfg.obs_interval, "T")  # the samples must land on T
     batch = () if seeds is None or np.isscalar(seeds) else (len(seeds),)
     if coupled is None:
         states = [flow_init(cfg, starts[0], seed=seeds, batch=batch)]
@@ -245,12 +209,7 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds,
         for state, vals in zip(states, values):
             phi = full_flow(state)
             for name, fn in fns.items():
-                v = np.asarray(fn(phi, cfg))
-                if v.shape != batch or v.dtype.kind not in "biuf":
-                    raise ValueError(f"observable {name!r}: expected real values of "
-                                     f"the batch shape {batch}, got {v.dtype} of "
-                                     f"shape {v.shape}")
-                vals[name][i] = v
+                vals[name][i] = fn(phi, cfg)
 
     sample(0, states)
     for k in range(n_steps):
@@ -264,11 +223,10 @@ def _sample_starts(cfg: SimConfig, starts: tuple, seeds,
                 dn_vals[(k + 1) // dn_every] = coupling_distance(rec, dn_n)
         if (k + 1) % every == 0:
             sample((k + 1) // every, states)
-    runs = [{"series": {name: ObservableSeries(name, times, v) for name, v in vals.items()},
-             "state": state}
+    runs = [{"times": times, "series": vals, "state": state}
             for state, vals in zip(states, values)]
     if coupled is not None:
-        runs[0]["coupled_dn"] = ObservableSeries("coupled_dn", dn_times, dn_vals)
+        runs[0]["coupled_dn"] = (dn_times, dn_vals)
     return runs
 
 
@@ -276,27 +234,28 @@ def sample_trajectory(cfg: SimConfig, u0=None, seeds=None) -> dict:
     """Run one (batched) trajectory to cfg.T and sample cfg.observables on
     the cadence.
 
-    T and obs_interval must be multiples of dt, and T of obs_interval when
-    observables are sampled (a ConfigError before any step otherwise).  Returns
-    {"series": {name: ObservableSeries}, "state": final FlowState}.
+    T and obs_interval must be multiples of dt, and T of obs_interval (a
+    ConfigError before any step otherwise).  Returns {"times": the sample
+    times, "series": {name: float64 values of shape (samples,) + batch},
+    "state": final FlowState}.
     """
     return _sample_starts(cfg, (u0,), seeds)[0]
 
 
-def time_averages(series: dict, burn: float, T: float) -> dict:
-    """Per-trajectory time averages (1/(T - burn)) int_burn^T F dt, by
-    trapezoid over the stored sample times, for each observable."""
-    out = {}
-    for name, s in series.items():
-        if T > s.times[-1] + 1e-12:
-            raise ValueError(f"T = {T} lies beyond the stored horizon {s.times[-1]}")
-        t, v = _window(s, burn, T)
-        out[name] = np.trapezoid(v, t, axis=0) / (t[-1] - t[0])
-    return out
+def time_averages(times: np.ndarray, series: dict, burn: float) -> dict:
+    """Per-trajectory time averages (1/(T - burn)) int_burn^T F dt to the stored
+    horizon T = times[-1], by trapezoid over the sample times, per observable."""
+    mask = _window(times, burn)
+    t = times[mask]
+    return {name: np.trapezoid(v[mask], t, axis=0) / (t[-1] - t[0])
+            for name, v in series.items()}
 
 
 def _check_window(cfg: SimConfig, T: float) -> None:
-    """Refuse a horizon whose averaging window [T/4, T] holds under two samples."""
+    """Refuse a run that samples no observable, or whose averaging window
+    [T/4, T] holds under two samples."""
+    if not cfg.observables:
+        raise ConfigError("observables: the list is empty, so the run checks nothing")
     if steps(T, cfg.obs_interval, "T") < 2:
         raise ConfigError(f"T: the averaging window [T/4, T] of T = {T} holds fewer "
                           f"than two samples at obs_interval {cfg.obs_interval}")
@@ -337,7 +296,6 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
         repeated = False
     if repeated:  # repeated seeds run identical paths
         raise ValueError(f"seeds: must be distinct for a standard error, got {seeds}")
-    names = tuple(cfg.observables)
     steps(T, cfg.dt, "T")  # first, so a negative T is not reported as dn_every's span
     coupled = None
     if coupling_opts is not None:
@@ -347,14 +305,14 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
         coupled = (coupling_opts, dn_n, steps(dn_every, cfg.dt, "dn_every"))
     _check_window(cfg, T)
     runs = _sample_starts(replace(cfg, T=T), (u1_0, u2_0), seeds, coupled=coupled)
-    avg1, avg2 = (time_averages(run["series"], 0.25 * T, T) for run in runs)
+    avg1, avg2 = (time_averages(run["times"], run["series"], 0.25 * T) for run in runs)
     report = {"observables": {name: compare_averages(avg1[name], avg2[name])
-                              for name in names},
+                              for name in avg1},
               "seeds": tuple(seeds), "T": T}
     if coupled is not None:
-        dn = runs[0]["coupled_dn"]
-        dn_vals = [float(np.mean(row)) for row in dn.values]
-        report["coupled_dn"] = {"times": dn.times, "values": np.array(dn_vals),
+        dn_times, dn = runs[0]["coupled_dn"]
+        dn_vals = [float(np.mean(row)) for row in dn]
+        report["coupled_dn"] = {"times": dn_times, "values": np.array(dn_vals),
                                 "n": dn_n, "final": dn_vals[-1]}
     return report
 

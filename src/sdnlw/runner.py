@@ -21,7 +21,6 @@ from .checkpoint import write_checkpoint
 from .config import SimConfig, dump_config
 from .ergodics import _check_window, ensemble_summary, sample_trajectory, time_averages
 from .noise import RNG_STREAM
-from .spectral import gaussian_bump_pair
 
 SUMMARY_SCHEMA = "sdnlw-summary-1"
 
@@ -112,36 +111,25 @@ class RunManifest:
             fh.write("\n")
 
 
-def initial_data(kind: str, cfg: SimConfig, amplitude: float = 1.0):
-    if kind == "zero":
-        return None
-    if kind == "bump":
-        return gaussian_bump_pair(cfg.N, amplitude)
-    raise ValueError(f"unknown initial data kind {kind!r}")
-
-
-def simulate_run(cfg: SimConfig, out_dir=None, u0_kind: str = "zero",
-                 amplitude: float = 1.0) -> dict:
-    """One trajectory: observable series CSV, summary JSON, final checkpoint,
-    manifest.  Deterministic in (config, seed)."""
+def simulate_run(cfg: SimConfig, out_dir=None, u0=None) -> dict:
+    """One trajectory from the pair ``u0`` (zero data when None): observable
+    series CSV, summary JSON, final checkpoint, manifest.  Deterministic in
+    (config, seed, u0)."""
     _check_window(cfg, cfg.T)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     manifest = RunManifest.begin(cfg, [cfg.seed])
-    run = sample_trajectory(cfg, initial_data(u0_kind, cfg, amplitude),
-                            seeds=cfg.seed)
+    run = sample_trajectory(cfg, u0, seeds=cfg.seed)
     out.mkdir(parents=True, exist_ok=True)
-    series = run["series"]
-    times = next(iter(series.values())).times
-    columns = {name: s.values for name, s in series.items()}
+    times, series = run["times"], run["series"]
     csv_path = out / "series.csv"
-    write_series_csv(csv_path, times, columns)
+    write_series_csv(csv_path, times, series)
     burn = 0.25 * cfg.T
-    avgs = time_averages(series, burn, cfg.T)
+    avgs = time_averages(times, series, burn)
     summary = {
         "config": cfg.as_dict(),
         "kind": "simulate",
         "time_averages": {k: float(v) for k, v in avgs.items()},
-        "statistics": ensemble_summary(series, burn),
+        "statistics": ensemble_summary(times, series, burn),
         "burn_in": burn,
     }
     json_path = out / "summary.json"

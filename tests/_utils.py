@@ -387,8 +387,8 @@ def compare_starts_separately(cfg, u1_0, u2_0, T: float, seeds) -> dict:
     """One ``sample_trajectory`` run per start, each drawing its own noise:
     the oracle for the lockstep ``ergodics.compare_starts``."""
     seeds, cfg = list(seeds), dataclasses.replace(cfg, T=T)
-    avg1, avg2 = (time_averages(sample_trajectory(cfg, u0, seeds)["series"], 0.25 * T, T)
-                  for u0 in (u1_0, u2_0))
+    runs = [sample_trajectory(cfg, u0, seeds) for u0 in (u1_0, u2_0)]
+    avg1, avg2 = (time_averages(run["times"], run["series"], 0.25 * T) for run in runs)
     return {"observables": {name: compare_averages(avg1[name], avg2[name])
                             for name in cfg.observables},
             "seeds": tuple(seeds), "T": T}

@@ -11,15 +11,14 @@ from sdnlw import coupling, dynamics, ergodics, noise
 from sdnlw.config import ConfigError, SimConfig
 from sdnlw.coupling import CouplingOptions
 from sdnlw.ergodics import (
-    ObservableSeries,
+    _REGISTRY,
     autocorr_time,
     compare_averages,
     compare_starts,
-    get_observable,
+    ensemble_summary,
     krylov_bogolyubov_diagnostic,
     linear_moment_report,
     mean_with_error,
-    register_observable,
     sample_trajectory,
     time_averages,
 )
@@ -30,31 +29,24 @@ from _utils import compare_starts_separately, two_start_convergence
 RNG = np.random.default_rng(77)
 
 
-@pytest.fixture
-def registry(monkeypatch):
-    """A private copy of the observable registry, so a test's registrations
-    do not outlive it."""
-    monkeypatch.setattr(ergodics, "_REGISTRY", dict(ergodics._REGISTRY))
-    return ergodics._REGISTRY
-
-
 class TestObservables:
     def test_registry_contents(self):
-        for name in ("mean_u", "mean_u2", "mean_u4", "clipped_halpha",
-                     "dn_to_ref"):
-            assert callable(get_observable(name))
+        assert set(_REGISTRY) == {"mean_u", "mean_u2", "mean_u4", "clipped_halpha",
+                                  "dn_to_ref"}
+        assert all(callable(fn) for fn in _REGISTRY.values())
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            get_observable("nope")
+        with pytest.raises(ConfigError, match="^observables: unknown observable 'nope'; "
+                                              "known: \\['clipped_halpha'"):
+            sample_trajectory(SimConfig(N=2, dt=0.05, T=1.0, observables=("nope",)))
 
     def test_constant_field_values(self):
         pair = zero_pair(4)
         pair[0, 4, 4] = 1.5
         cfg = SimConfig(N=4)
-        assert float(get_observable("mean_u")(pair, cfg)) == pytest.approx(1.5)
-        assert float(get_observable("mean_u2")(pair, cfg)) == pytest.approx(2.25)
-        assert float(get_observable("mean_u4")(pair, cfg)) == pytest.approx(
+        assert float(_REGISTRY["mean_u"](pair, cfg)) == pytest.approx(1.5)
+        assert float(_REGISTRY["mean_u2"](pair, cfg)) == pytest.approx(2.25)
+        assert float(_REGISTRY["mean_u4"](pair, cfg)) == pytest.approx(
             1.5**4, rel=1e-12)
 
     def test_clipped_norm_bounded(self):
@@ -62,43 +54,23 @@ class TestObservables:
         for _ in range(10):
             pair = 10.0 * np.random.default_rng(3).standard_normal((2, 9, 9)) \
                 * (1.0 + 0j)
-            val = get_observable("clipped_halpha")(pair, cfg)
+            val = _REGISTRY["clipped_halpha"](pair, cfg)
             assert val <= 1.0
 
-    def test_user_extension_point(self, registry):
-        register_observable("test_zero_obs", lambda pair, cfg: 0.0)
-        assert get_observable("test_zero_obs")(zero_pair(2), SimConfig()) == 0.0
+    def test_table_is_read_when_a_run_starts(self, monkeypatch):
+        # the benchmark's tracer wraps the table's entries in place
+        monkeypatch.setitem(_REGISTRY, "zero_obs", lambda pair, cfg: 0.0)
+        cfg = SimConfig(N=2, dt=0.05, T=1.0, observables=("zero_obs", "mean_u2"))
+        run = sample_trajectory(cfg, None, 3)
+        assert list(run["series"]) == ["zero_obs", "mean_u2"]
+        assert np.array_equal(run["series"]["zero_obs"], np.zeros(5))
 
     @pytest.mark.parametrize("name", ["", "a, b", "a,b", "a#b", "a=b", "a b",
                                       "tab\t", "line\n", None])
-    def test_unselectable_name_refused(self, registry, name):
+    def test_unselectable_name_refused(self, name):
         # a name a config line cannot select, or one that splits the CSV header
-        before = dict(registry)
-        with pytest.raises(ValueError, match=re.escape(f"observable name {name!r}")):
-            register_observable(name, lambda pair, cfg: 0.0)
-        assert registry == before
-
-    def test_non_callable_refused(self, registry):
-        with pytest.raises(TypeError, match="'const'"):
-            register_observable("const", 0.0)
-        assert "const" not in registry
-
-    @pytest.mark.parametrize("seeds,value", [
-        (None, lambda pair, cfg: np.zeros(1)),
-        ([1, 2, 3], lambda pair, cfg: 0.0),
-        ([1, 2, 3], lambda pair, cfg: np.zeros((3, 1))),
-        ([1, 2, 3], lambda pair, cfg: pair[..., 0, cfg.N, cfg.N]),  # complex
-    ])
-    def test_wrong_value_refused_before_any_step(self, registry, monkeypatch,
-                                                 seeds, value):
-        def no_step(*args):
-            raise AssertionError("stepped before refusing")
-
-        monkeypatch.setattr(ergodics, "step_noise", no_step)
-        register_observable("bad", value)
-        cfg = SimConfig(N=2, T=1.0, observables=("mean_u2", "bad"))
-        with pytest.raises(ValueError, match="^observable 'bad': expected real values"):
-            sample_trajectory(cfg, None, seeds)
+        with pytest.raises(ConfigError, match=re.escape(f"observables: [{name!r}] cannot")):
+            SimConfig(observables=("mean_u", name)).check()
 
     def test_stick_mean_u2_matches_stationary_sum(self):
         # mean of u^2 for a (near-)stationary stick sample vs closed form
@@ -111,28 +83,28 @@ class TestObservables:
         assert abs(m2.mean() - expect) <= 5 * se
 
 
-def _average(values, t, T, burn=0.0):
-    return time_averages({"f": ObservableSeries("f", t, values)}, burn, T)["f"]
+def _average(values, t, burn=0.0):
+    return time_averages(t, {"f": values}, burn)["f"]
 
 
 class TestBirkhoff:
     def test_constant_functional(self):
         t = np.linspace(0.0, 10.0, 101)
-        for T in (2.5, 10.0):
-            avg = _average(np.ones_like(t), t, T)
+        for k in (26, 101):  # T = 2.5 and 10
+            avg = _average(np.ones(k), t[:k])
             assert float(avg) == pytest.approx(1.0, rel=1e-14)
 
     def test_frozen_state(self):
         t = np.linspace(0.0, 4.0, 41)
-        avg = _average(np.full_like(t, 3.7), t, 4.0)
+        avg = _average(np.full_like(t, 3.7), t)
         assert float(avg) == pytest.approx(3.7, rel=1e-14)
 
     def test_linear_in_functional(self):
         t = np.linspace(0.0, 1.0, 11)
         v1, v2 = RNG.standard_normal(11), RNG.standard_normal(11)
-        a = _average(v1, t, 1.0)
-        b = _average(v2, t, 1.0)
-        ab = _average(2 * v1 - 3 * v2, t, 1.0)
+        a = _average(v1, t)
+        b = _average(v2, t)
+        ab = _average(2 * v1 - 3 * v2, t)
         assert float(ab) == pytest.approx(2 * a - 3 * b, rel=1e-12)
 
     def test_running_average_consistent(self):
@@ -142,19 +114,20 @@ class TestBirkhoff:
         vals = np.sin(t)
         running = np.cumsum(0.5 * np.diff(t) * (vals[1:] + vals[:-1])) / t[1:]
         for k in (1, 10, 50):
-            avg = _average(vals, t, t[k])
+            avg = _average(vals[:k + 1], t[:k + 1])
             assert float(avg) == pytest.approx(running[k - 1], rel=1e-12)
         window = (running[-1] * 5.0 - running[19] * 2.0) / 3.0
-        avg = _average(vals, t, 5.0, burn=2.0)
+        avg = _average(vals, t, burn=2.0)
         assert float(avg) == pytest.approx(window, rel=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="horizon"):
-            _average(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 2.0)
+        # a window that starts past the stored horizon holds no sample
+        with pytest.raises(ValueError, match=r"window \[2\.0, 1\.0\] holds under two"):
+            _average(np.array([1.0, 2.0]), np.array([0.0, 1.0]), burn=2.0)
 
     def test_one_sample_window_is_refused(self):
         with pytest.raises(ValueError, match=r"window \[1\.0, 1\.0\] holds under two"):
-            _average(np.array([1.0, 2.0]), np.array([0.0, 1.0]), 1.0, burn=1.0)
+            _average(np.array([1.0, 2.0]), np.array([0.0, 1.0]), burn=1.0)
 
 
 class TestErrorBars:
@@ -180,25 +153,28 @@ class TestErrorBars:
         se_naive = x.std(ddof=1) / np.sqrt(x.size)
         assert tau > 10.0 and se_corr > 3 * se_naive
 
+    @pytest.mark.parametrize("T", [0.25, 0.0])
+    def test_under_two_samples_refused(self, T):
+        # one sample warned "Degrees of freedom <= 0", none "Mean of empty
+        # slice", and both returned nan error bars
+        with pytest.raises(ValueError, match=f"^a series of {int(T / 0.25)} samples has no"):
+            linear_moment_report(2, 1.0, T, 0.25, n_paths=2)
+
 
 class TestEnsembleSummary:
     def test_fields_and_effective_size(self):
-        from sdnlw.ergodics import ensemble_summary
         t = np.linspace(0.0, 100.0, 2001)
         rng = np.random.default_rng(4)
         vals = np.repeat(rng.standard_normal((201, 2)), 10, axis=0)[:2001]
-        series = {"obs": ObservableSeries("obs", t, vals)}
-        d = ensemble_summary(series, burn=0.0)["obs"]
+        d = ensemble_summary(t, {"obs": vals}, burn=0.0)["obs"]
         naive = np.sqrt(vals.var(ddof=1) / vals.size)
         assert d["act"] > 3.0          # strong correlation detected
         assert d["stderr"] > naive     # and reflected in the error bar
         assert d["n_eff"] < vals.size
 
     def test_one_sample_window_is_refused(self):
-        from sdnlw.ergodics import ensemble_summary
-        series = {"obs": ObservableSeries("obs", np.array([0.0, 1.0]), np.array([1.0, 2.0]))}
         with pytest.raises(ValueError, match=r"window \[1\.0, 1\.0\] holds under two"):
-            ensemble_summary(series, 1.0)
+            ensemble_summary(np.array([0.0, 1.0]), {"obs": np.array([1.0, 2.0])}, 1.0)
 
 
 class TestSamplingMemory:
@@ -240,8 +216,9 @@ class TestSamplingMemory:
         self.assert_flat(lambda T: compare_starts(cfg, None, u2, T, seeds),
                          8 * (2 * len(cfg.observables) * len(seeds) + 1))
 
-    def test_observable_returning_a_view(self, registry):
-        register_observable("view_u", lambda pair, cfg: pair[..., 0, cfg.N, cfg.N].real)
+    def test_observable_returning_a_view(self, monkeypatch):
+        monkeypatch.setitem(_REGISTRY, "view_u",
+                            lambda pair, cfg: pair[..., 0, cfg.N, cfg.N].real)
         cfg = self.config(observables=("view_u",))
         self.assert_flat(lambda T: sample_trajectory(replace(cfg, T=T), None, 7), 8 * 2)
 
@@ -319,11 +296,10 @@ class TestExperiments:
     def test_birkhoff_two_seeds_agree(self):
         # two seeds, same config: long-run averages agree within 3 combined
         # autocorrelation-aware standard errors
-        from sdnlw.ergodics import mean_with_error
         cfg = SimConfig(N=4, s=1.0, gamma=0.0, dt=0.05, T=60.0, obs_interval=0.25,
                         observables=("mean_u2",))
         run = sample_trajectory(cfg, None, seeds=[11, 12])
-        vals = run["series"]["mean_u2"].values  # (T, 2)
+        vals = run["series"]["mean_u2"]  # (T, 2)
         burn = vals.shape[0] // 4
         m1, se1, _ = mean_with_error(vals[burn:, 0])
         m2, se2, _ = mean_with_error(vals[burn:, 1])
@@ -333,9 +309,9 @@ class TestExperiments:
         cfg = SimConfig(N=2, s=1.0, dt=0.05, obs_interval=0.25, T=1.0,
                         observables=("mean_u2",))
         run = sample_trajectory(cfg, None, seeds=5)
-        s = run["series"]["mean_u2"]
-        assert s.times[0] == 0.0 and s.times[-1] == pytest.approx(1.0)
-        assert len(s.times) == 5
+        times = run["times"]
+        assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
+        assert len(times) == 5 and run["series"]["mean_u2"].shape == (5,)
 
     def test_sample_times_are_the_states_clock(self):
         cfg = SimConfig(N=2, s=1.0, dt=0.05, obs_interval=0.25, T=3.0,
@@ -346,7 +322,7 @@ class TestExperiments:
         for _ in range(12):
             st = dynamics.run_steps(st, 5)
             clock.append(st.t)
-        assert np.array_equal(run["series"]["mean_u2"].times, clock)
+        assert np.array_equal(run["times"], clock)
         assert run["state"].t == clock[-1]
 
     def test_burn_in_sample_kept_at_dt_0025(self):
@@ -354,10 +330,10 @@ class TestExperiments:
         # window [50, 200] began at 50.25; F(t) = t averages to 125 over it
         cfg = SimConfig(N=1, s=1.0, dt=0.025, obs_interval=0.25, T=200.0,
                         observables=("mean_u2",))
-        s = sample_trajectory(cfg, None, seeds=1)["series"]["mean_u2"]
-        assert s.times[200] == 50.0 and s.times[-1] == 200.0
-        ramp = {"t": ObservableSeries("t", s.times, s.times.copy())}
-        assert time_averages(ramp, 50.0, 200.0)["t"] == pytest.approx(125.0, abs=1e-9)
+        times = sample_trajectory(cfg, None, seeds=1)["times"]
+        assert times[200] == 50.0 and times[-1] == 200.0
+        ramp = {"t": times.copy()}
+        assert time_averages(times, ramp, 50.0)["t"] == pytest.approx(125.0, abs=1e-9)
 
 
 class TestLockstep:

@@ -167,6 +167,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^observables: "):
             SimConfig(observables=("mean_u", name)).check()
 
+    def test_repeated_observable_name_refused(self):
+        with pytest.raises(ConfigError, match=r"^observables: \['mean_u2'\] listed more"):
+            SimConfig(observables=("mean_u2", "mean_u2", "clipped_halpha")).check()
+        SimConfig(observables=()).check()  # an empty list is the run's to refuse
+
     def test_digest_stable(self):
         a, b = SimConfig(seed=1), SimConfig(seed=1)
         assert a.digest() == b.digest()
@@ -546,6 +551,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "observables:" in err and "'nope'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ergodic"])
+    @pytest.mark.parametrize("names", ["", "mean_u2, mean_u2, clipped_halpha"],
+                             ids=["empty", "repeated"])
+    def test_empty_or_repeated_observables_exit_one(self, tmp_path, capsys, monkeypatch,
+                                                    command, names):
+        # an empty list died with StopIteration (simulate) or checked nothing
+        # and exited 0 (ergodic); a repeated name wrote one CSV column
+        def no_step(*args, **kw):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(ergodics, "step_noise", no_step)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"N = 2\ndt = 0.05\nobservables = {names}\n")
+        out = tmp_path / "out"
+        seeds = ["--seeds", "3"] if command == "ergodic" else []
+        assert self.run_cli(command, "--config", str(cfg_file), "--t", "0.5", *seeds,
+                            "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: observables: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_simulate_bump_start(self, tmp_path, capsys):
+        # the CLI builds the bump; the library takes the pair itself
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 4\nT = 1.0\ndt = 0.05\nseed = 7\n")
+        assert self.run_cli("simulate", "--config", str(cfg_file), "--u0", "bump",
+                            "--amplitude", "0.5", "--out", str(tmp_path / "cli")) == 0
+        cfg = load_config(cfg_file)
+        simulate_run(cfg, tmp_path / "lib", gaussian_bump_pair(cfg.N, 0.5))
+        simulate_run(cfg, tmp_path / "zero")
+        got = (tmp_path / "cli" / "series.csv").read_bytes()
+        assert got == (tmp_path / "lib" / "series.csv").read_bytes()
+        assert got != (tmp_path / "zero" / "series.csv").read_bytes()
 
     def test_couple_zero_perturbation_zero_cost(self, tmp_path, capsys):
         assert self.run_cli("couple", "--u2-perturbation", "0",
@@ -935,7 +974,6 @@ VERIFY_ONLY = {
 
 # public names kept without a caller in the package or the benchmark
 KEPT_WITHOUT_CALLER = {
-    "register_observable": "the documented extension point for observables",
     "krylov_bogolyubov_diagnostic": "the paper's tightness table",
     "linear_moment_report": "criterion 03's subject: the linear flow against its law",
 }
