@@ -32,7 +32,7 @@ from .verify import format_table, run_identity_suite
 def _load_cfg(args) -> SimConfig:
     cfg = load_config(args.config) if args.config else SimConfig()
     over = {"seed": getattr(args, "seed", None), "T": getattr(args, "t", None)}
-    return replace(cfg, **{k: v for k, v in over.items() if v is not None}).check()
+    return replace(cfg, **{k: v for k, v in over.items() if v is not None})
 
 
 def _finite(text: str) -> float:
@@ -64,8 +64,11 @@ def _write_json(args, name: str, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.amplitude is not None and args.u0 != "bump":
+        raise ValueError("--amplitude: applies only with --u0 bump")
     cfg = _load_cfg(args)
-    u0 = gaussian_bump_pair(cfg.N, args.amplitude) if args.u0 == "bump" else None
+    amplitude = 1.0 if args.amplitude is None else args.amplitude
+    u0 = gaussian_bump_pair(cfg.N, amplitude) if args.u0 == "bump" else None
     paths = simulate_run(cfg, args.out, u0)
     print(f"series:     {paths['series']}")
     print(f"summary:    {paths['summary']}")
@@ -173,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one trajectory, emit observable series")
     _add_common(p, "seed", "out", "t")
     p.add_argument("--u0", choices=("zero", "bump"), default="zero")
-    p.add_argument("--amplitude", type=_finite, default=1.0)
+    p.add_argument("--amplitude", type=_finite,
+                   help="bump amplitude, with --u0 bump only (default 1.0)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("stick-stats", help="stochastic-convolution diagnostics")

@@ -1,5 +1,7 @@
 """Run configuration: the flat key=value file format and its validation.
 
+A SimConfig is checked when it is built, whether by its constructor,
+``dataclasses.replace`` or ``parse_config``, so every SimConfig is valid.
 Constraints enforced here: N an integer >= 0, seed an integer in
 [-2**63, 2**63), every float key a real number (not a bool), s > 0,
 0 < alpha < min(s, 1/3), dt > 0, T >= 0, obs_interval > 0,
@@ -7,8 +9,8 @@ blowup_threshold > 0, and every float key finite except blowup_threshold,
 which may be +inf, every observables name one a config line can select
 (``selectable_name``) and listed once, and output_dir free of '#', line breaks and
 surrounding whitespace, so that a config survives dump_config and
-parse_config unchanged.  NaN fails every constraint.  Each violated
-constraint is reported individually, naming the offending key.
+parse_config unchanged.  NaN fails every constraint.  One ConfigError
+names every violated constraint and its key.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 DEFAULT_OBSERVABLES = ("mean_u", "mean_u2", "clipped_halpha")
 
@@ -46,7 +48,7 @@ class SimConfig:
     obs_interval: float = 0.25
     blowup_threshold: float = 1e12
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         # every comparison fails on NaN; only blowup_threshold may be inf
         errs = []
 
@@ -89,18 +91,11 @@ class SimConfig:
         if "#" in out or len(out.splitlines()) > 1 or out != out.strip():
             errs.append(f"output_dir: must hold no '#' or line break and no leading "
                         f"or trailing whitespace, got {self.output_dir!r}")
-        return errs
-
-    def check(self) -> "SimConfig":
-        errs = self.validate()
         if errs:
             raise ConfigError("; ".join(errs))
-        return self
 
     def digest(self) -> str:
-        items = sorted((f.name, repr(getattr(self, f.name))) for f in fields(self))
-        blob = "\n".join(f"{k}={v}" for k, v in items).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(dump_config(self).encode()).hexdigest()
 
     def as_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -143,8 +138,7 @@ def parse_config(text: str) -> SimConfig:
             errs.append(f"{key}: cannot parse value {val!r}")
     if errs:
         raise ConfigError("; ".join(errs))
-    cfg = replace(SimConfig(), **values)
-    return cfg.check()
+    return SimConfig(**values)
 
 
 def steps(span: float, dt: float, key: str) -> int:
@@ -164,11 +158,11 @@ def load_config(path) -> SimConfig:
 
 
 def dump_config(cfg: SimConfig) -> str:
-    """Canonical key=value rendering (bit-exact logging for manifests)."""
+    """Canonical key=value rendering (bit-exact logging for manifests): each
+    value cast to its field's type, so that equal configs render alike."""
     lines = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if f.name == "observables":
-            v = ",".join(v)
+        v = ",".join(v) if f.name == "observables" else _PARSERS[f.name](v)
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"

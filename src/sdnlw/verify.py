@@ -83,7 +83,7 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
 
     # the step's cubic is the projected full cube: N_g(x) = P_N x^3 - 3 g x
     # with x = pi1 u, the full cube pinned by the products line
-    bcfg = replace(cfg, N=4, gamma=0.7).check()
+    bcfg = replace(cfg, N=4, gamma=0.7)
     u1 = spectral.random_pair(4, rng)
     u2 = spectral.random_pair(4, rng)
     n1 = dynamics.nonlinearity_field(u1[0], bcfg.gamma, 4)
@@ -130,12 +130,12 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
                     float(np.max(np.abs(stat[..., 0, 0] - pred11))), 1e-13))
 
     # Markov restart identity of the cubic flow (round-off, restart_check)
-    rcfg = replace(cfg, N=4, gamma=0.7, dt=0.05, seed=11).check()
+    rcfg = replace(cfg, N=4, gamma=0.7, dt=0.05, seed=11)
     res = dynamics.restart_check(rcfg, spectral.random_pair(4, rng), 0.5, 0.5)
     out.append(_leq("restart: flow residual", res, 1e-10))
 
     # zero fixed point of the remainder
-    zcfg = replace(cfg, N=4, gamma=0.0, dt=0.05, seed=3).check()
+    zcfg = replace(cfg, N=4, gamma=0.0, dt=0.05, seed=3)
     st = dynamics.flow_init(zcfg)
     zero_incr = noise.NoiseIncrement(spectral.zero_field(4), zcfg.dt)
     for _ in range(20):
@@ -162,14 +162,14 @@ def run_identity_suite(cfg: SimConfig) -> list[CheckResult]:
                     1e-15))
 
     # Girsanov density of the zero shift: u2 = u1 makes h vanish identically
-    gcfg = replace(cfg, N=4, dt=0.1, seed=7).check()
+    gcfg = replace(cfg, N=4, dt=0.1, seed=7)
     rec = coupling.coupling_init(gcfg, None, spectral.zero_pair(4))
     rec = coupling.run_coupling(rec, 5)
     out.append(_leq("girsanov: E(0) = 1 exactly",
                     abs(float(np.exp(rec.log_density)) - 1.0), 0.0))
 
     # Phi(u2, xi + h) = Phi(u1, xi) + S(t) udiff + w for the one scheme
-    ccfg = replace(cfg, N=4, dt=0.05, seed=5).check()
+    ccfg = replace(cfg, N=4, dt=0.05, seed=5)
     gap, _ = coupling.shifted_flow_check(ccfg, None, spectral.gaussian_bump_pair(4), 0.5)
     out.append(_leq("coupling: exact shifted-flow identity (rel)", gap, 1e-12))
 

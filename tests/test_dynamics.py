@@ -84,7 +84,7 @@ class TestNonlinearity:
 
 class TestVStep:
     def test_zero_fixed_point(self):
-        cfg = SimConfig(N=4, gamma=0.0, dt=0.05).check()
+        cfg = SimConfig(N=4, gamma=0.0, dt=0.05)
         st = flow_init(cfg)
         st = run_table(v_step, st, zero_increments(4, cfg.dt, 40))
         assert np.all(st.v == 0)

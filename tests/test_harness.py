@@ -2,6 +2,7 @@
 
 import ast
 import concurrent.futures
+import hashlib
 import importlib
 import json
 import multiprocessing.process
@@ -101,10 +102,12 @@ class TestConfig:
     @pytest.mark.parametrize("N", [True, False, 2.5, 3.0, "4", None])
     def test_non_integer_N_refused(self, N):
         with pytest.raises(ConfigError, match=r"^N: must be an integer >= 0, got "):
-            SimConfig(N=N).check()
+            SimConfig(N=N)
 
     def test_non_integer_N_reported_with_the_others(self):
-        errs = SimConfig(N=2.5, s=-1.0, dt=0.0).validate()
+        with pytest.raises(ConfigError) as err:
+            SimConfig(N=2.5, s=-1.0, dt=0.0)
+        errs = str(err.value).split("; ")
         assert [e.split(":", 1)[0] for e in errs] == ["N", "s", "alpha", "dt"]
 
     @pytest.mark.parametrize("key", ["s", "gamma", "alpha", "dt", "T", "obs_interval",
@@ -112,20 +115,20 @@ class TestConfig:
     def test_bool_float_key_refused(self, key):
         # True compares as 1, which lies in range for most of these keys
         with pytest.raises(ConfigError, match=rf"^{key}: must be a real number, got True$"):
-            SimConfig(**{key: True}).check()
+            SimConfig(**{key: True})
 
     @pytest.mark.parametrize("seed", [True, False, 2.5, 3.0, "4", None, 2**63, -2**63 - 1])
     def test_bad_seed_refused(self, seed):
         with pytest.raises(ConfigError,
                            match=r"^seed: must be an integer in \[-2\*\*63, 2\*\*63\), got "):
-            SimConfig(seed=seed).check()
+            SimConfig(seed=seed)
 
     @pytest.mark.parametrize("seed", [0, -3, 2**63 - 1, -2**63, np.int64(7)])
     def test_signed_64_bit_seed_accepted(self, seed):
-        assert SimConfig(seed=seed).check().seed == seed
+        assert SimConfig(seed=seed).seed == seed
 
     def test_numpy_integer_N_accepted(self):
-        assert SimConfig(N=np.int64(3)).check().N == 3
+        assert SimConfig(N=np.int64(3)).N == 3
 
     @pytest.mark.parametrize("name", ["euler", "midpoint", "rk4"])
     def test_unknown_integrator_refused(self, name):
@@ -160,22 +163,45 @@ class TestConfig:
     @pytest.mark.parametrize("out", ["runs#1", "a\nb", "a\rb", " runs", "runs\t"])
     def test_output_dir_that_cannot_round_trip_refused(self, out):
         with pytest.raises(ConfigError, match="^output_dir: "):
-            SimConfig(output_dir=out).check()
+            SimConfig(output_dir=out)
 
     @pytest.mark.parametrize("name", ["a b", "a=b", ""])
     def test_unselectable_observable_name_refused(self, name):
         with pytest.raises(ConfigError, match="^observables: "):
-            SimConfig(observables=("mean_u", name)).check()
+            SimConfig(observables=("mean_u", name))
 
     def test_repeated_observable_name_refused(self):
         with pytest.raises(ConfigError, match=r"^observables: \['mean_u2'\] listed more"):
-            SimConfig(observables=("mean_u2", "mean_u2", "clipped_halpha")).check()
-        SimConfig(observables=()).check()  # an empty list is the run's to refuse
+            SimConfig(observables=("mean_u2", "mean_u2", "clipped_halpha"))
+        SimConfig(observables=())  # an empty list is the run's to refuse
+
+    @pytest.mark.parametrize("build,keys", [
+        (lambda: replace(SimConfig(), s=-1.0), ["s", "alpha"]),
+        (lambda: replace(SimConfig(), s=-1.0, T=-2.0), ["s", "alpha", "T"]),
+        (lambda: SimConfig(observables=("mean_u2", "mean_u2")), ["observables"]),
+    ], ids=["replace", "replace-three", "repeated-observable"])
+    def test_every_build_is_checked(self, build, keys):
+        # replace once built these, and a library run then stepped them
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert [e.split(":", 1)[0] for e in str(err.value).split("; ")] == keys
 
     def test_digest_stable(self):
         a, b = SimConfig(seed=1), SimConfig(seed=1)
         assert a.digest() == b.digest()
         assert a.digest() != SimConfig(seed=2).digest()
+
+    @pytest.mark.parametrize("numpy,python", [
+        ({"N": np.int64(3)}, {"N": 3}),
+        ({"dt": np.float64(0.05)}, {"dt": 0.05}),
+        ({"seed": np.int64(7), "T": np.float64(2.0)}, {"seed": 7, "T": 2.0}),
+        ({"s": 1}, {"s": 1.0}),
+    ], ids=["N", "dt", "seed-T", "int-float"])
+    def test_equal_configs_one_digest(self, numpy, python):
+        a, b = SimConfig(**numpy), SimConfig(**python)
+        assert a == b
+        assert a.digest() == b.digest() == hashlib.sha256(
+            dump_config(b).encode()).hexdigest()
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(st.one_of(
@@ -271,13 +297,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key", _RESUME_KEYS)
     def test_changed_resume_key_refused(self, key):
         st = self.make_state()
-        other = replace(st.cfg, **{key: self.MUST_MATCH[key]}).check()
+        other = replace(st.cfg, **{key: self.MUST_MATCH[key]})
         with pytest.raises(CheckpointError, match=f"^{key}: checkpoint has "):
             load_checkpoint(save_checkpoint(st), other)
 
     def test_other_keys_may_change(self):
         st = self.make_state()
-        other = replace(st.cfg, **self.MAY_CHANGE).check()
+        other = replace(st.cfg, **self.MAY_CHANGE)
         back = load_checkpoint(save_checkpoint(st), other)
         assert back.cfg == replace(other, seed=st.cfg.seed)
         assert np.array_equal(back.v, st.v) and back.step == st.step
@@ -585,6 +611,28 @@ class TestCli:
         got = (tmp_path / "cli" / "series.csv").read_bytes()
         assert got == (tmp_path / "lib" / "series.csv").read_bytes()
         assert got != (tmp_path / "zero" / "series.csv").read_bytes()
+
+    def test_amplitude_needs_a_bump_start(self, tmp_path, capsys):
+        # --amplitude with the zero start was accepted and ignored
+        out = tmp_path / "out"
+        assert self.run_cli("simulate", "--amplitude", "5", "--t", "0.5",
+                            "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --amplitude: ") and "Traceback" not in err
+        assert not out.exists()
+        assert self.run_cli("simulate", "--u0", "zero", "--amplitude", "1",
+                            "--t", "0.5", "--out", str(out)) == 1
+        assert "--amplitude" in capsys.readouterr().err and not out.exists()
+
+    def test_bump_amplitude_defaults_to_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 4\nT = 0.5\ndt = 0.05\nseed = 7\n")
+        assert self.run_cli("simulate", "--config", str(cfg_file), "--u0", "bump",
+                            "--out", str(tmp_path / "cli")) == 0
+        cfg = load_config(cfg_file)
+        simulate_run(cfg, tmp_path / "lib", gaussian_bump_pair(cfg.N, 1.0))
+        assert (tmp_path / "cli" / "series.csv").read_bytes() == \
+            (tmp_path / "lib" / "series.csv").read_bytes()
 
     def test_couple_zero_perturbation_zero_cost(self, tmp_path, capsys):
         assert self.run_cli("couple", "--u2-perturbation", "0",
