@@ -118,14 +118,19 @@ def autocorr_time(x: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
+def _effective_size(n: int, tau: float) -> float:
+    """Effective sample size n / tau_int, at least 1 (tau_int = 1 + 2 sum rho)."""
+    return max(n / tau, 1.0)
+
+
 def mean_with_error(x: np.ndarray) -> tuple[float, float, float]:
     """(mean, stderr, tau_int) of a correlated series of two or more samples."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise ValueError(f"a series of {x.size} samples has no standard error")
     tau = autocorr_time(x)
-    n_eff = max(x.size / (2.0 * tau), 1.0)
-    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n_eff)), float(tau)
+    se = x.std(ddof=1) / np.sqrt(_effective_size(x.size, tau))
+    return float(x.mean()), float(se), float(tau)
 
 
 def _window(times: np.ndarray, burn: float) -> np.ndarray:
@@ -159,7 +164,7 @@ def ensemble_summary(times: np.ndarray, series: dict, burn: float) -> dict:
             "var": float(vals.var(ddof=1)),
             "act": float(taus.mean()),
             "stderr": float(stderr),
-            "n_eff": float(np.sum(vals.shape[0] / (2.0 * taus))),
+            "n_eff": float(sum(_effective_size(vals.shape[0], tau) for tau in taus)),
         }
     return out
 

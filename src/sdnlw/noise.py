@@ -30,6 +30,12 @@ Two stepping regimes:
   eta_n = S_n(delta) (0, sqrt(2) omega^{-s} xihat_n), required when the
   nonlinear flow must be driven by the same white-noise realization.
 
+Every run steps the shared stick.  Its kick has covariance Q = delta f^2 k k^T,
+f = sqrt(2) omega^{-s} and k = S(delta) (0, 1), so its law after n steps from
+zero is C_n = S C_{n-1} S^T + Q (``shared_covariance``).  The stationary C_delta
+reads low in the velocity variance by about delta, and far off where
+sin(omega delta) ~ 0, where the kick almost misses u.
+
 Randomness is counter-based (Philox) keyed by (seed, step, block), so any
 step of any path can be regenerated without replaying history and results
 are independent of scheduling; each step consumes disjoint blocks.
@@ -44,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .propagator import apply_tables, kick_tables, propagator_tables
+from .propagator import T_STAR, apply_tables, kick_tables, propagator_tables
 from .spectral import bracket_table, lattice_size, omega_table, read_only, zero_pair
 
 # The random stream every draw comes from; a change to any field changes
@@ -235,6 +241,20 @@ def stationary_covariance(N: int, s: float) -> np.ndarray:
     return lattice_covariance(N, np.inf, s)
 
 
+def shared_covariance(N: int, s: float, dt: float, n: int) -> np.ndarray:
+    """Covariance of the shared stick after n steps of dt from zero, over
+    the (K, K) lattice (module docstring); n = ceil(T_STAR / dt) gives the
+    stationary law to float resolution, as S(T_STAR) ~ e^{-T_STAR/2}."""
+    tab = propagator_tables(N, float(dt))
+    S = np.moveaxis(np.reshape(tab, (2, 2) + tab.m11.shape), (0, 1), (-2, -1))
+    k = S[..., :, 1]
+    q = dt * _forcing_table(N, s)[..., None, None] ** 2 * k[..., :, None] * k[..., None, :]
+    cov = np.zeros_like(q)
+    for _ in range(n):
+        cov = S @ cov @ np.swapaxes(S, -1, -2) + q
+    return cov
+
+
 def cholesky2(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a field of symmetric PSD 2x2 matrices."""
     s11 = np.maximum(cov[..., 0, 0], 0.0)
@@ -324,50 +344,27 @@ def sample_stick_at(N: int, s: float, t: float, seed, step: int = 0) -> np.ndarr
 # diagnostics
 
 
-MOMENT_TIMES = (10.0, 20.0, 40.0)
+REPORT_STEPS = 20
 
 
-def stationary_moment_report(s: float, N: int, n_samples: int, seed: int = 0) -> dict:
-    """Empirical per-mode variances of the stick at the MOMENT_TIMES.
-
-    The marginal at time t is Gaussian with the closed-form Sigma(t), so
-    each time slice is sampled exactly with one step.  A mode is flagged
-    when its estimates at two times differ by more than 5 combined
-    standard errors, i.e. when the variance visibly drifts with t.
-    """
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
-    K = lattice_size(N)
-    var_u = np.empty((len(MOMENT_TIMES), K, K))
-    var_ut = np.empty((len(MOMENT_TIMES), K, K))
-    seeds = [seed + 1000 * j for j in range(n_samples)]
-    for i, t in enumerate(MOMENT_TIMES):
-        vals = sample_stick_at(N, s, t, seeds, step=i)
-        var_u[i] = np.mean(np.abs(vals[:, 0]) ** 2, axis=0)
-        var_ut[i] = np.mean(np.abs(vals[:, 1]) ** 2, axis=0)
-    # SE of the mean of |z|^2: std(|z|^2)/sqrt(n); |z|^2 has std ~ its mean
-    # for proper complex modes and sqrt(2) x mean for the real ones.
-    fac = np.full((K, K), 1.0)
-    fac[N, N] = np.sqrt(2.0)
-    se_u = var_u * fac / np.sqrt(n_samples)
-    se_ut = var_ut * fac / np.sqrt(n_samples)
-    stat = stationary_covariance(N, s)
-
-    def drift_flags(var, se):
-        flags = np.zeros((K, K), dtype=bool)
-        for i in range(len(MOMENT_TIMES)):
-            for j in range(i + 1, len(MOMENT_TIMES)):
-                comb = 5.0 * np.sqrt(se[i] ** 2 + se[j] ** 2)
-                flags |= np.abs(var[i] - var[j]) > comb
-        return flags
-
-    return {
-        "times": MOMENT_TIMES,
-        "var_u": var_u,
-        "var_ut": var_ut,
-        "se_u": se_u,
-        "se_ut": se_ut,
-        "stationary_u": stat[..., 0, 0],
-        "stationary_ut": stat[..., 1, 1],
-        "drift_flags": drift_flags(var_u, se_u) | drift_flags(var_ut, se_ut),
-    }
+def shared_moment_report(N: int, s: float, dt: float, n_samples: int, seed: int) -> dict:
+    """Per-mode moments of n_samples sticks (seeds seed, seed + 1, ...)
+    stepped REPORT_STEPS times by ``stick_step_shared`` from zero: a mode is
+    flagged when E|u|^2, E|u_t|^2 or E Re(u conj(u_t)) (the last axis of
+    "mean") lies 5 standard errors off its exact law, ``shared_covariance``
+    ("law").  C_delta's relative gap to Sigma(inf) in the u and u_t
+    variances ("stationary_gap") is for information."""
+    if n_samples < 2:
+        raise ValueError(f"samples: a standard error needs 2 sticks or more, got {n_samples}")
+    st = stick_init(N, s, [seed + j for j in range(n_samples)], (n_samples,))
+    for _ in range(REPORT_STEPS):
+        st = stick_step_shared(st, dt, sample_increment(N, dt, st.seed, st.step))
+    u, ut = st.value[:, 0], st.value[:, 1]
+    moments = np.stack([np.abs(u) ** 2, np.abs(ut) ** 2, (u * ut.conj()).real], axis=-1)
+    mean, se = moments.mean(axis=0), moments.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    law = shared_covariance(N, s, dt, REPORT_STEPS)[..., [0, 1, 0], [0, 1, 1]]
+    stat = shared_covariance(N, s, dt, int(np.ceil(T_STAR / dt)))[..., [0, 1], [0, 1]]
+    gap = stat / stationary_covariance(N, s)[..., [0, 1], [0, 1]] - 1.0
+    return {"steps": REPORT_STEPS, "mean": mean, "se": se, "law": law,
+            "flags": np.any(np.abs(mean - law) > 5.0 * se, axis=-1),
+            "stationary_gap": gap}

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from sdnlw import coupling, dynamics, ergodics, noise
 from sdnlw.config import ConfigError, SimConfig
@@ -152,6 +153,17 @@ class TestErrorBars:
         _, se_corr, tau = mean_with_error(x)
         se_naive = x.std(ddof=1) / np.sqrt(x.size)
         assert tau > 10.0 and se_corr > 3 * se_naive
+
+    @pytest.mark.parametrize("phi", [0.0, 0.9], ids=["iid", "AR(1) 0.9"])
+    def test_stderr_calibrated(self, phi):
+        # the reported SE against the scatter of the means of 400 stationary
+        # AR(1) series of 4,000; n_eff = n / (2 tau) read 1.43x on iid data
+        rng = np.random.default_rng(5)
+        eps = rng.standard_normal((400, 4000))
+        eps[:, 0] /= np.sqrt(1.0 - phi**2)
+        x = lfilter([1.0], [1.0, -phi], eps, axis=1)
+        means, errs, _ = np.array([mean_with_error(row) for row in x]).T
+        assert 0.85 <= errs.mean() / means.std(ddof=1) <= 1.15
 
     @pytest.mark.parametrize("T", [0.25, 0.0])
     def test_under_two_samples_refused(self, T):

@@ -1,11 +1,13 @@
 """Configuration parsing, checkpoints, emission formats, CLI, determinism."""
 
+import argparse
 import ast
 import concurrent.futures
 import hashlib
 import importlib
 import json
 import multiprocessing.process
+import re
 import struct
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from sdnlw.checkpoint import (
     write_checkpoint,
 )
 import sdnlw
-from sdnlw import checkpoint, cli, coupling, dynamics, ergodics, spectral
+from sdnlw import checkpoint, cli, coupling, dynamics, ergodics, noise, spectral
 from sdnlw.cli import main as cli_main
 from sdnlw.config import _RESUME_KEYS, ConfigError, SimConfig, dump_config, load_config, \
     parse_config, steps
@@ -640,6 +642,17 @@ class TestCli:
         report = json.loads((tmp_path / "couple.json").read_text())
         assert report["hcost"] == 0.0
 
+    def test_couple_zero_horizon_exit_one(self, tmp_path, capsys):
+        # at T = 0 no step ran, and the shifted-flow residual read 0.000e+00
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("N = 2\ndt = 0.05\n")
+        out = tmp_path / "out"
+        assert self.run_cli("couple", "--config", str(cfg_file), "--t", "0",
+                            "--out", str(out)) == 1
+        std = capsys.readouterr()
+        assert std.out == "" and "T: " in std.err and "Traceback" not in std.err
+        assert not out.exists()
+
     def test_couple_single_pass(self, tmp_path, capsys, monkeypatch):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("N = 4\ndt = 0.05\nseed = 4\n")
@@ -741,7 +754,7 @@ class TestCli:
         assert str(tmp_path) in err and "Traceback" not in err
 
     def test_stick_stats_seed_outside_64_bits_exit_one(self, capsys):
-        # the 100 seeds step by 1000 from 2**63 - 1, past the signed range
+        # the 100 seeds count up from 2**63 - 1, past the signed range
         assert self.run_cli("stick-stats", "--seed", str(2**63 - 1),
                             "--samples", "100") == 1
         err = capsys.readouterr().err
@@ -885,18 +898,45 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     def test_stick_stats_flagged_exit_three(self, tmp_path, capsys, monkeypatch):
-        real = cli.stationary_moment_report
-
-        def one_flag(*args, **kw):
-            rep = real(*args, **kw)
-            rep["drift_flags"][0, 0] = True
-            return rep
-
-        monkeypatch.setattr(cli, "stationary_moment_report", one_flag)
-        assert self.run_cli("stick-stats", "--samples", "100",
+        # a kick 5% too strong puts the moments 10% off the shared stick's law
+        real = noise.kick_tables
+        monkeypatch.setattr(noise, "kick_tables", lambda tab, f: 1.05 * real(tab, f))
+        assert self.run_cli("stick-stats", "--samples", "2000",
                             "--out", str(tmp_path)) == 3
         report = json.loads((tmp_path / "stick_stats.json").read_text())
-        assert report["flagged_modes"] == 1
+        assert report["flagged_modes"] > 0
+        assert report["flagged_modes"] == np.sum(report["flags"])
+
+    def test_stick_stats_correct_stick_exit_zero(self, tmp_path, capsys):
+        assert self.run_cli("stick-stats", "--samples", "2000",
+                            "--out", str(tmp_path)) == 0
+        assert "modes off the 20-step law: 0 / 289" in capsys.readouterr().out
+        report = json.loads((tmp_path / "stick_stats.json").read_text())
+        assert report["steps"] == 20 and np.shape(report["law"]) == (17, 17, 3)
+        assert np.shape(report["stationary_gap"]) == (17, 17, 2)
+
+    def test_stick_stats_one_sample_exit_one(self, tmp_path, capsys):
+        assert self.run_cli("stick-stats", "--samples", "1", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "samples" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_readme_option_table_matches_parser(self):
+        # each row's backticked flags are its subparser's options, but for
+        # --config (every subcommand's), -h and the --T alias of --t
+        ignored = {"--config", "-h", "--help", "--T"}
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text[text.index("| subcommand | options |"):].split("\n\n")[0]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            name, options = line.strip("| ").split(" | ", 1)
+            rows[name.strip("`")] = set(re.findall(r"`(--[\w-]+)", options)) - ignored
+        sub, = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        parsed = {name: {o for a in p._actions for o in a.option_strings} - ignored
+                  for name, p in sub.choices.items()}
+        assert "--u0" in rows["simulate"] and rows["verify"] == set()
+        assert rows == parsed
 
     def test_verify_fail_exit_three(self, capsys, monkeypatch):
         from sdnlw.verify import CheckResult

@@ -7,20 +7,22 @@ import threading
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_discrete_lyapunov
 
 from sdnlw import noise
 from sdnlw.noise import (
     lattice_covariance,
     sample_increment,
+    shared_covariance,
+    shared_moment_report,
     stationary_covariance,
-    stationary_moment_report,
     step_covariance,
     stick_init,
     stick_step_exact,
     stick_step_shared,
 )
-from sdnlw.propagator import propagator_tables
-from sdnlw.spectral import omega_table
+from sdnlw.propagator import T_STAR, propagator_tables
+from sdnlw.spectral import bracket_table, omega_table
 from _utils import FFT_BACKENDS, fft_backend, hermitian_defect, unit_hermitian_fft2
 
 
@@ -337,25 +339,87 @@ class TestStickStepping:
         assert stick_init(2, 1.0, np.arange(2), (2,)).batch == (2,)
 
     def test_shared_step_covariance_first_order(self):
-        # one shared-increment step from zero has covariance
-        # M(d) diag(0, 2 <n>^{-2s} d) M(d)^T = Sigma(d) + O(d^2)
+        # one shared step from zero has the kick's covariance dt f^2 k k^T
+        # exactly, which is Sigma(d) only up to O(d^2); every mode's three
+        # moments lie within 5 SE of it
         n, delta, s = 40_000, 0.05, 1.0
         seeds = [31 + i for i in range(n)]
         st = stick_init(2, s, seeds, (n,))
         st = stick_step_shared(st, delta, sample_increment(2, delta, seeds))
-        cov = lattice_covariance(2, delta, s)
-        ut = st.value[:, 1, 2, 2]
-        emp = np.abs(ut) ** 2
-        se = emp.std(ddof=1) / np.sqrt(n)
-        # velocity variance agrees with Sigma_22 at leading order in d
-        assert abs(emp.mean() - cov[2, 2, 1, 1]) <= max(5 * se,
-                                                        0.1 * cov[2, 2, 1, 1])
+        u, ut = st.value[:, 0], st.value[:, 1]
+        law = shared_covariance(2, s, delta, 1)
+        for emp, want in [(np.abs(u) ** 2, law[..., 0, 0]), (np.abs(ut) ** 2, law[..., 1, 1]),
+                          ((u * ut.conj()).real, law[..., 0, 1])]:
+            se = emp.std(axis=0, ddof=1) / np.sqrt(n)
+            assert np.all(np.abs(emp.mean(axis=0) - want) <= 5 * se)
+
+
+def mode_matrices(N: int, t: float) -> np.ndarray:
+    """S(t) as a (K, K, 2, 2) field of mode matrices."""
+    tab = propagator_tables(N, t)
+    return np.stack([np.stack([tab.m11, tab.m12], -1), np.stack([tab.m21, tab.m22], -1)], -2)
+
+
+def stationary_gap(N: int, dt: float, s: float = 1.0) -> np.ndarray:
+    """C_delta's relative gap to Sigma(inf) in the u and u_t variances."""
+    stat = shared_covariance(N, s, dt, int(np.ceil(T_STAR / dt)))
+    cont = stationary_covariance(N, s)
+    return np.stack([stat[..., 0, 0] / cont[..., 0, 0],
+                     stat[..., 1, 1] / cont[..., 1, 1]]) - 1.0
+
+
+class TestSharedLaw:
+    """The closed-form law of the stick the runs step, with no sampling."""
+
+    @pytest.mark.parametrize("N, dt", [(2, 0.05), (8, 0.01), (4, 0.1)])
+    def test_one_step_is_the_kick_covariance(self, N, dt):
+        tab = propagator_tables(N, dt)
+        k = np.stack([tab.m12, tab.m22], axis=-1)
+        f = np.sqrt(2.0) * bracket_table(N, -1.0)
+        want = dt * f[..., None, None] ** 2 * k[..., :, None] * k[..., None, :]
+        assert np.array_equal(shared_covariance(N, 1.0, dt, 1), want)
+
+    def test_steps_compose(self):
+        # C_{3+5} = S^5 C_3 (S^5)^T + C_5, with S^5 = S(5 dt)
+        N, s, dt = 3, 0.7, 0.05
+        S = mode_matrices(N, 5 * dt)
+        c3, c5 = shared_covariance(N, s, dt, 3), shared_covariance(N, s, dt, 5)
+        want = S @ c3 @ np.swapaxes(S, -1, -2) + c5
+        assert np.allclose(shared_covariance(N, s, dt, 8), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N, dt", [(8, 0.05), (4, 0.1)])
+    def test_stationary_solves_the_lyapunov_equation(self, N, dt):
+        # the recursion run to T_STAR against scipy's direct solve, mode by mode
+        s = 1.0
+        S = mode_matrices(N, dt)
+        q = shared_covariance(N, s, dt, 1)
+        stat = shared_covariance(N, s, dt, int(np.ceil(T_STAR / dt)))
+        for idx in np.ndindex(S.shape[:2]):
+            want = solve_discrete_lyapunov(S[idx], q[idx])
+            assert np.allclose(stat[idx], want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("N, dt, n_off", [(8, 0.05, 12), (4, 0.1, 8), (8, 0.01, 0)],
+                             ids=["criterion 10, ergodic", "criterion 07, girsanov",
+                                  "default"])
+    def test_resonance_table(self, N, dt, n_off):
+        # modes where sin(omega dt) ~ 0 are over 10% off the continuum
+        off = (np.abs(stationary_gap(N, dt)) > 0.1).any(axis=0)
+        assert off.sum() == n_off
+        if N == 8 and dt == 0.05:
+            n = np.argwhere(off) - N
+            assert sorted(map(tuple, np.abs(n))) == [(6, 8)] * 4 + [(7, 7)] * 4 + [(8, 6)] * 4
+
+    @pytest.mark.parametrize("dt, gap", [(0.05, -0.0492), (0.1, -0.0967)])
+    def test_zero_mode_velocity_variance_low_by_about_dt(self, dt, gap):
+        N = 2
+        assert stationary_gap(N, dt)[1, N, N] == pytest.approx(gap, abs=5e-5)
 
 
 class TestMomentReport:
-    def test_stationary_in_time(self):
-        rep = stationary_moment_report(1.0, 3, 3000, seed=4)
-        assert not rep["drift_flags"].any()
+    def test_correct_stick_flags_no_mode(self):
+        rep = shared_moment_report(3, 1.0, 0.05, 3000, 4)
+        assert rep["mean"].shape == rep["law"].shape == (7, 7, 3)
+        assert not rep["flags"].any()
 
     def test_velocity_variance_candidate_via_quadrature(self):
         # 2 <n>^{-2s} int e^{-r} (cos - sin/2w)^2 dr = <n>^{-2s}
@@ -373,5 +437,5 @@ class TestMomentReport:
         assert np.max(ratio) <= 1.0 + 1e-12
 
     def test_requires_samples(self):
-        with pytest.raises(ValueError):
-            stationary_moment_report(1.0, 2, 10)
+        with pytest.raises(ValueError, match="^samples: a standard error needs 2"):
+            shared_moment_report(2, 1.0, 0.05, 1, 0)
