@@ -137,14 +137,13 @@ def cube_grid_size(N: int) -> int:
 
 def nonlinearity_field(x: np.ndarray, gamma: float, N: int,
                        x_phys: np.ndarray | None = None) -> np.ndarray:
-    """P_N [ x^3 - 3 gamma x ] of x = pi1 of a full flow (``full_flow``).
+    """P_N [ x^3 - 3 gamma x ] of x = pi1 of a full flow at truncation N.
 
     The cube is dealiased on the M x M grid, M = cube_grid_size(N), as
     ``dealiased_product(x, x, x, out_N=N)`` does it, bit for bit.
     ``x_phys``, when given, holds x already sampled on that grid, so x is
     not transformed again.
     """
-    x = project_leq(x, N)
     M = cube_grid_size(N)
     if x_phys is None:
         x_phys = to_physical(x, M)

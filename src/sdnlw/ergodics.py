@@ -14,7 +14,9 @@ Birkhoff averages (1/T) int_0^T F(Phi_t) dt are computed by the trapezoid
 rule over the stored sampling times.  Error bars use the integrated
 autocorrelation time with automatic windowing (smallest window W with
 W >= c tau_int, c = 5), so standard errors reflect the effective sample
-size rather than the raw sample count.
+size rather than the raw sample count.  ``autocorr_time`` and
+``mean_with_error`` take the series along axis 0 of an array of any
+trailing shape and give each series the numbers it gets alone, bit for bit.
 
 The stochastic convolution alone (the stick, the flow's linear part with
 zero data) is an exactly solvable Gaussian system whose per-mode
@@ -93,44 +95,45 @@ def _observable_fns(names) -> dict:
 # autocorrelation-aware error bars
 
 
-def autocorr_time(x: np.ndarray) -> float:
-    """Integrated autocorrelation time, windowed at the smallest W >= 5 tau."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
+def autocorr_time(x: np.ndarray) -> np.ndarray:
+    """Integrated autocorrelation time tau = 1 + 2 sum_{k<=W} rho_k of each
+    series along axis 0 (a 0-d array for a 1-d series), windowed at the
+    smallest W >= 5 tau_W, or at W = n - 1 when none is; 1 for a series of
+    under four samples or a constant one, NaN for one holding a NaN."""
+    x = np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), 0, -1))
+    n = x.shape[-1]
     if n < 4:
-        return 1.0
-    y = x - x.mean()
-    var = np.mean(y * y)
-    if var == 0:
-        return 1.0
-    # FFT autocovariance
-    m = 1
-    while m < 2 * n:
-        m *= 2
-    f = np.fft.rfft(y, m)
-    acov = np.fft.irfft(f * np.conj(f), m)[:n].real / np.arange(n, 0, -1)
-    rho = acov / acov[0]
-    tau = 1.0
-    for w in range(1, n):
-        tau = 1.0 + 2.0 * np.sum(rho[1:w + 1])
-        if w >= 5.0 * tau:
-            break
-    return max(tau, 1.0)
+        return np.ones(x.shape[:-1])
+    y = x - x.mean(axis=-1, keepdims=True)
+    constant = np.mean(y * y, axis=-1) == 0
+    m = 1 << (2 * n - 1).bit_length()  # FFT autocovariance, zero-padded
+    f = np.fft.rfft(y, m, axis=-1)
+    acov = np.fft.irfft(f * np.conj(f), m, axis=-1)[..., :n].real / np.arange(n, 0, -1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on a constant series
+        tau_w = 1.0 + 2.0 * np.cumsum(acov[..., 1:] / acov[..., :1], axis=-1)
+    hit = np.arange(1, n) >= 5.0 * tau_w
+    w = np.where(hit.any(axis=-1), hit.argmax(axis=-1), n - 2)
+    tau = np.take_along_axis(tau_w, w[..., None], axis=-1)[..., 0]
+    return np.where(constant, 1.0, np.maximum(tau, 1.0))
 
 
-def _effective_size(n: int, tau: float) -> float:
+def _effective_size(n: int, tau: np.ndarray) -> np.ndarray:
     """Effective sample size n / tau_int, at least 1 (tau_int = 1 + 2 sum rho)."""
-    return max(n / tau, 1.0)
+    return np.maximum(n / tau, 1.0)
 
 
-def mean_with_error(x: np.ndarray) -> tuple[float, float, float]:
-    """(mean, stderr, tau_int) of a correlated series of two or more samples."""
+def mean_with_error(x: np.ndarray) -> tuple:
+    """(mean, stderr, tau_int) of each correlated series along axis 0, which
+    must hold two or more samples; each series gets the numbers it gets
+    alone, bit for bit, whatever stands beside it."""
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"a series of {x.size} samples has no standard error")
+    n = len(x)
+    if n < 2:
+        raise ValueError(f"a series of {n} samples has no standard error")
     tau = autocorr_time(x)
-    se = x.std(ddof=1) / np.sqrt(_effective_size(x.size, tau))
-    return float(x.mean()), float(se), float(tau)
+    x = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    se = x.std(axis=-1, ddof=1) / np.sqrt(_effective_size(n, tau))
+    return x.mean(axis=-1), se, tau
 
 
 def _window(times: np.ndarray, burn: float) -> np.ndarray:
@@ -141,11 +144,10 @@ def _window(times: np.ndarray, burn: float) -> np.ndarray:
     return mask
 
 
-def _pooled(per: list) -> tuple:
-    """Mean of the per-path means and its standard error sqrt(sum se^2) / n,
-    from one ``mean_with_error`` per path."""
-    means, errs, _ = map(np.array, zip(*per))
-    return means.mean(), np.sqrt(np.sum(errs**2)) / len(per)
+def _pooled(means: np.ndarray, errs: np.ndarray) -> tuple:
+    """Mean of the per-path means along axis 0 and its standard error
+    sqrt(sum se^2) / n."""
+    return means.mean(axis=0), np.sqrt(np.sum(errs**2, axis=0)) / len(means)
 
 
 def ensemble_summary(times: np.ndarray, series: dict, burn: float) -> dict:
@@ -156,15 +158,14 @@ def ensemble_summary(times: np.ndarray, series: dict, burn: float) -> dict:
     out = {}
     for name, values in series.items():
         vals = values[mask].reshape(np.count_nonzero(mask), -1)  # a column per path
-        per = [mean_with_error(vals[:, j]) for j in range(vals.shape[1])]
-        mean, stderr = _pooled(per)
-        taus = np.array([p[2] for p in per])
+        means, errs, taus = mean_with_error(vals)
+        mean, stderr = _pooled(means, errs)
         out[name] = {
             "mean": float(mean),
             "var": float(vals.var(ddof=1)),
             "act": float(taus.mean()),
             "stderr": float(stderr),
-            "n_eff": float(sum(_effective_size(vals.shape[0], tau) for tau in taus)),
+            "n_eff": float(np.sum(_effective_size(len(vals), taus))),
         }
     return out
 
@@ -316,9 +317,9 @@ def compare_starts(cfg: SimConfig, u1_0, u2_0, T: float, seeds,
               "seeds": tuple(seeds), "T": T}
     if coupled is not None:
         dn_times, dn = runs[0]["coupled_dn"]
-        dn_vals = [float(np.mean(row)) for row in dn]
-        report["coupled_dn"] = {"times": dn_times, "values": np.array(dn_vals),
-                                "n": dn_n, "final": dn_vals[-1]}
+        dn_means = dn.mean(axis=-1)
+        report["coupled_dn"] = {"times": dn_times, "values": dn_means,
+                                "n": dn_n, "final": float(dn_means[-1])}
     return report
 
 
@@ -333,7 +334,7 @@ def krylov_bogolyubov_diagnostic(cfg: SimConfig, radii, n_samples: int,
     vnorm = hnorm(state.v, 1.0 + cfg.alpha)
     size = z + vnorm
     radii = np.asarray(sorted(radii), dtype=float)
-    fractions = np.array([float(np.mean(size > r)) for r in radii])
+    fractions = np.mean(size > radii[:, None], axis=-1)
     return {"radii": radii, "fractions": fractions,
             "fraction_times_R": fractions * radii, "sizes": size}
 
@@ -358,14 +359,8 @@ def linear_moment_report(N: int, s: float, T: float, dt_sample: float = 0.25,
         mom_u[k] = np.abs(state.value[:, 0]) ** 2
         mom_ut[k] = np.abs(state.value[:, 1]) ** 2
     stat = noise_mod.stationary_covariance(N, s)
-
-    def pooled(mom):  # the (K, K) tables of the means and their standard errors
-        cells = [_pooled([mean_with_error(mom[:, j, a, b]) for j in range(n_paths)])
-                 for a in range(K) for b in range(K)]
-        return np.array(cells).T.reshape(2, K, K)
-
-    mu_u, se_u = pooled(mom_u)
-    mu_ut, se_ut = pooled(mom_ut)
+    mu_u, se_u = _pooled(*mean_with_error(mom_u)[:2])
+    mu_ut, se_ut = _pooled(*mean_with_error(mom_ut)[:2])
     dev_u = np.abs(mu_u - stat[..., 0, 0]) / se_u
     dev_ut = np.abs(mu_ut - stat[..., 1, 1]) / se_ut
     return {"mean_u": mu_u, "se_u": se_u, "mean_ut": mu_ut, "se_ut": se_ut,

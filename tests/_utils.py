@@ -7,7 +7,8 @@ cubic and nonlinearity, the modified energy F of the drift bound, the
 quadratic form Q as dealiased products, the
 tau_M norms on every path, the standalone Girsanov density, the two-start
 comparison with one run per start, the coupled two-start comparison with a
-second record loop, the two-pass trapezoid shifted-flow check), and small
+second record loop, the two-pass trapezoid shifted-flow check, the
+autocorrelation time windowed by a loop over the windows), and small
 diagnostics only the tests use (the single-mode propagator matrix, the
 wave-equation finite-difference residual, the Hermitian defect, the
 Wick-ordering preset gamma_*, the field-by-field record comparison)."""
@@ -381,6 +382,32 @@ def unit_hermitian_fft2(N: int, seed, step: int, block: int) -> np.ndarray:
 
     w = normals(seed) if np.isscalar(seed) else np.stack([normals(s) for s in seed])
     return np.fft.fftshift(np.fft.fft2(w) / K, axes=(-2, -1))
+
+
+def autocorr_time_loop(x) -> float:
+    """The integrated autocorrelation time of one series, windowed by a loop
+    that re-sums rho[1:w+1] at each window w until w >= 5 tau: the oracle
+    for the one-pass cumulative-sum window of ``ergodics.autocorr_time``."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 4:
+        return 1.0
+    y = x - x.mean()
+    var = np.mean(y * y)
+    if var == 0:
+        return 1.0
+    m = 1
+    while m < 2 * n:
+        m *= 2
+    f = np.fft.rfft(y, m)
+    acov = np.fft.irfft(f * np.conj(f), m)[:n].real / np.arange(n, 0, -1)
+    rho = acov / acov[0]
+    tau = 1.0
+    for w in range(1, n):
+        tau = 1.0 + 2.0 * np.sum(rho[1:w + 1])
+        if w >= 5.0 * tau:
+            break
+    return max(tau, 1.0)
 
 
 def compare_starts_separately(cfg, u1_0, u2_0, T: float, seeds) -> dict:

@@ -25,7 +25,7 @@ from sdnlw.ergodics import (
 )
 from sdnlw.noise import sample_stick_at
 from sdnlw.spectral import gaussian_bump_pair, random_pair, zero_pair
-from _utils import compare_starts_separately, two_start_convergence
+from _utils import autocorr_time_loop, compare_starts_separately, two_start_convergence
 
 RNG = np.random.default_rng(77)
 
@@ -162,8 +162,53 @@ class TestErrorBars:
         eps = rng.standard_normal((400, 4000))
         eps[:, 0] /= np.sqrt(1.0 - phi**2)
         x = lfilter([1.0], [1.0, -phi], eps, axis=1)
-        means, errs, _ = np.array([mean_with_error(row) for row in x]).T
+        means, errs, _ = mean_with_error(x.T)
         assert 0.85 <= errs.mean() / means.std(ddof=1) <= 1.15
+
+    @staticmethod
+    def series(kind, n=4000):
+        rng = np.random.default_rng(11)
+        if kind == "iid":
+            return rng.standard_normal(n)
+        if kind == "AR(1) 0.9":
+            return lfilter([1.0], [1.0, -0.9], rng.standard_normal(n))
+        if kind == "blocks":
+            return np.repeat(rng.standard_normal(n // 40), 40)
+        if kind == "random walk":
+            return np.cumsum(rng.standard_normal(n))
+        if kind == "constant":  # 2.5 sums exactly, so x - mean is 0
+            return np.full(n, 2.5)
+        return rng.standard_normal(int(kind[2:]))  # "n=2", "n=3", "n=4"
+
+    @pytest.mark.parametrize("kind", ["iid", "AR(1) 0.9", "blocks", "random walk",
+                                      "constant", "n=2", "n=3", "n=4"])
+    def test_window_matches_the_loop(self, kind):
+        # a window one off moves tau by 2 rho_W, far above 1e-12
+        x = self.series(kind)
+        tau = autocorr_time(x)
+        assert tau.shape == ()
+        assert tau == pytest.approx(autocorr_time_loop(x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(999, 7), (300, 2, 3, 3)])
+    def test_each_series_as_alone(self, shape):
+        # random walks, iid columns, and a constant one whose 0 / 0 is ignored
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(shape)
+        x[:, 0] = np.cumsum(x[:, 0], axis=0)
+        x[:, 1] = 2.5
+        together = mean_with_error(x)
+        cols = x.reshape(shape[0], -1)
+        for j in range(cols.shape[1]):
+            alone = mean_with_error(cols[:, j])
+            for got, want in zip(together, alone):
+                assert got.shape == shape[1:] and want.shape == ()
+                assert got.reshape(-1)[j] == want, j
+
+    def test_nan_sample_gives_nan(self):
+        x = np.full(500, 0.3)  # constant but for the NaN
+        x[17] = np.nan
+        assert all(np.isnan(v) for v in mean_with_error(x))
+        assert np.isnan(mean_with_error(np.stack([x, RNG.standard_normal(500)], 1))[2][0])
 
     @pytest.mark.parametrize("T", [0.25, 0.0])
     def test_under_two_samples_refused(self, T):
@@ -187,6 +232,23 @@ class TestEnsembleSummary:
     def test_one_sample_window_is_refused(self):
         with pytest.raises(ValueError, match=r"window \[1\.0, 1\.0\] holds under two"):
             ensemble_summary(np.array([0.0, 1.0]), {"obs": np.array([1.0, 2.0])}, 1.0)
+
+    def test_pools_the_paths_alone(self):
+        cfg = SimConfig(N=4, s=1.0, gamma=0.0, dt=0.05, T=10.0, obs_interval=0.05)
+        run = sample_trajectory(cfg, None, [3, 4, 5])
+        pooled = ensemble_summary(run["times"], run["series"], 2.5)
+        for name, values in run["series"].items():
+            alone = [ensemble_summary(run["times"], {name: values[:, j]}, 2.5)[name]
+                     for j in range(3)]
+            se = np.array([a["stderr"] for a in alone])
+            assert pooled[name]["stderr"] == np.sqrt(np.sum(se**2)) / 3
+            assert pooled[name]["act"] == np.mean([a["act"] for a in alone])
+
+    def test_nan_sample_gives_nan_act(self):
+        vals = np.ones((40, 2))
+        vals[9, 1] = np.nan
+        d = ensemble_summary(np.arange(40.0), {"obs": vals}, 0.0)["obs"]
+        assert np.isnan(d["act"]) and np.isnan(d["stderr"]) and np.isnan(d["mean"])
 
 
 class TestSamplingMemory:
